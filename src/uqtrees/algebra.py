@@ -139,6 +139,12 @@ class ZeroTrackedSum:
         return NotImplemented
 
     def __hash__(self):
+        # equal to a plain number exactly when the terms are {0: number} or
+        # empty (zero), and then it must hash like that number
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1 and 0 in self.terms:
+            return hash(self.terms[0])
         return hash(tuple(sorted(self.terms.items())))
 
     def __repr__(self) -> str:

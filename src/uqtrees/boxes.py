@@ -10,6 +10,7 @@ without ever materializing an empty box.)
 
 from __future__ import annotations
 
+from operator import index
 from typing import Sequence, Tuple
 
 Span = Tuple[int, int]
@@ -17,10 +18,16 @@ Box = Tuple[Span, ...]
 
 
 def check_box(box: Sequence[Span], dims: Sequence[int]) -> None:
-    """Validate ``box`` against tensor extents, raising ValueError if bad."""
+    """Validate ``box`` against tensor extents, raising ValueError if bad.
+
+    A bound that is not an integer (``operator.index`` refuses it) raises
+    TypeError, as ``range`` does in the dense oracle.
+    """
     if len(box) != len(dims):
         raise ValueError(f"box has {len(box)} dimensions, structure has {len(dims)}")
     for (lo, hi), n in zip(box, dims):
+        index(lo)
+        index(hi)
         if lo > hi:
             raise ValueError(f"empty span ({lo}, {hi})")
         if lo < 0 or hi >= n:

@@ -32,8 +32,9 @@ from .counters import OpCounters
 class DenseTensor:
     """Flat row-major storage plus literal update/query.
 
-    Updates need exclusive access; queries do not mutate and may run
-    concurrently.
+    Updates need exclusive access.  Queries leave the data unchanged but bump
+    the shared counters without a lock, so concurrent readers get right
+    answers and may lose counts.
     """
 
     __slots__ = ("dims", "data", "pair", "counters", "_strides", "_own")

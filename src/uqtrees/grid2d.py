@@ -132,30 +132,39 @@ class Grid2D:
         inner = self.inner
         q = self.pair.query_op
         events: List[Tuple[str, int]] = []
-        visits = 0
-
-        def un(i):
-            nonlocal visits
-            visits += 1
+        visits = 1
+        # pre-order with the right child first; reversed, that is the
+        # left-first post-order in which children finish before parents
+        stack = [0]
+        while stack:
+            i = stack.pop()
             ilo = lo[i]
             ihi = hi[i]
+            l = left[i]
             if xlo <= ilo and ihi <= xhi:
                 # no pending values at the outer level: every node inside the
                 # row span, descendants included, updates its own column tree
-                if left[i] >= 0:
-                    un(left[i])
-                    un(right[i])
-                inner[i].update(ylo, yhi, value)
                 events.append(("inner-update", i))
-            elif ilo <= xhi and xlo <= ihi:
-                un(left[i])
-                un(right[i])
+                if l >= 0:
+                    visits += 2
+                    stack.append(l)
+                    stack.append(right[i])
+            else:
+                events.append(("rebuild", i))
+                visits += 2
+                if hi[l] >= xlo:
+                    stack.append(l)
+                r = right[i]
+                if lo[r] <= xhi:
+                    stack.append(r)
+        events.reverse()
+        for kind, i in events:
+            if kind == "inner-update":
+                inner[i].update(ylo, yhi, value)
+            else:
                 cols_l = inner[left[i]].to_array()
                 cols_r = inner[right[i]].to_array()
                 inner[i].reinit([q(a, b) for a, b in zip(cols_l, cols_r)])
-                events.append(("rebuild", i))
-
-        un(0)
         self.last_events = events
         c.visits_total += visits
         if self._own:
@@ -170,21 +179,23 @@ class Grid2D:
         left, right = self.left, self.right
         inner = self.inner
         q = self.pair.query_op
-        q_id = self.pair.query_identity
-        visits = 0
-
-        def qn(i):
-            nonlocal visits
-            visits += 1
+        out = self.pair.query_identity
+        visits = 1
+        stack = [0]
+        while stack:
+            i = stack.pop()
             ilo = lo[i]
             ihi = hi[i]
             if xlo <= ilo and ihi <= xhi:
-                return inner[i].query(ylo, yhi)
-            if ilo > xhi or ihi < xlo:
-                return q_id
-            return q(qn(left[i]), qn(right[i]))
-
-        out = qn(0)
+                out = q(out, inner[i].query(ylo, yhi))
+            else:
+                visits += 2
+                r = right[i]
+                if lo[r] <= xhi:
+                    stack.append(r)
+                l = left[i]
+                if hi[l] >= xlo:
+                    stack.append(l)
         c.visits_total += visits
         if self._own:
             c.note_query(c.visits_total - before)

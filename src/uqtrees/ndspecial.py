@@ -21,10 +21,13 @@ Structure, recursively over axis 0:
 
 An update splits its box into the axis-0 span ``X`` and the remainder ``C``:
 nodes inside ``X`` stamp ``v`` into ``row_lazy`` over ``C``; partially
-overlapped nodes recurse, then repair ``row_fold`` over ``C`` with ``v``
-repeated ``|overlap with X|`` times.  A query mirrors this, folding child
-results and absorbing each visited node's pending values.  Queries are pure;
-updates need exclusive access.
+overlapped nodes descend and repair ``row_fold`` over ``C`` with ``v``
+repeated ``|overlap with X|`` times.  A query mirrors this: it folds the
+fully covered nodes' results, then absorbs each partially overlapped node's
+pending values once, which the fold-commuting law makes exact.  Both walks
+are explicit-stack loops (see :mod:`uqtrees.seg1d`).  Queries leave the
+trees unchanged (they only bump the shared counters); updates need exclusive
+access.
 
 All nested trees share one visit counter, so a top-level operation's visit
 count includes every inner-tree node it touched.
@@ -118,22 +121,26 @@ class NDTree:
         left, right = self.left, self.right
         folds, lazies = self.row_fold, self.row_lazy
         rep = self.pair.repeat
-        visits = 0
-
-        def un(i):
-            nonlocal visits
-            visits += 1
+        visits = 1
+        # each node's own trees are independent of its children's, so the
+        # order of the inner updates does not matter
+        stack = [0]
+        while stack:
+            i = stack.pop()
             ilo = lo[i]
             ihi = hi[i]
             if xlo <= ilo and ihi <= xhi:
                 lazies[i].update(rest, value)
-            elif ilo <= xhi and xlo <= ihi:
-                un(left[i])
-                un(right[i])
+            else:
+                visits += 2
+                l = left[i]
+                if hi[l] >= xlo:
+                    stack.append(l)
+                r = right[i]
+                if lo[r] <= xhi:
+                    stack.append(r)
                 j = (ihi if ihi < xhi else xhi) - (ilo if ilo > xlo else xlo) + 1
                 folds[i].update(rest, rep(value, j))
-
-        un(0)
         self.counters.visits_total += visits
 
     def query(self, box: Box):
@@ -156,26 +163,32 @@ class NDTree:
         folds, lazies = self.row_fold, self.row_lazy
         u = self.pair.update_op
         q = self.pair.query_op
-        q_id = self.pair.query_identity
         rep = self.pair.repeat
-        visits = 0
-
-        def qn(i):
-            nonlocal visits
-            visits += 1
+        out = self.pair.query_identity
+        # the pending values of partially covered nodes, absorbed once the
+        # covered parts are folded: exact by the fold-commuting law
+        pending = []
+        visits = 1
+        stack = [0]
+        while stack:
+            i = stack.pop()
             ilo = lo[i]
             ihi = hi[i]
             if xlo <= ilo and ihi <= xhi:
                 base = folds[i].query(rest)
                 pend = lazies[i].query(rest)
-                return u(base, rep(pend, ihi - ilo + 1))
-            if ilo > xhi or ihi < xlo:
-                return q_id
-            part = q(qn(left[i]), qn(right[i]))
-            pend = lazies[i].query(rest)
-            j = (ihi if ihi < xhi else xhi) - (ilo if ilo > xlo else xlo) + 1
-            return u(part, rep(pend, j))
-
-        out = qn(0)
+                out = q(out, u(base, rep(pend, ihi - ilo + 1)))
+            else:
+                visits += 2
+                r = right[i]
+                if lo[r] <= xhi:
+                    stack.append(r)
+                l = left[i]
+                if hi[l] >= xlo:
+                    stack.append(l)
+                j = (ihi if ihi < xhi else xhi) - (ilo if ilo > xlo else xlo) + 1
+                pending.append(rep(lazies[i].query(rest), j))
+        for pend in pending:
+            out = u(out, pend)
         self.counters.visits_total += visits
         return out

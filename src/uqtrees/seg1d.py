@@ -20,9 +20,15 @@ on the partially covered nodes above them, children first::
     val[n] = query_op(aggregator(val[l], laz[l], size[l]),
                       aggregator(val[r], laz[r], size[r]))
 
-``query`` never pushes pending values down -- it accumulates them on the way
-back up -- so queries are pure and any number of readers may run
-concurrently; ``update`` needs exclusive access.  Both visit O(log N) nodes.
+``query`` never pushes pending values down -- it carries the combined
+pending value of a node's ancestors down to it -- so queries leave the tree
+unchanged.  They do bump the shared :class:`~uqtrees.counters.OpCounters`
+without a lock, so concurrent readers get right answers but may lose visit
+counts; ``update`` needs exclusive access.  Both visit O(log N) nodes.
+
+The walks are loops over an explicit stack, not recursive closures: a
+recursive closure is a reference cycle, so every call would leave garbage
+that only a run of the cyclic garbage collector can free.
 
 ``cell_weight`` scales every node size: a tree whose slots each stand for
 ``w`` real cells (the 2D structure in :mod:`uqtrees.grid2d` uses this) gets
@@ -31,6 +37,7 @@ correct aggregator calls simply by building with ``cell_weight=w``.
 
 from __future__ import annotations
 
+from operator import index
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import OperatorPair
@@ -106,6 +113,8 @@ class SegTree1D:
         self.counters.visits_total += self.node_count
 
     def _check(self, qlo: int, qhi: int) -> None:
+        index(qlo)
+        index(qhi)
         if qlo > qhi or qlo < 0 or qhi >= self.size:
             raise ValueError(f"span ({qlo}, {qhi}) out of bounds for length {self.size}")
 
@@ -118,24 +127,31 @@ class SegTree1D:
         q = self.pair.query_op
         agg = self.pair.aggregator
         touched: List[Tuple[int, int]] = []
-        visits = 0
-
-        def un(i):
-            nonlocal visits
-            visits += 1
+        partial: List[int] = []
+        visits = 1
+        stack = [0]
+        while stack:
+            i = stack.pop()
             ilo = lo[i]
             ihi = hi[i]
             if qlo <= ilo and ihi <= qhi:
                 laz[i] = u(laz[i], value)
                 touched.append((ilo, ihi))
-            elif ilo <= qhi and qlo <= ihi:
-                l = left[i]
+            else:
+                # partially covered: both children count as visited, but a
+                # disjoint child has nothing to do
+                partial.append(i)
+                visits += 2
                 r = right[i]
-                un(l)
-                un(r)
-                val[i] = q(agg(val[l], laz[l], sz[l]), agg(val[r], laz[r], sz[r]))
-
-        un(0)
+                if lo[r] <= qhi:
+                    stack.append(r)
+                l = left[i]
+                if hi[l] >= qlo:
+                    stack.append(l)
+        for i in reversed(partial):  # children before parents
+            l = left[i]
+            r = right[i]
+            val[i] = q(agg(val[l], laz[l], sz[l]), agg(val[r], laz[r], sz[r]))
         self.last_lazy_spans = touched
         self.counters.visits_total += visits
         if self._own:
@@ -146,26 +162,30 @@ class SegTree1D:
         lo, hi = self.lo, self.hi
         left, right, sz = self.left, self.right, self.sz
         val, laz = self.val, self.laz
+        u = self.pair.update_op
         q = self.pair.query_op
         agg = self.pair.aggregator
-        q_id = self.pair.query_identity
-        w = self.cell_weight
-        visits = 0
-
-        def qn(i):
-            nonlocal visits
-            visits += 1
+        out = self.pair.query_identity
+        visits = 1
+        # (node, combined pending value of its strict ancestors); a covered
+        # node absorbs them all at its own size, as in to_array, which is
+        # exact because aggregator distributes over query_op
+        stack = [(0, self.pair.update_identity)]
+        while stack:
+            i, z = stack.pop()
             ilo = lo[i]
             ihi = hi[i]
             if qlo <= ilo and ihi <= qhi:
-                return agg(val[i], laz[i], sz[i])
-            if ilo > qhi or ihi < qlo:
-                return q_id
-            part = q(qn(left[i]), qn(right[i]))
-            span = (ihi if ihi < qhi else qhi) - (ilo if ilo > qlo else qlo) + 1
-            return agg(part, laz[i], span * w)
-
-        out = qn(0)
+                out = q(out, agg(val[i], u(z, laz[i]), sz[i]))
+            else:
+                visits += 2
+                z = u(z, laz[i])
+                r = right[i]
+                if lo[r] <= qhi:
+                    stack.append((r, z))
+                l = left[i]
+                if hi[l] >= qlo:
+                    stack.append((l, z))
         self.counters.visits_total += visits
         if self._own:
             self.counters.note_query(visits)
@@ -202,8 +222,10 @@ class SegTree1D:
     def to_array(self) -> list:
         """True element values, one pass: exactly ``node_count`` visits.
 
-        Walks the tree once, carrying the combined pending values of the
-        ancestors; each leaf emits ``aggregator(val, carried, leaf size)``.
+        Walks the arena in index order, which is pre-order, so every parent
+        comes before its children; each node passes the combined pending
+        values of its ancestors and itself on to its children, and each leaf
+        emits ``aggregator(val, carried, leaf size)``.
         """
         lo, left, right = self.lo, self.left, self.right
         val, laz = self.val, self.laz
@@ -211,17 +233,15 @@ class SegTree1D:
         agg = self.pair.aggregator
         w = self.cell_weight
         out = [None] * self.size
-
-        def dfs(i, z):
-            z = u(z, laz[i])
+        carried = [self.pair.update_identity] * self.node_count
+        for i in range(self.node_count):
+            z = u(carried[i], laz[i])
             l = left[i]
             if l < 0:
                 out[lo[i]] = agg(val[i], z, w)
             else:
-                dfs(l, z)
-                dfs(right[i], z)
-
-        dfs(0, self.pair.update_identity)
+                carried[l] = z
+                carried[right[i]] = z
         self.counters.visits_total += self.node_count
         return out
 

@@ -278,3 +278,23 @@ class TestZeroTrackedSum:
         assert a + b == b + a
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c
+
+    def test_hash_agrees_with_scalar_equality(self):
+        for z, x in ((ZeroTrackedSum({0: 5}), 5), (ZeroTrackedSum({}), 0),
+                     (ZeroTrackedSum({0: Fraction(1, 2)}), 0.5)):
+            assert z == x and hash(z) == hash(x)
+            assert len({z, x}) == 1
+        assert {ZeroTrackedSum({0: 5}): "a"}[5] == "a"
+        # one zero factor is not plain zero
+        assert ZeroTrackedSum({1: 1}) != 0
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3)), max_size=3),
+           st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3)), max_size=3))
+    @settings(max_examples=200, derandomize=True)
+    def test_equal_values_hash_equal(self, t1, t2):
+        a, b = ZeroTrackedSum(dict(t1)), ZeroTrackedSum(dict(t2))
+        if a == b:
+            assert hash(a) == hash(b)
+        x = a.effective()
+        if a == x:
+            assert hash(a) == hash(x)

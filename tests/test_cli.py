@@ -218,6 +218,33 @@ class TestCliMatmul:
         assert t.dims == (2, 2) and t.data == [1, 0, 3, 2]
         assert "max deviation vs schoolbook: 0" in p.stderr
 
+    def test_check_compares_equal_infinities_as_equal(self, tmp_path):
+        fa, fb = tmp_path / "a.txt", tmp_path / "b.txt"
+        fa.write_text("2 2 2\ninf inf 1 2\n")
+        fb.write_text("2 2 2\n1 0 0 1\n")
+        p = cli("matmul", str(fa), str(fb), "--pair", "plus-min", "--backend",
+                "grid2d-general", "--check")
+        assert p.returncode == 0, p.stderr
+        t = parse_tensor(p.stdout, get_pair("plus-min"))
+        assert t.data == [float("inf"), float("inf"), 2, 1]
+        assert "nan" not in p.stderr
+
+    def test_check_names_the_cells_that_differ(self, tmp_path, monkeypatch, capsys):
+        from uqtrees import cli as cli_module
+        fa, fb = self._write(tmp_path)
+        real = cli_module.product_via_backend
+
+        def off_by_one(*args):
+            c = real(*args)
+            c[1][0] += 1
+            return c
+
+        monkeypatch.setattr(cli_module, "product_via_backend", off_by_one)
+        assert cli_module.main(["matmul", fa, fb, "--pair", "plus-min", "--check"]) == 1
+        err = capsys.readouterr().err
+        assert "1 of 4 cells differ from schoolbook" in err
+        assert "C[1][0] = 4, schoolbook 3" in err
+
     def test_standard_identity_echoes(self, tmp_path):
         fa = tmp_path / "a.txt"
         fa.write_text("2 2 2\n3 -4\n0 5\n")
