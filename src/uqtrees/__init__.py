@@ -19,12 +19,11 @@ differential/benchmark workloads (:mod:`uqtrees.workloads`) and the
 from .algebra import (MAX_MAX, MIN_MIN, PAIR_NAMES, PLUS_MAX, PLUS_MIN,
                       PLUS_PLUS, TIMES_PLUS, TIMES_TIMES, OperatorPair,
                       ZeroTrackedSum, builtin_pairs, check_special,
-                      fold_after_partial_update, fold_after_update, get_pair,
-                      invert_value, repeat_update, update_fold_pair)
+                      fold_after_partial_update, get_pair)
 from .boxes import Box, box_volume, check_box
 from .counters import OpCounters
 from .dense import DenseTensor, format_tensor, parse_tensor
-from .grid2d import Grid2D, ScaledPair
+from .grid2d import Grid2D
 from .matmul import (MAX_PLUS_PRODUCT, MIN_PLUS_PRODUCT, PRODUCT_PAIRS,
                      STANDARD_PRODUCT, ProductPair, multi_product_via_backend,
                      product_via_backend, schoolbook, seed_backend)
@@ -37,12 +36,11 @@ from .workloads import (BACKEND_IDS, GROWTH_ENVELOPES, BenchRow,
 
 __all__ = [
     "Box", "OperatorPair", "ZeroTrackedSum", "OpCounters",
-    "DenseTensor", "SegTree1D", "NDTree", "Grid2D", "QuadTree", "ScaledPair",
+    "DenseTensor", "SegTree1D", "NDTree", "Grid2D", "QuadTree",
     "ValidationError",
     "PLUS_MIN", "PLUS_MAX", "PLUS_PLUS", "TIMES_TIMES", "MIN_MIN", "MAX_MAX",
     "TIMES_PLUS", "PAIR_NAMES", "builtin_pairs", "get_pair",
-    "fold_after_update", "fold_after_partial_update", "repeat_update",
-    "invert_value", "check_special", "update_fold_pair",
+    "fold_after_partial_update", "check_special",
     "box_volume", "check_box", "parse_tensor", "format_tensor",
     "probe_visit_bound",
     "ProductPair", "PRODUCT_PAIRS", "MIN_PLUS_PRODUCT", "MAX_PLUS_PRODUCT",

@@ -22,8 +22,8 @@ commutes with folding::
 
 Such pairs admit the d-dimensional tree in :mod:`uqtrees.ndspecial`: when
 only ``j`` of ``k`` folded elements absorb ``v``, the fold changes by a
-single ``update_op`` with ``v`` repeated ``j`` times (see :func:`repeat_update`
-and :func:`fold_after_partial_update`).
+single ``update_op`` with ``v`` repeated ``j`` times (see
+:meth:`OperatorPair.repeat` and :func:`fold_after_partial_update`).
 
 Pairs whose update operator has an exact inverse additionally support the
 matrix-product reduction in :mod:`uqtrees.matmul`.  Multiplicative pairs get
@@ -164,7 +164,6 @@ class OperatorPair:
     inverse: Optional[Callable] = None
     is_special: bool = False
     update_idempotent: bool = False
-    query_idempotent: bool = False
     repeat_rule: Optional[Callable] = None  # (value, times) -> value repeated
     sample_range: Tuple[int, int] = (-100, 100)
 
@@ -197,17 +196,6 @@ class OperatorPair:
         return f"OperatorPair({self.name!r})"
 
 
-def fold_after_update(pair: OperatorPair, fold, value, count: int):
-    """New fold of ``count`` elements after each one absorbed ``value``."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return pair.aggregator(fold, value, count)
-
-
-def repeat_update(pair: OperatorPair, value, times: int):
-    return pair.repeat(value, times)
-
-
 def fold_after_partial_update(pair: OperatorPair, fold, value, hits: int, count: int):
     """New fold of ``count`` elements after ``hits`` of them absorbed ``value``.
 
@@ -221,10 +209,6 @@ def fold_after_partial_update(pair: OperatorPair, fold, value, hits: int, count:
     if hits == 0:
         return fold
     return pair.update_op(fold, pair.repeat(value, hits))
-
-
-def invert_value(pair: OperatorPair, x):
-    return pair.invert(x)
 
 
 def check_special(pair: OperatorPair, samples: int = 1000, seed: int = 0):
@@ -251,35 +235,6 @@ def check_special(pair: OperatorPair, samples: int = 1000, seed: int = 0):
         if q(u(a, v), b) != u(q(a, b), v):
             return False, (a, b, v)
     return True, None
-
-
-def update_fold_pair(pair: OperatorPair) -> OperatorPair:
-    """The pair that folds with ``update_op`` itself.
-
-    Used for the pending-update trees of the d-dimensional structure: those
-    trees are updated with ``update_op`` and queried with ``update_op``.  For
-    every registered fold-commuting pair the two operators already coincide,
-    so this returns ``pair`` unchanged; the generic construction covers any
-    future pair where they differ.
-    """
-    if pair.update_op is pair.query_op and pair.update_identity == pair.query_identity:
-        return pair
-    u = pair.update_op
-    rep = pair.repeat
-    return OperatorPair(
-        name=pair.name + "-updatefold",
-        update_op=u,
-        query_op=u,
-        update_identity=pair.update_identity,
-        query_identity=pair.update_identity,
-        aggregator=lambda a, v, k: u(a, rep(v, k)),
-        inverse=pair.inverse,
-        is_special=True,
-        update_idempotent=pair.update_idempotent,
-        query_idempotent=pair.update_idempotent,
-        repeat_rule=pair.repeat_rule,
-        sample_range=pair.sample_range,
-    )
 
 
 def _reciprocal(x):
@@ -317,7 +272,6 @@ PLUS_MIN = _register(OperatorPair(
     query_identity=INF,
     aggregator=lambda a, v, k: a + v,
     inverse=operator.neg,
-    query_idempotent=True,
     repeat_rule=_add_repeat,
 ))
 
@@ -329,7 +283,6 @@ PLUS_MAX = _register(OperatorPair(
     query_identity=NEG_INF,
     aggregator=lambda a, v, k: a + v,
     inverse=operator.neg,
-    query_idempotent=True,
     repeat_rule=_add_repeat,
 ))
 
@@ -367,7 +320,6 @@ MIN_MIN = _register(OperatorPair(
     aggregator=lambda a, v, k: a if a < v else v,
     is_special=True,
     update_idempotent=True,
-    query_idempotent=True,
 ))
 
 MAX_MAX = _register(OperatorPair(
@@ -379,7 +331,6 @@ MAX_MAX = _register(OperatorPair(
     aggregator=lambda a, v, k: a if a > v else v,
     is_special=True,
     update_idempotent=True,
-    query_idempotent=True,
 ))
 
 TIMES_PLUS = _register(OperatorPair(

@@ -10,8 +10,11 @@ slot ``y`` stands for the fold of column ``y`` restricted to ``n``'s rows.
 Each inner slot therefore represents ``w`` real cells, which is exactly what
 ``SegTree1D(..., cell_weight=w)`` encodes: one slot absorbing an update
 value means ``aggregator(slot, v, w)``, and the inner tree's aggregator
-calls see cell counts, not slot counts.  :class:`ScaledPair` spells out the
-same reweighting as an operator-pair value for law checks.
+calls see cell counts, not slot counts.
+
+The outer arena's layout is :func:`~uqtrees.seg1d.node_shape` of the row
+count, and every inner tree uses the one layout of the column count, so
+each tree owns only its ``val``/``laz`` (plus its weighted node sizes).
 
 There are no pending values at the outer level.  An update splits its box
 into the row span and the column span; outer nodes inside the row span
@@ -27,54 +30,13 @@ decomposition of the row span and never mutates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .algebra import OperatorPair
 from .boxes import Box, check_box
 from .counters import OpCounters
 from .dense import DenseTensor
-from .seg1d import SegTree1D
-
-
-@dataclass(frozen=True)
-class ScaledPair:
-    """The operator pair seen by an inner tree whose slots weigh ``scale`` cells.
-
-    Element semantics: a slot absorbing ``v`` becomes ``aggregator(slot, v,
-    scale)`` (exposed as :meth:`element_update`).  Stacked update values still
-    combine with the *base* update operator -- applying ``x`` then ``y`` to a
-    slot is one application of ``update_op(x, y)`` -- and the aggregator for
-    ``k`` slots is the base aggregator for ``scale * k`` cells.
-    """
-
-    base: OperatorPair
-    scale: int
-
-    @property
-    def update_op(self):
-        return self.base.update_op
-
-    @property
-    def query_op(self):
-        return self.base.query_op
-
-    @property
-    def update_identity(self):
-        return self.base.update_identity
-
-    @property
-    def query_identity(self):
-        return self.base.query_identity
-
-    @property
-    def aggregator(self):
-        agg = self.base.aggregator
-        x = self.scale
-        return lambda a, v, k: agg(a, v, x * k)
-
-    def element_update(self, a, v):
-        return self.base.aggregator(a, v, self.scale)
+from .seg1d import SegTree1D, node_shape, row_folds
 
 
 class Grid2D:
@@ -86,41 +48,15 @@ class Grid2D:
         self.pair = pair
         self._own = counters is None
         self.counters = counters if counters is not None else OpCounters()
-        n, m = tensor.dims
-        q = pair.query_op
-        self.lo: List[int] = []
-        self.hi: List[int] = []
-        self.left: List[int] = []
-        self.right: List[int] = []
-        self.inner: List[SegTree1D] = []
+        shape = node_shape(tensor.dims[0])
+        self.lo, self.hi, self.left, self.right = shape[:4]
+        self.node_count = count = len(shape.lo)
+        self.inner: List[SegTree1D] = [None] * count  # type: ignore[list-item]
         self.last_events: List[Tuple[str, int]] = []
-
-        def build(lo, hi) -> tuple:
-            i = len(self.lo)
-            self.lo.append(lo)
-            self.hi.append(hi)
-            self.left.append(-1)
-            self.right.append(-1)
-            self.inner.append(None)  # type: ignore[arg-type]
-            if lo == hi:
-                tmp = tensor.first_axis_slice(lo)
-            else:
-                mid = (lo + hi) // 2
-                l, tl = build(lo, mid)
-                r, tr = build(mid + 1, hi)
-                self.left[i] = l
-                self.right[i] = r
-                tmp = [q(a, b) for a, b in zip(tl, tr)]
-            self.inner[i] = SegTree1D(tmp, pair, cell_weight=hi - lo + 1,
+        for i, rows in row_folds(shape, tensor.first_axis_slice, pair.query_op):
+            self.inner[i] = SegTree1D(rows, pair, cell_weight=shape.size[i],
                                       counters=self.counters)
-            return i, tmp
-
-        build(0, n - 1)
-        self.counters.visits_total += len(self.lo)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.lo)
+        self.counters.visits_total += count
 
     def update(self, box: Box, value) -> None:
         check_box(box, self.dims)

@@ -13,6 +13,11 @@ re-seeding cells in place: each cell is updated with ``inverse(current) *
 new``, which works because single-cell queries on every backend here return
 the exact stored element.
 
+Both need update values whose inverse undoes them exactly, so an infinite or
+nan entry of ``B`` (or a non-finite cell that a re-seed would invert) is
+rejected with ``ValueError``: ``inf + -inf`` would leave nan behind.
+Infinities in ``A`` are fine; they are only ever updated by finite values.
+
 Supported domains (:data:`PRODUCT_PAIRS`):
 
 * ``plus-min``  -- min-plus ("tropical") product, exact over integers,
@@ -31,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
-from .algebra import (OperatorPair, PLUS_MAX, PLUS_MIN, TIMES_PLUS,
-                      ZeroTrackedSum)
-from .dense import DenseTensor
+from .algebra import (INF, NEG_INF, OperatorPair, PLUS_MAX, PLUS_MIN,
+                      TIMES_PLUS, ZeroTrackedSum)
+from .dense import DenseTensor, format_value
 from .grid2d import Grid2D
 
 Matrix = List[list]
@@ -84,6 +89,14 @@ def _check_square(*mats: Sequence[Sequence]) -> int:
     return n
 
 
+def _not_finite(x) -> bool:
+    # exact comparisons: an int beyond float range is finite, and float()
+    # would overflow on it
+    if isinstance(x, ZeroTrackedSum):
+        return any(_not_finite(m) for m in x.terms.values())
+    return x == INF or x == NEG_INF or x != x
+
+
 def schoolbook(a: Matrix, b: Matrix, domain: ProductPair) -> Matrix:
     """Direct O(N^3) product; the oracle the reduction is checked against."""
     n = _check_square(a, b)
@@ -124,6 +137,12 @@ def product_via_backend(a: Matrix, b: Matrix, domain: ProductPair, backend) -> M
         raise ValueError(f"backend shape {backend.dims} != matrix shape {(n, n)}")
     if domain.pair.inverse is None:
         raise ValueError(f"pair {domain.pair.name!r} has no inverse")
+    # the inverse of an infinity does not undo it (inf + -inf is nan)
+    for i in range(n):
+        for j in range(n):
+            if _not_finite(b[i][j]):
+                raise ValueError(f"B[{i}][{j}] = {format_value(b[i][j])} is not finite; "
+                                 "its update cannot be undone exactly")
     update = backend.update
     query = backend.query
     inv = domain.inv
@@ -162,6 +181,10 @@ def multi_product_via_backend(pairs_of_matrices: Sequence[tuple], domain: Produc
         for i in range(n):
             for j in range(n):
                 cell = ((i, i), (j, j))
-                update(cell, u(inv(query(cell)), lift(a[i][j])))
+                held = query(cell)
+                if _not_finite(held):
+                    raise ValueError(f"backend cell ({i}, {j}) holds a non-finite value; "
+                                     "it cannot be inverted to re-seed the cell")
+                update(cell, u(inv(held), lift(a[i][j])))
         out.append(product_via_backend(a, b, domain, backend))
     return out

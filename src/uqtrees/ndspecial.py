@@ -14,10 +14,15 @@ Structure, recursively over axis 0:
   rows) holds two (d-1)-dimensional trees over the remaining axes:
 
   - ``row_fold[n]``  -- the element-wise fold of the rows ``n`` covers,
-  - ``row_lazy[n]``  -- pending update values, folded under ``update_op``
-    itself (see :func:`uqtrees.algebra.update_fold_pair`), meaning "every
+  - ``row_lazy[n]``  -- pending update values, folded under the pair itself
+    (so the pair must have ``update_op is query_op`` and equal identities,
+    as every registered fold-commuting pair has), meaning "every
     descendant's ``row_fold`` entry at coordinate ``c`` still has to absorb
     ``row_lazy[n](c)`` repeated (descendant row count) times".
+
+The axis-0 arena's layout is :func:`~uqtrees.seg1d.node_shape` of the
+extent, shared with every other tree of that extent; nested trees of equal
+extent likewise share one layout and each owns only its ``val``/``laz``.
 
 An update splits its box into the axis-0 span ``X`` and the remainder ``C``:
 nodes inside ``X`` stamp ``v`` into ``row_lazy`` over ``C``; partially
@@ -37,11 +42,11 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .algebra import OperatorPair, check_special, update_fold_pair
+from .algebra import OperatorPair, check_special
 from .boxes import Box, check_box
 from .counters import OpCounters
 from .dense import DenseTensor
-from .seg1d import SegTree1D
+from .seg1d import SegTree1D, node_shape, row_folds
 
 
 class NDTree:
@@ -51,6 +56,10 @@ class NDTree:
             ok, witness = check_special(pair)
             detail = f"; counterexample (a, b, v) = {witness}" if not ok else ""
             raise ValueError(f"pair {pair.name!r} is not fold-commuting{detail}")
+        if pair.update_op is not pair.query_op or pair.update_identity != pair.query_identity:
+            # the pending-value trees fold with the pair itself
+            raise ValueError(f"pair {pair.name!r} must fold with its update operator: "
+                             "need update_op is query_op and equal identities")
         self.dims = tensor.dims
         self.pair = pair
         self._own = counters is None
@@ -60,43 +69,18 @@ class NDTree:
             self.line = SegTree1D(tensor.data, pair, counters=self.counters)
             return
         n = self.dims[0]
+        shape = node_shape(n)
+        self.lo, self.hi, self.left, self.right = shape[:4]
+        count = len(shape.lo)
         sub_dims = self.dims[1:]
-        lazy_pair = update_fold_pair(pair)
-        blank = [pair.update_identity] * (len(tensor.data) // n)
-        q = pair.query_op
-        self.lo: List[int] = []
-        self.hi: List[int] = []
-        self.left: List[int] = []
-        self.right: List[int] = []
-        self.row_fold: List[NDTree] = []
-        self.row_lazy: List[NDTree] = []
-
-        def build(lo, hi) -> tuple:
-            # returns (index, element-wise fold of rows lo..hi)
-            i = len(self.lo)
-            self.lo.append(lo)
-            self.hi.append(hi)
-            self.left.append(-1)
-            self.right.append(-1)
-            self.row_fold.append(None)  # type: ignore[arg-type]
-            self.row_lazy.append(None)  # type: ignore[arg-type]
-            if lo == hi:
-                tmp = tensor.first_axis_slice(lo)
-            else:
-                m = (lo + hi) // 2
-                l, tl = build(lo, m)
-                r, tr = build(m + 1, hi)
-                self.left[i] = l
-                self.right[i] = r
-                tmp = [q(a, b) for a, b in zip(tl, tr)]
-            self.row_fold[i] = NDTree(DenseTensor(sub_dims, tmp, pair),
-                                      pair, counters=self.counters)
-            self.row_lazy[i] = NDTree(DenseTensor(sub_dims, blank, lazy_pair),
-                                      lazy_pair, counters=self.counters)
-            return i, tmp
-
-        build(0, n - 1)
-        self.counters.visits_total += len(self.lo)
+        blank = DenseTensor(sub_dims, [pair.update_identity] * (len(tensor.data) // n), pair)
+        self.row_fold: List[NDTree] = [None] * count  # type: ignore[list-item]
+        self.row_lazy: List[NDTree] = [None] * count  # type: ignore[list-item]
+        for i, rows in row_folds(shape, tensor.first_axis_slice, pair.query_op):
+            self.row_fold[i] = NDTree(DenseTensor(sub_dims, rows, pair), pair,
+                                      counters=self.counters)
+            self.row_lazy[i] = NDTree(blank, pair, counters=self.counters)
+        self.counters.visits_total += count
 
     @property
     def node_count(self) -> int:

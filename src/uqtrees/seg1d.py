@@ -1,9 +1,14 @@
 """1D segment tree with lazy update values.
 
-Nodes live in an index-addressed arena of parallel lists, built once; node 0
-is the root and covers ``[0, N-1]``.  A node over ``[l, r]`` with ``l < r``
-splits at ``m = (l + r) // 2`` into ``[l, m]`` and ``[m+1, r]``, which gives
-exactly ``2N - 1`` nodes for any N, power of two or not.
+Nodes live in an index-addressed arena of parallel lists; node 0 is the
+root and covers ``[0, N-1]``.  A node over ``[l, r]`` with ``l < r`` splits
+at ``m = (l + r) // 2`` into ``[l, m]`` and ``[m+1, r]``, which gives exactly
+``2N - 1`` nodes for any N, power of two or not.  That layout
+(``lo``/``hi``/``left``/``right`` and node sizes) depends only on N, so
+:func:`node_shape` builds it once per extent and every tree of that extent
+shares it -- the outer arenas of :mod:`uqtrees.ndspecial` and
+:mod:`uqtrees.grid2d` included.  A tree owns only ``val`` and ``laz`` (and
+``sz`` when its cells are weighted).
 
 Each node ``n`` caches two things:
 
@@ -37,8 +42,9 @@ correct aggregator calls simply by building with ``cell_weight=w``.
 
 from __future__ import annotations
 
+from functools import cache
 from operator import index
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import OperatorPair
 from .counters import OpCounters
@@ -49,56 +55,97 @@ class ValidationError(AssertionError):
     pass
 
 
+class NodeShape(NamedTuple):
+    """The mid-split pre-order layout over ``[0, n-1]``, one entry per node.
+
+    ``left``/``right`` are -1 at leaves; ``size`` counts covered slots,
+    unscaled.
+    """
+
+    lo: List[int]
+    hi: List[int]
+    left: List[int]
+    right: List[int]
+    size: List[int]
+
+
+@cache
+def node_shape(n: int) -> NodeShape:
+    """The shared layout for extent ``n``; every tree of that extent uses it.
+
+    Pre-order puts the left child of node ``i`` at ``i + 1`` and the right
+    child after the ``2 * (left width) - 1`` nodes of the left subtree.  The
+    lists are shared, so nobody may mutate them.
+    """
+    if n < 1:
+        raise ValueError("cannot build over an empty array")
+    count = 2 * n - 1
+    lo = [0] * count
+    hi = [0] * count
+    left = [-1] * count
+    right = [-1] * count
+    size = [0] * count
+    stack = [(0, 0, n - 1)]
+    while stack:
+        i, a, b = stack.pop()
+        lo[i] = a
+        hi[i] = b
+        size[i] = b - a + 1
+        if a < b:
+            m = (a + b) // 2
+            left[i] = i + 1
+            right[i] = i + 2 * (m - a + 1)
+            stack.append((right[i], m + 1, b))
+            stack.append((i + 1, a, m))
+    return NodeShape(lo, hi, left, right, size)
+
+
+def row_folds(shape: NodeShape, row, q):
+    """Yield ``(node, fold)`` for every node of ``shape``, children first.
+
+    ``fold`` is the element-wise ``q``-fold of ``row(k)`` over the node's
+    span ``k = lo..hi`` (the outer arenas of the 2D and d-dimensional trees
+    build their per-node trees from it).  A child's list is dropped once its
+    parent has folded it.
+    """
+    lo, left, right = shape.lo, shape.left, shape.right
+    held: list = [None] * len(lo)
+    for i in range(len(lo) - 1, -1, -1):
+        l = left[i]
+        if l < 0:
+            fold = row(lo[i])
+        else:
+            r = right[i]
+            fold = [q(a, b) for a, b in zip(held[l], held[r])]
+            held[l] = held[r] = None
+        held[i] = fold
+        yield i, fold
+
+
 class SegTree1D:
     def __init__(self, values: Sequence, pair: OperatorPair, *,
                  cell_weight: int = 1, counters: Optional[OpCounters] = None):
-        if len(values) == 0:
-            raise ValueError("cannot build over an empty array")
+        shape = node_shape(len(values))
         self.size = len(values)
         self.pair = pair
         self.cell_weight = cell_weight
         self._own = counters is None
         self.counters = counters if counters is not None else OpCounters()
-        n = self.size
-        self.lo: List[int] = []
-        self.hi: List[int] = []
-        self.sz: List[int] = []  # covered cells, pre-scaled by cell_weight
-        self.left: List[int] = []
-        self.right: List[int] = []
-        self.val: list = []
-        self.laz: list = []
+        self.lo, self.hi, self.left, self.right = shape[:4]
+        self.node_count = len(shape.lo)
+        # covered cells per node, pre-scaled by cell_weight
+        self.sz = (shape.size if cell_weight == 1
+                   else [k * cell_weight for k in shape.size])
+        self.val: list = [None] * self.node_count
+        self.laz: list = [None] * self.node_count
         self.last_lazy_spans: List[Tuple[int, int]] = []
-        self._build(values, 0, n - 1)
-        self.counters.visits_total += self.node_count
-
-    def _build(self, values, lo, hi) -> int:
-        i = len(self.lo)
-        self.lo.append(lo)
-        self.hi.append(hi)
-        self.sz.append((hi - lo + 1) * self.cell_weight)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.val.append(None)
-        self.laz.append(self.pair.update_identity)
-        if lo == hi:
-            self.val[i] = values[lo]
-        else:
-            m = (lo + hi) // 2
-            l = self._build(values, lo, m)
-            r = self._build(values, m + 1, hi)
-            self.left[i] = l
-            self.right[i] = r
-            self.val[i] = self.pair.query_op(self.val[l], self.val[r])
-        return i
-
-    @property
-    def node_count(self) -> int:
-        return len(self.lo)
+        self.reinit(values)
 
     def reinit(self, values: Sequence) -> None:
         """Reset folds from fresh leaf values, clearing all pending updates.
 
-        Reuses the arena (the shape never changes); counts one visit per node.
+        Walks the nodes in reverse index order, children before parents, and
+        counts one visit per node; the constructor fills the tree this way.
         """
         if len(values) != self.size:
             raise ValueError("length mismatch")

@@ -22,7 +22,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import get_pair
 from .dense import DenseTensor
@@ -131,6 +131,29 @@ def _draw_box(rng: random.Random, dims: Tuple[int, ...]):
     return tuple(spans)
 
 
+def actions(cfg: WorkloadConfig, rng: random.Random) -> Iterator[tuple]:
+    """The workload's ``cfg.ops`` actions as ``(box, value)`` pairs.
+
+    ``value`` is the update value, or None for a query.  Each action draws
+    its box, then the coin, then (for an update) the value, so one seed
+    always yields the same stream.
+    """
+    vlo, vhi = cfg.resolved_value_range()
+    ratio = cfg.update_ratio
+    dims = cfg.dims
+    for _ in range(cfg.ops):
+        box = _draw_box(rng, dims)
+        yield box, (rng.randint(vlo, vhi) if rng.random() < ratio else None)
+
+
+def _replay(stream, upd, qry) -> None:
+    for box, value in stream:
+        if value is None:
+            qry(box)
+        else:
+            upd(box, value)
+
+
 @dataclass
 class VerifyReport:
     config: WorkloadConfig
@@ -157,16 +180,11 @@ def run_verify(cfg: WorkloadConfig, inject_fault: Optional[int] = None) -> Verif
     oracle = tensor.copy()
     structure = make_backend(cfg.backend, tensor)
     upd, qry = _box_ops(cfg.backend, structure)
-    vlo, vhi = cfg.resolved_value_range()
-    ratio = cfg.update_ratio
-    dims = cfg.dims
     mismatches = 0
     first: Optional[str] = None
     updates = queries = 0
-    for k in range(cfg.ops):
-        box = _draw_box(rng, dims)
-        if rng.random() < ratio:
-            value = rng.randint(vlo, vhi)
+    for k, (box, value) in enumerate(actions(cfg, rng)):
+        if value is not None:
             if updates != inject_fault:
                 upd(box, value)
             oracle.update(box, value)
@@ -246,16 +264,8 @@ def run_bench(cfg: WorkloadConfig) -> BenchRow:
     upd, qry = _box_ops(cfg.backend, structure)
     counters = structure.counters
     init_visits = counters.visits_total
-    vlo, vhi = cfg.resolved_value_range()
-    ratio = cfg.update_ratio
-    dims = cfg.dims
     t0 = time.perf_counter()
-    for _ in range(cfg.ops):
-        box = _draw_box(rng, dims)
-        if rng.random() < ratio:
-            upd(box, rng.randint(vlo, vhi))
-        else:
-            qry(box)
+    _replay(actions(cfg, rng), upd, qry)
     wall_ops = time.perf_counter() - t0
     return BenchRow(
         backend=cfg.backend,
@@ -306,16 +316,8 @@ def measure_mean_visits(cfg: WorkloadConfig) -> float:
     structure = make_backend(cfg.backend, initial_tensor(cfg, rng))
     upd, qry = _box_ops(cfg.backend, structure)
     counters = structure.counters
-    vlo, vhi = cfg.resolved_value_range()
-    ratio = cfg.update_ratio
-    dims = cfg.dims
     before = counters.visits_total
-    for _ in range(cfg.ops):
-        box = _draw_box(rng, dims)
-        if rng.random() < ratio:
-            upd(box, rng.randint(vlo, vhi))
-        else:
-            qry(box)
+    _replay(actions(cfg, rng), upd, qry)
     return (counters.visits_total - before) / cfg.ops
 
 

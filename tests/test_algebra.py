@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqtrees import (OperatorPair, ZeroTrackedSum, builtin_pairs,
-                     check_special, fold_after_partial_update,
-                     fold_after_update, get_pair, invert_value, repeat_update,
-                     update_fold_pair)
+from uqtrees import (DenseTensor, NDTree, OperatorPair, SegTree1D,
+                     ZeroTrackedSum, builtin_pairs, check_special,
+                     fold_after_partial_update, get_pair)
+from uqtrees.seg1d import node_shape
 from conftest import fold, fold_updated, sample_values
 
 SPECIAL = {"plus-plus", "times-times", "min-min", "max-max"}
@@ -55,18 +55,24 @@ class TestRegistry:
 
 
 class TestFoldAfterUpdate:
+    """``aggregator(fold, value, count)``: the fold after every element absorbed ``value``."""
+
     def test_plus_min_example(self):
-        assert fold_after_update(get_pair("plus-min"), 7, 2, 3) == 9
+        assert get_pair("plus-min").aggregator(7, 2, 3) == 9
 
     def test_plus_plus_example(self):
-        assert fold_after_update(get_pair("plus-plus"), 7, 2, 3) == 13
+        assert get_pair("plus-plus").aggregator(7, 2, 3) == 13
 
     def test_identity_value(self, pair):
-        assert fold_after_update(pair, 42, pair.update_identity, 5) == 42
+        assert pair.aggregator(42, pair.update_identity, 5) == 42
 
     def test_count_must_be_positive(self, pair):
+        # the trees only ever aggregate over one cell or more: no tree is
+        # built over nothing, and every node covers at least one cell
         with pytest.raises(ValueError):
-            fold_after_update(pair, 1, 1, 0)
+            SegTree1D([], pair)
+        for n in (1, 2, 7, 16):
+            assert min(node_shape(n).size) == 1
 
     def test_defining_law_vs_brute_force(self, pair, rng):
         # the aggregator must agree with "update every element, then fold"
@@ -96,9 +102,9 @@ class TestFoldAfterUpdate:
 
 class TestRepeat:
     def test_examples(self):
-        assert repeat_update(get_pair("plus-plus"), 3, 4) == 12
-        assert repeat_update(get_pair("min-min"), 5, 7) == 5
-        assert repeat_update(get_pair("times-times"), 2, 10) == 1024
+        assert get_pair("plus-plus").repeat(3, 4) == 12
+        assert get_pair("min-min").repeat(5, 7) == 5
+        assert get_pair("times-times").repeat(2, 10) == 1024
 
     def test_additivity(self, pair, rng):
         u = pair.update_op
@@ -156,13 +162,13 @@ class TestFoldAfterPartialUpdate:
 
 class TestInvert:
     def test_examples(self):
-        assert invert_value(get_pair("plus-min"), 5) == -5
-        assert invert_value(get_pair("plus-min"), 0) == 0  # identity is self-inverse
-        assert invert_value(get_pair("times-times"), 1) == 1
+        assert get_pair("plus-min").invert(5) == -5
+        assert get_pair("plus-min").invert(0) == 0  # identity is self-inverse
+        assert get_pair("times-times").invert(1) == 1
 
     def test_missing_inverse(self):
         with pytest.raises(ValueError):
-            invert_value(get_pair("min-min"), 3)
+            get_pair("min-min").invert(3)
 
     def test_inverse_law_sampled(self, rng):
         for name in WITH_INVERSE:
@@ -216,19 +222,13 @@ class TestCheckSpecial:
 
 
 class TestUpdateFoldPair:
-    def test_builtin_specials_are_their_own(self, special_pair):
-        assert update_fold_pair(special_pair) is special_pair
+    """The pending-value trees of ``nd-special`` fold with the pair itself."""
 
-    def test_generic_construction(self, rng):
-        lazy = update_fold_pair(get_pair("plus-min"))
-        assert lazy.is_special
-        assert lazy.query_op is operator.add
-        assert lazy.query_identity == 0
-        for _ in range(100):
-            k = rng.randint(1, 9)
-            seq = [rng.randint(-50, 50) for _ in range(k)]
-            v = rng.randint(-50, 50)
-            assert lazy.aggregator(fold(lazy, seq), v, k) == fold_updated(lazy, seq, v)
+    def test_builtin_specials_are_their_own(self, special_pair):
+        assert special_pair.update_op is special_pair.query_op
+        assert special_pair.update_identity == special_pair.query_identity
+        t = NDTree(DenseTensor((2, 3), [1] * 6, special_pair), special_pair)
+        assert {lazy.pair for lazy in t.row_lazy} == {special_pair}
 
 
 class TestZeroTrackedSum:

@@ -245,6 +245,18 @@ class TestCliMatmul:
         assert "1 of 4 cells differ from schoolbook" in err
         assert "C[1][0] = 4, schoolbook 3" in err
 
+    @pytest.mark.parametrize("backend", ["grid2d-general", "oracle"])
+    def test_infinite_b_exits_two_naming_the_cell(self, tmp_path, backend):
+        # undoing an inf update adds -inf, which would leave nan behind
+        fa, fb = tmp_path / "a.txt", tmp_path / "b.txt"
+        fa.write_text("2 2 2\n0 1\n1 2\n")
+        fb.write_text("2 2 2\ninf 0\n1 2\n")
+        p = cli("matmul", str(fa), str(fb), "--pair", "plus-min", "--backend",
+                backend, "--check")
+        assert p.returncode == 2
+        assert p.stdout == ""
+        assert "B[0][0] = inf is not finite" in p.stderr
+
     def test_standard_identity_echoes(self, tmp_path):
         fa = tmp_path / "a.txt"
         fa.write_text("2 2 2\n3 -4\n0 5\n")

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from uqtrees import (DenseTensor, Grid2D, ScaledPair, WorkloadConfig,
+from uqtrees import (DenseTensor, Grid2D, SegTree1D, WorkloadConfig,
                      get_pair, run_verify)
+from uqtrees.seg1d import node_shape
+from conftest import fold
 
 
 def grid(dims, data, pair_name):
@@ -125,34 +127,50 @@ class TestRebuildOrdering:
 
 
 class TestScaledPair:
+    """The pair as an inner tree whose slots each weigh ``w`` cells sees it.
+
+    ``SegTree1D(..., cell_weight=w)`` is that scaled pair: a slot absorbing
+    ``v`` becomes ``aggregator(slot, v, w)``, stacked values still combine
+    with the base ``update_op``, and ``k`` slots aggregate as ``w * k``
+    cells.
+    """
+
     def test_aggregator_scales_the_count(self, pair, rng):
-        sp = ScaledPair(pair, 3)
-        for _ in range(200):
-            a, v = (rng.randint(*pair.sample_range) for _ in range(2))
-            k = rng.randint(1, 50)
-            assert sp.aggregator(a, v, k) == pair.aggregator(a, v, 3 * k)
+        for _ in range(50):
+            k = rng.randint(1, 12)
+            slots = [rng.randint(*pair.sample_range) for _ in range(k)]
+            v = rng.randint(*pair.sample_range)
+            t = SegTree1D(slots, pair, cell_weight=3)
+            assert t.sz == [3 * n for n in node_shape(k).size]
+            t.update(0, k - 1, v)
+            assert t.query(0, k - 1) == pair.aggregator(fold(pair, slots), v, 3 * k)
 
     def test_element_update_is_one_slot(self, pair, rng):
-        sp = ScaledPair(pair, 4)
         for _ in range(100):
             a, v = (rng.randint(*pair.sample_range) for _ in range(2))
-            assert sp.element_update(a, v) == pair.aggregator(a, v, 4)
+            t = SegTree1D([a], pair, cell_weight=4)
+            t.update(0, 0, v)
+            assert t.query(0, 0) == pair.aggregator(a, v, 4)
 
     def test_stacked_values_combine_with_base_op(self, pair, rng):
         # applying x then y to a slot is one application of update_op(x, y);
         # in particular the order of stacked values never matters
-        sp = ScaledPair(pair, 5)
         for _ in range(200):
             a, x, y = (rng.randint(*pair.sample_range) for _ in range(3))
-            stacked = sp.element_update(sp.element_update(a, x), y)
-            assert stacked == sp.element_update(a, pair.update_op(x, y))
-            assert stacked == sp.element_update(sp.element_update(a, y), x)
+            stacked = []
+            for first, second in ((x, y), (y, x)):
+                t = SegTree1D([a], pair, cell_weight=5)
+                t.update(0, 0, first)
+                t.update(0, 0, second)
+                stacked.append(t.query(0, 0))
+            assert stacked == [pair.aggregator(a, pair.update_op(x, y), 5)] * 2
 
     def test_identities_pass_through(self, pair):
-        sp = ScaledPair(pair, 2)
-        assert sp.update_identity == pair.update_identity
-        assert sp.query_identity == pair.query_identity
-        assert sp.update_op is pair.update_op
+        t = SegTree1D([3, 1, 2], pair, cell_weight=2)
+        before = t.to_array()
+        t.update(0, 2, pair.update_identity)
+        assert t.to_array() == before
+        assert t.laz == [pair.update_identity] * t.node_count
 
 
 class TestCounters:

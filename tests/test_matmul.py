@@ -167,6 +167,62 @@ class TestMultiProduct:
         assert got[0] == got[1]
 
 
+INF = float("inf")
+
+
+class TestNonFiniteInputs:
+    """An update that its inverse cannot undo (inf + -inf is nan) is refused."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("bad", [INF, -INF, float("nan")], ids=["inf", "-inf", "nan"])
+    def test_non_finite_b_is_rejected_before_any_update(self, backend, bad):
+        a = [[0, 1], [1, 2]]
+        be = seed_backend(backend, a, MIN_PLUS_PRODUCT)
+        with pytest.raises(ValueError, match=r"B\[1\]\[0\]"):
+            product_via_backend(a, [[3, 0], [bad, 2]], MIN_PLUS_PRODUCT, be)
+        assert [[be.query(((i, i), (j, j))) for j in range(2)] for i in range(2)] == a
+
+    def test_standard_product_rejects_infinite_b(self):
+        a = [[1, 2], [3, 4]]
+        be = seed_backend("grid2d-general", a, STANDARD_PRODUCT)
+        with pytest.raises(ValueError, match=r"B\[0\]\[1\]"):
+            product_via_backend(a, [[1, INF], [0, 1]], STANDARD_PRODUCT, be)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_infinities_in_a_are_exact(self, backend):
+        a = [[INF, 0], [1, -INF]]
+        b = [[0, 5], [2, 1]]
+        for domain in (MIN_PLUS_PRODUCT, MAX_PLUS_PRODUCT):
+            be = seed_backend(backend, a, domain)
+            assert product_via_backend(a, b, domain, be) == schoolbook(a, b, domain)
+
+    def test_integers_beyond_float_range_pass(self):
+        big = 10 ** 400
+        a = [[0, 1], [1, 2]]
+        b = [[big, 0], [-big, 2]]
+        be = seed_backend("grid2d-general", a, MIN_PLUS_PRODUCT)
+        assert product_via_backend(a, b, MIN_PLUS_PRODUCT, be) == \
+            schoolbook(a, b, MIN_PLUS_PRODUCT)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_reseed_rejects_a_non_finite_cell(self, backend):
+        # the first product leaves A's infinity in the backend; re-seeding
+        # for the second would have to invert it
+        a = [[0, 1], [INF, 2]]
+        b = [[1, 0], [0, 1]]
+        be = seed_backend(backend, [[0, 0], [0, 0]], MIN_PLUS_PRODUCT)
+        with pytest.raises(ValueError, match=r"cell \(1, 0\)"):
+            multi_product_via_backend([(a, b), (b, b)], MIN_PLUS_PRODUCT, be)
+
+    def test_reseed_rejects_a_non_finite_zero_tracked_cell(self):
+        # a nan mantissa is not equal to itself only as a plain number
+        a = [[1, float("nan")], [2, 3]]
+        b = [[1, 0], [0, 1]]
+        be = seed_backend("grid2d-general", [[1, 1], [1, 1]], STANDARD_PRODUCT)
+        with pytest.raises(ValueError, match=r"cell \(0, 1\)"):
+            multi_product_via_backend([(a, b), (b, b)], STANDARD_PRODUCT, be)
+
+
 class TestZeroTrackedPlumbing:
     def test_lift_lower_round_trip(self):
         assert STANDARD_PRODUCT.lower(STANDARD_PRODUCT.lift(7)) == 7

@@ -1,9 +1,10 @@
+import operator
 import random
 
 import pytest
 
-from uqtrees import (DenseTensor, NDTree, WorkloadConfig, builtin_pairs,
-                     get_pair, run_verify, update_fold_pair)
+from uqtrees import (DenseTensor, NDTree, OperatorPair, WorkloadConfig,
+                     builtin_pairs, get_pair, run_verify)
 
 
 def tensor(dims, data, pair_name):
@@ -161,7 +162,19 @@ class TestCounterGrowth:
 
 class TestLazyPairPlumbing:
     def test_builtin_pairs_are_self_companioned(self, special_pair):
-        assert update_fold_pair(special_pair) is special_pair
+        # the pending-value trees fold with the pair itself, at every level
+        t = NDTree(DenseTensor((2, 2, 2), [1] * 8, special_pair), special_pair)
+        assert special_pair.update_op is special_pair.query_op
+        for level in (t, t.row_lazy[0], t.row_fold[1]):
+            assert all(lazy.pair is special_pair for lazy in level.row_lazy)
+
+    def test_rejects_a_special_pair_that_folds_differently(self):
+        # fold-commuting, but query_op is not update_op: no registered pair is
+        # like this, and the pending-value trees could not fold with it
+        pair = OperatorPair("plus-plus-lambda", operator.add, lambda a, b: a + b,
+                            0, 0, lambda a, v, k: a + v * k, is_special=True)
+        with pytest.raises(ValueError, match="update_op is query_op"):
+            NDTree(DenseTensor((2, 2), [1, 2, 3, 4], pair), pair)
 
     def test_counters_shared_across_levels(self):
         pair = get_pair("plus-plus")
