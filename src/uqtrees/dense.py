@@ -13,7 +13,8 @@ The module also owns the text format shared with the CLI::
     v_0 v_1 ... v_{prod(dims)-1}
 
 values whitespace-separated in row-major order; integers, ``p/q`` fractions,
-decimals, and ``inf``/``-inf`` all round-trip.
+decimals, and ``inf``/``-inf`` all round-trip.  A finite decimal token reads
+as an exact ``Fraction`` and is written back as ``p/q``.
 """
 
 from __future__ import annotations
@@ -144,13 +145,34 @@ class DenseTensor:
         return f"DenseTensor(dims={self.dims}, pair={self.pair.name!r})"
 
 
+# Fraction builds 10 ** exponent exactly, so a huge exponent would take
+# minutes and gigabytes; 1e1000 and 1e-1000 are still read exactly
+MAX_DECIMAL_EXPONENT = 1000
+
+
 def parse_value(tok: str):
-    if "/" in tok:
-        return Fraction(tok)
+    """An ``int``, or an exact ``Fraction`` for ``p/q`` and finite decimals.
+
+    ``0.1`` is exactly one tenth and ``1e400`` exactly ten to the 400th.
+    Only ``inf``, ``-inf`` and ``nan``, which no fraction can hold, become
+    floats; any other token that is not an exact number raises
+    ``ValueError``.
+    """
     try:
         return int(tok)
     except ValueError:
+        pass
+    if tok.lstrip("+-").lower() in ("inf", "infinity", "nan"):
         return float(tok)
+    _, e, exp = tok.lower().partition("e")
+    digits = exp.lstrip("+-")
+    if e and digits.isdigit() and int(digits) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"exponent of {tok!r} is beyond "
+                         f"{MAX_DECIMAL_EXPONENT}; it cannot be held exactly")
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise ValueError(f"{tok!r} divides by zero") from None
 
 
 def format_value(v) -> str:

@@ -20,12 +20,16 @@ There are no pending values at the outer level.  An update splits its box
 into the row span and the column span; outer nodes inside the row span
 forward a lazy column update to their inner tree, while partially overlapped
 outer nodes cannot be patched in place (how their column folds change
-depends on which rows were hit), so they rebuild: read both children's true
-column arrays, fold element-wise, and reinitialize their inner tree.
-Children are always finalized before their parent rebuilds (post-order); the
-rebuild events of the latest update are left in ``last_events`` for
-inspection.  A query folds inner-tree column queries over the outer
-decomposition of the row span and never mutates.
+depends on which rows were hit), so they rebuild.  Only the columns of the
+update's span can have changed, so a rebuild reads both children's true
+columns on that span (``to_array(ylo, yhi)``), folds them element-wise and
+resets just that span of its own tree (``reinit(cols, ylo)``); every other
+column's fold is already right.  Children are always finalized before their
+parent rebuilds (post-order), and a child rebuilt just before hands its
+span columns up instead of being read again.  The rebuild events of the
+latest update are left in ``last_events`` for inspection.  A query folds
+inner-tree column queries over the outer decomposition of the row span and
+never mutates.
 """
 
 from __future__ import annotations
@@ -94,13 +98,18 @@ class Grid2D:
                 if lo[r] <= xhi:
                     stack.append(r)
         events.reverse()
+        # span columns of the nodes just rebuilt, until their parent takes them
+        held = {}
         for kind, i in events:
             if kind == "inner-update":
                 inner[i].update(ylo, yhi, value)
             else:
-                cols_l = inner[left[i]].to_array()
-                cols_r = inner[right[i]].to_array()
-                inner[i].reinit([q(a, b) for a, b in zip(cols_l, cols_r)])
+                l = left[i]
+                r = right[i]
+                cols_l = held.pop(l, None) or inner[l].to_array(ylo, yhi)
+                cols_r = held.pop(r, None) or inner[r].to_array(ylo, yhi)
+                cols = held[i] = list(map(q, cols_l, cols_r))
+                inner[i].reinit(cols, ylo)
         self.last_events = events
         c.visits_total += visits
         if self._own:

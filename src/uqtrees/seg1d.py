@@ -141,23 +141,70 @@ class SegTree1D:
         self.last_lazy_spans: List[Tuple[int, int]] = []
         self.reinit(values)
 
-    def reinit(self, values: Sequence) -> None:
-        """Reset folds from fresh leaf values, clearing all pending updates.
+    def reinit(self, values: Sequence, qlo: int = 0) -> None:
+        """Reset elements ``qlo .. qlo + len(values) - 1`` to fresh ``values``.
 
-        Walks the nodes in reverse index order, children before parents, and
-        counts one visit per node; the constructor fills the tree this way.
+        Walks only the nodes that meet the span and counts one visit per
+        node.  A node inside the span resets its whole subtree in reverse
+        index order, children before parents, clearing its pending values;
+        values for the whole array reset every node this way, once each,
+        which is how the constructor fills the tree.  A partially covered
+        node (one on the two boundary paths) first pushes its pending value
+        down to both children, so elements outside the span keep their true
+        values; the partial nodes are then repaired bottom-up, as in
+        :meth:`update`.
         """
-        if len(values) != self.size:
-            raise ValueError("length mismatch")
         lo, left, right = self.lo, self.left, self.right
         val, laz = self.val, self.laz
         u_id = self.pair.update_identity
         q = self.pair.query_op
-        for i in range(self.node_count - 1, -1, -1):
+        if qlo == 0 and len(values) == self.size:
+            # the whole array, as the constructor fills it: the loop below
+            # for the root, without the span's offset and bounds check
+            for i in range(self.node_count - 1, -1, -1):
+                l = left[i]
+                val[i] = values[lo[i]] if l < 0 else q(val[l], val[right[i]])
+                laz[i] = u_id
+            self.counters.visits_total += self.node_count
+            return
+        qhi = qlo + len(values) - 1
+        self._check(qlo, qhi)
+        hi, sz = self.hi, self.sz
+        u = self.pair.update_op
+        agg = self.pair.aggregator
+        partial: List[int] = []
+        visits = 0
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            ilo = lo[i]
+            ihi = hi[i]
+            if qlo <= ilo and ihi <= qhi:
+                # pre-order: the subtree of i is the index run i .. end - 1
+                end = i + 2 * (ihi - ilo) + 1
+                for j in range(end - 1, i - 1, -1):
+                    l = left[j]
+                    val[j] = values[lo[j] - qlo] if l < 0 else q(val[l], val[right[j]])
+                    laz[j] = u_id
+                visits += end - i
+            else:
+                visits += 1
+                l = left[i]
+                r = right[i]
+                z = laz[i]
+                laz[l] = u(laz[l], z)
+                laz[r] = u(laz[r], z)
+                laz[i] = u_id
+                partial.append(i)
+                if lo[r] <= qhi:
+                    stack.append(r)
+                if hi[l] >= qlo:
+                    stack.append(l)
+        for i in reversed(partial):  # children before parents
             l = left[i]
-            val[i] = values[lo[i]] if l < 0 else q(val[l], val[right[i]])
-            laz[i] = u_id
-        self.counters.visits_total += self.node_count
+            r = right[i]
+            val[i] = q(agg(val[l], laz[l], sz[l]), agg(val[r], laz[r], sz[r]))
+        self.counters.visits_total += visits
 
     def _check(self, qlo: int, qhi: int) -> None:
         index(qlo)
@@ -250,46 +297,71 @@ class SegTree1D:
         left, right = self.left, self.right
         out: List[Tuple[int, int]] = []
         visits = 0
-
-        def walk(i):
-            nonlocal visits
+        stack = [0]
+        while stack:
+            i = stack.pop()
             visits += 1
             ilo = lo[i]
             ihi = hi[i]
             if qlo <= ilo and ihi <= qhi:
                 out.append((ilo, ihi))
             elif ilo <= qhi and qlo <= ihi:
-                walk(left[i])
-                walk(right[i])
-
-        walk(0)
+                stack.append(right[i])
+                stack.append(left[i])
         self.counters.visits_total += visits
         return out
 
-    def to_array(self) -> list:
-        """True element values, one pass: exactly ``node_count`` visits.
+    def to_array(self, qlo: int = 0, qhi: Optional[int] = None) -> list:
+        """True values of elements ``qlo .. qhi`` (default: the whole array).
 
         Walks the arena in index order, which is pre-order, so every parent
         comes before its children; each node passes the combined pending
         values of its ancestors and itself on to its children, and each leaf
-        emits ``aggregator(val, carried, leaf size)``.
+        emits ``aggregator(val, carried, leaf size)``.  Only the nodes that
+        meet the span are walked and counted: a disjoint subtree is one
+        index run, skipped in one step, and once a node starts right of the
+        span so does every later one.  The whole array costs exactly
+        ``node_count`` visits.
         """
-        lo, left, right = self.lo, self.left, self.right
+        if qhi is None:
+            qhi = self.size - 1
+        self._check(qlo, qhi)
+        lo, hi, left, right = self.lo, self.hi, self.left, self.right
         val, laz = self.val, self.laz
         u = self.pair.update_op
         agg = self.pair.aggregator
         w = self.cell_weight
-        out = [None] * self.size
-        carried = [self.pair.update_identity] * self.node_count
-        for i in range(self.node_count):
-            z = u(carried[i], laz[i])
-            l = left[i]
-            if l < 0:
-                out[lo[i]] = agg(val[i], z, w)
+        count = self.node_count
+        out = []
+        carried = [self.pair.update_identity] * count
+        visits = 0
+        i = 0
+        while i < count:
+            ilo = lo[i]
+            if ilo > qhi:
+                break
+            ihi = hi[i]
+            end = i + 2 * (ihi - ilo) + 1  # one past the subtree of i
+            if ihi < qlo:
+                i = end
+            elif qlo <= ilo and ihi <= qhi:
+                for j in range(i, end):
+                    z = u(carried[j], laz[j])
+                    l = left[j]
+                    if l < 0:
+                        out.append(agg(val[j], z, w))
+                    else:
+                        carried[l] = z
+                        carried[right[j]] = z
+                visits += end - i
+                i = end
             else:
-                carried[l] = z
+                z = u(carried[i], laz[i])
+                carried[left[i]] = z
                 carried[right[i]] = z
-        self.counters.visits_total += self.node_count
+                visits += 1
+                i += 1
+        self.counters.visits_total += visits
         return out
 
     def validate(self, reference: DenseTensor) -> None:

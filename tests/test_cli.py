@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -266,6 +267,24 @@ class TestCliMatmul:
         assert p.returncode == 0
         t = parse_tensor(p.stdout, get_pair("times-plus"))
         assert t.data == [3, -4, 0, 5]
+
+    @pytest.mark.parametrize("backend", ["grid2d-general", "oracle"])
+    def test_decimal_input_runs_exactly(self, tmp_path, backend):
+        # in floats 0.1*0.1 + 0.2*0.3 is 0.07000000000000001 and 1e400 is inf
+        fa, fb = tmp_path / "a.txt", tmp_path / "b.txt"
+        fa.write_text("2 2 2\n0.1 0.2\n0.3 0.4\n")
+        fb.write_text("2 2 2\n0.1 1e400\n0.3 0.4\n")
+        p = cli("matmul", str(fa), str(fb), "--pair", "times-plus", "--backend",
+                backend, "--check")
+        assert p.returncode == 0, p.stderr
+        t = parse_tensor(p.stdout, get_pair("times-plus"))
+        assert t.data == [Fraction(7, 100), Fraction(10 ** 399) + Fraction(2, 25),
+                          Fraction(3, 20), 3 * Fraction(10 ** 399) + Fraction(4, 25)]
+        p = cli("matmul", str(fa), str(fb), "--pair", "plus-min", "--backend",
+                backend, "--check")
+        assert p.returncode == 0, p.stderr
+        t = parse_tensor(p.stdout, get_pair("plus-min"))
+        assert t.data == [Fraction(1, 5), Fraction(3, 5), Fraction(2, 5), Fraction(4, 5)]
 
     def test_ragged_file_exits_two(self, tmp_path):
         fa = tmp_path / "a.txt"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqtrees import DenseTensor, format_tensor, get_pair, parse_tensor
+from uqtrees.dense import parse_value
 from conftest import fold
 
 
@@ -112,6 +113,36 @@ class TestTextFormat:
         t = DenseTensor((4,), [Fraction(1, 3), 2.5, math.inf, -7], pair)
         back = parse_tensor(format_tensor(t), pair)
         assert back.data == t.data
+
+    def test_decimal_tokens_are_exact(self):
+        assert parse_value("0.1") == Fraction(1, 10)
+        assert parse_value("-2.50") == Fraction(-5, 2)
+        assert parse_value("1e400") == 10 ** 400
+        assert parse_value("1E-3") == Fraction(1, 1000)
+        for tok in ("0.1", "1e400", "2.0"):
+            assert type(parse_value(tok)) is Fraction
+        assert parse_value("7") == 7 and type(parse_value("7")) is int
+        assert parse_value("1/3") == Fraction(1, 3)
+
+    def test_non_finite_tokens_stay_floats(self):
+        assert parse_value("inf") == math.inf
+        assert parse_value("-inf") == -math.inf
+        nan = parse_value("nan")
+        assert type(nan) is float and nan != nan
+
+    def test_inexact_tokens_rejected(self):
+        # a huge exponent would take minutes to build exactly, float() would
+        # read a 5000-digit integer as inf without a word, and 1/0 used to
+        # escape as ZeroDivisionError
+        for tok in ("1e1001", "1e-5000", "abc", "1e", "1" * 5000, "1/0"):
+            with pytest.raises(ValueError):
+                parse_value(tok)
+
+    def test_decimals_round_trip_exactly(self):
+        pair = get_pair("plus-min")
+        back = parse_tensor("1 3\n0.1 0.2 1e400\n", pair)
+        assert back.data == [Fraction(1, 10), Fraction(1, 5), 10 ** 400]
+        assert parse_tensor(format_tensor(back), pair).data == back.data
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):

@@ -32,13 +32,52 @@ class TestBuild:
             Grid2D(DenseTensor((4,), [1, 2, 3, 4], pair), pair)
 
     def test_every_node_matches_columnwise_fold(self, pair, rng):
-        n, m = 5, 6
+        # built and after every update, each outer node's column tree holds
+        # the column folds of that node's rows, node by node
+        for n, m in ((5, 6), (1, 7), (7, 1), (7, 11), (13, 5)):
+            data = [rng.randint(*pair.sample_range) for _ in range(n * m)]
+            g = Grid2D(DenseTensor((n, m), data, pair), pair)
+            o = DenseTensor((n, m), data, pair)
+
+            def check():
+                for i in range(g.node_count):
+                    want = [o.query(((g.lo[i], g.hi[i]), (y, y))) for y in range(m)]
+                    assert g.inner[i].to_array() == want
+                    g.inner[i].validate(DenseTensor((m,), want, pair))
+
+            check()
+            # a covered update leaves pending values in the column trees,
+            # then partial row spans rebuild them on narrow, one-column and
+            # full-width column spans
+            boxes = [((0, n - 1), (m // 3, m - 1)),
+                     ((n // 2, n - 1), (m // 2, m // 2)),
+                     ((0, n // 2), (0, m - 1)),
+                     ((1 % n, n - 1), (0, min(1, m - 1))),
+                     ((n // 3, n // 2), (m // 3, (2 * m) // 3))]
+            boxes += [(tuple(sorted((rng.randrange(n), rng.randrange(n)))),
+                       tuple(sorted((rng.randrange(m), rng.randrange(m)))))
+                      for _ in range(10)]
+            for box in boxes:
+                v = rng.randint(*pair.sample_range)
+                g.update(box, v)
+                o.update(box, v)
+                check()
+
+    def test_rebuild_keeps_pending_values_outside_the_span(self, pair, rng):
+        n, m = 8, 8
         data = [rng.randint(*pair.sample_range) for _ in range(n * m)]
         g = Grid2D(DenseTensor((n, m), data, pair), pair)
         o = DenseTensor((n, m), data, pair)
-        for i in range(g.node_count):
-            want = [o.query(((g.lo[i], g.hi[i]), (y, y))) for y in range(m)]
-            assert g.inner[i].to_array() == want
+        covered, partial = ((0, 7), (2, 5)), ((1, 6), (3, 3))
+        g.update(covered, 2)
+        o.update(covered, 2)
+        assert any(z != pair.update_identity for z in g.inner[0].laz)
+        g.update(partial, 2)
+        o.update(partial, 2)
+        assert ("rebuild", 0) in g.last_events
+        want = [o.query(((0, 7), (y, y))) for y in range(m)]
+        g.inner[0].validate(DenseTensor((m,), want, pair))
+        assert g.inner[0].to_array() == want
 
 
 class TestUpdateQuery:
@@ -181,11 +220,39 @@ class TestCounters:
         assert g.counters.visits_last_op < 64 * 8
 
     def test_update_rebuild_cost(self):
-        g = grid((16, 16), [0] * 256, "plus-min")
-        before = g.counters.visits_total
-        g.update(((3, 12), (2, 13)), 1)
-        spent = g.counters.visits_total - before
-        rebuilds = sum(1 for k, _ in g.last_events if k == "rebuild")
-        # each rebuild pays ~3 inner passes of 2M-1 nodes
-        assert rebuilds > 0
-        assert spent >= rebuilds * 3 * 31
+        # one update costs the outer walk (1, plus 2 per internal node it
+        # reaches), one inner update per covered node, and per rebuild one
+        # walk over the column nodes that meet the span for reinit plus one
+        # per child read with to_array; a child rebuilt just before hands
+        # its columns over and is not read
+        n = m = 16
+        shape = node_shape(m)
+        spans = list(zip(shape.lo, shape.hi))
+        for box in (((3, 12), (2, 13)), ((3, 12), (7, 7)), ((1, 14), (0, 15)),
+                    ((5, 5), (4, 9)), ((0, 15), (2, 13))):
+            g = grid((n, m), [0] * (n * m), "plus-min")
+            (xlo, xhi), (ylo, yhi) = box
+            before = g.counters.visits_total
+            g.update(box, 1)
+            spent = g.counters.visits_total - before
+
+            meets = sum(1 for a, b in spans if a <= yhi and ylo <= b)
+            inside = sum(1 for a, b in spans if ylo <= a and b <= yhi)
+            inner_update = 1 + 2 * (meets - inside)
+            kind = {i: k for k, i in g.last_events}
+            rebuilt = [i for i, k in kind.items() if k == "rebuild"]
+            outer = 1 + 2 * sum(1 for i in kind if g.left[i] >= 0)
+            reads = sum(1 for i in rebuilt for c in (g.left[i], g.right[i])
+                        if kind.get(c) != "rebuild")
+            assert spent == (outer + inner_update * (len(kind) - len(rebuilt))
+                             + meets * (len(rebuilt) + reads))
+            assert (len(rebuilt) > 0) == ((xlo, xhi) != (0, n - 1))
+
+    def test_one_column_rebuild_is_cheaper_than_full_width(self):
+        costs = []
+        for cols in ((30, 30), (0, 63)):
+            g = grid((64, 64), [0] * 4096, "plus-min")
+            g.update(((5, 50), cols), 1)
+            costs.append(g.counters.visits_last_op)
+        one, full = costs
+        assert one < full

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -131,6 +132,20 @@ class TestDecompose:
                         covered.extend(range(a, b + 1))
                     assert covered == list(range(lo, hi + 1))
 
+    def test_visits_one_per_walked_node(self):
+        # the walk enters every node that meets the span but is not inside
+        # it and counts both of its children, so it matches an update's cost
+        pair = get_pair("plus-plus")
+        for n in (1, 2, 7, 16):
+            t = SegTree1D([0] * n, pair)
+            for lo in range(n):
+                for hi in range(lo, n):
+                    before = t.counters.visits_total
+                    t.decompose(lo, hi)
+                    spent = t.counters.visits_total - before
+                    inside = sum(1 for a, b in zip(t.lo, t.hi) if lo <= a and b <= hi)
+                    assert spent == 1 + 2 * (meeting_nodes(t, lo, hi) - inside)
+
     def test_adversarial_large_sizes(self):
         pair = get_pair("plus-plus")
         for n in (127, 128, 129, 255, 256):
@@ -222,6 +237,87 @@ class TestToArray:
         before = t.counters.visits_total
         t.to_array()
         assert t.counters.visits_total - before == t.node_count
+
+
+def slot_oracle(pair, values, w):
+    """A 1D oracle whose slots each stand for ``w`` cells, as in the tree.
+
+    Updating all ``w`` cells of a slot by ``v`` turns the slot's fold ``x``
+    into ``aggregator(x, v, w)``; queries fold slots with the pair's own
+    ``query_op``.
+    """
+    slot_pair = replace(pair, update_op=lambda x, v: pair.aggregator(x, v, w))
+    return DenseTensor((len(values),), values, slot_pair)
+
+
+def pending_tree(pair, rng, n, w):
+    """A tree over ``n`` slots of weight ``w`` that holds pending values,
+    and its oracle after the same updates."""
+    vals = [rng.randint(*pair.sample_range) for _ in range(n)]
+    t = SegTree1D(vals, pair, cell_weight=w)
+    o = slot_oracle(pair, vals, w)
+    for _ in range(6):
+        a, b = sorted((rng.randrange(n), rng.randrange(n)))
+        v = rng.randint(*pair.sample_range)
+        t.update(a, b, v)
+        o.update(((a, b),), v)
+    return t, o
+
+
+def meeting_nodes(t, lo, hi):
+    return sum(1 for a, b in zip(t.lo, t.hi) if a <= hi and lo <= b)
+
+
+@pytest.mark.parametrize("w", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 7, 16])
+class TestRangedArray:
+    def test_to_array_is_a_slice_of_the_whole(self, pair, rng, n, w):
+        t, o = pending_tree(pair, rng, n, w)
+        whole = t.to_array()
+        assert whole == o.data
+        for lo in range(n):
+            for hi in range(lo, n):
+                before = t.counters.visits_total
+                assert t.to_array(lo, hi) == whole[lo:hi + 1]
+                assert t.counters.visits_total - before == meeting_nodes(t, lo, hi)
+
+    def test_reinit_resets_only_its_span(self, pair, rng, n, w):
+        for lo in range(n):
+            for hi in range(lo, n):
+                t, o = pending_tree(pair, rng, n, w)
+                before = t.to_array()
+                fresh = [rng.randint(*pair.sample_range) for _ in range(hi - lo + 1)]
+                visits = t.counters.visits_total
+                t.reinit(fresh, lo)
+                assert t.counters.visits_total - visits == meeting_nodes(t, lo, hi)
+                o.data[lo:hi + 1] = fresh
+                t.validate(o)
+                assert t.to_array() == before[:lo] + fresh + before[hi + 1:]
+                # and the tree goes on as usual
+                a, b = sorted((rng.randrange(n), rng.randrange(n)))
+                t.update(a, b, fresh[0])
+                o.update(((a, b),), fresh[0])
+                t.validate(o)
+
+
+class TestRangedArgs:
+    def test_spans_out_of_bounds_raise(self):
+        t = SegTree1D([1, 2, 3, 4], get_pair("plus-min"))
+        for lo, hi in ((-1, 2), (2, 1), (0, 4)):
+            with pytest.raises(ValueError):
+                t.to_array(lo, hi)
+        for values, lo in (([], 0), ([1, 2], 3), ([1] * 5, 0), ([1], -1)):
+            with pytest.raises(ValueError):
+                t.reinit(values, lo)
+        assert t.to_array() == [1, 2, 3, 4]
+
+    def test_whole_array_costs_node_count(self):
+        t = SegTree1D(list(range(21)), get_pair("plus-plus"))
+        for call in (t.to_array, lambda: t.reinit(list(range(21))),
+                     lambda: t.to_array(0, 20), lambda: t.reinit([0] * 21, 0)):
+            before = t.counters.visits_total
+            call()
+            assert t.counters.visits_total - before == t.node_count
 
 
 class TestValidate:

@@ -57,6 +57,8 @@ def test_updates_and_queries_make_no_cyclic_garbage(backend_id, pair_name, dims)
                 update(box, v)
             else:
                 query(box)
+            if backend_id == "seg1d":
+                structure.decompose(*box[0])
 
     assert _collect_with_gc_off(work) == 0
 
