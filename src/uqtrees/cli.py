@@ -54,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="replay a seeded workload against the dense oracle")
     _add_workload_flags(p, "extents, e.g. 64 or 32x32 or 8x8x8")
     p.add_argument("--inject-fault", type=int, default=None, metavar="K",
-                   help="drop the K-th update on the backend (testing aid; forces a mismatch)")
+                   help="drop the K-th update (0-based) on the backend (testing aid; "
+                        "forces a mismatch); K must be below the run's update count")
 
     p = sub.add_parser("bench", help="measure visit counts over a seeded workload")
     _add_workload_flags(p, "comma-separated extents to sweep, e.g. 10x10,30x30,100x100")

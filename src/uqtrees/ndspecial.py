@@ -9,9 +9,9 @@ yields O(log n_0 * ... * log n_{d-1}) updates and queries.
 
 Structure, recursively over axis 0:
 
-* ``d == 1``: a plain :class:`~uqtrees.seg1d.SegTree1D`.
+* ``d == 1``: a plain :class:`~uqtrees.seg1d.SegTree1D`, held as ``line``.
 * ``d >= 2``: a 1D node arena over axis 0 where node ``n`` (covering ``w``
-  rows) holds two (d-1)-dimensional trees over the remaining axes:
+  rows) holds two trees over the remaining axes:
 
   - ``row_fold[n]``  -- the element-wise fold of the rows ``n`` covers,
   - ``row_lazy[n]``  -- pending update values, folded under the pair itself
@@ -19,6 +19,22 @@ Structure, recursively over axis 0:
     as every registered fold-commuting pair has), meaning "every
     descendant's ``row_fold`` entry at coordinate ``c`` still has to absorb
     ``row_lazy[n](c)`` repeated (descendant row count) times".
+
+  With ``d == 2`` both are bare :class:`~uqtrees.seg1d.SegTree1D`\\ s over
+  the last axis, called with the box's last span; with ``d >= 3`` they are
+  (d-1)-dimensional ``NDTree``\\ s, called through the public
+  ``update``/``query``.
+
+A ``row_lazy`` entry is None until an update first stamps it, and None reads
+as all-identity, so a query skips it; that is exact because the pending
+values fold with the pair itself, whose identity is neutral for both
+operators.  A freshly allocated pending tree is blank in turn: a
+(d-1)-dimensional one is only its axis-0 node list, with every ``row_fold``
+and ``row_lazy`` entry None until an update reaches it, and a last-axis one
+is :meth:`SegTree1D.identity`, filled without a walk.  An allocation counts
+one visit per node of the list it allocates, as a constructor does; a
+constructor allocates no pending tree, so building ``(a, b, c)`` costs
+``(2a-1) * (1 + (2b-1) * 2c)`` visits.
 
 The axis-0 arena's layout is :func:`~uqtrees.seg1d.node_shape` of the
 extent, shared with every other tree of that extent; nested trees of equal
@@ -60,27 +76,47 @@ class NDTree:
             # the pending-value trees fold with the pair itself
             raise ValueError(f"pair {pair.name!r} must fold with its update operator: "
                              "need update_op is query_op and equal identities")
-        self.dims = tensor.dims
-        self.pair = pair
         self._own = counters is None
-        self.counters = counters if counters is not None else OpCounters()
-        self.line: Optional[SegTree1D] = None
+        self._blank(tensor.dims, pair, counters if counters is not None else OpCounters())
+        c = self.counters
         if len(self.dims) == 1:
-            self.line = SegTree1D(tensor.data, pair, counters=self.counters)
+            self.line = SegTree1D(tensor.data, pair, counters=c)
             return
-        n = self.dims[0]
-        shape = node_shape(n)
+        sub_dims = self.dims[1:]
+        for i, rows in row_folds(node_shape(self.dims[0]), tensor.first_axis_slice,
+                                 pair.query_op):
+            self.row_fold[i] = (SegTree1D(rows, pair, counters=c) if self._bare else
+                                NDTree(DenseTensor(sub_dims, rows, pair), pair, counters=c))
+
+    def _blank(self, dims, pair: OperatorPair, counters: OpCounters) -> None:
+        """Bind an all-identity tree over ``dims`` (d >= 2: its axis-0 arena).
+
+        Every ``row_fold``/``row_lazy`` entry is None; the arena counts one
+        visit per node.
+        """
+        self.dims = dims
+        self.pair = pair
+        self.counters = counters
+        self.line: Optional[SegTree1D] = None
+        if len(dims) == 1:
+            return
+        shape = node_shape(dims[0])
         self.lo, self.hi, self.left, self.right = shape[:4]
         count = len(shape.lo)
-        sub_dims = self.dims[1:]
-        blank = DenseTensor(sub_dims, [pair.update_identity] * (len(tensor.data) // n), pair)
-        self.row_fold: List[NDTree] = [None] * count  # type: ignore[list-item]
-        self.row_lazy: List[NDTree] = [None] * count  # type: ignore[list-item]
-        for i, rows in row_folds(shape, tensor.first_axis_slice, pair.query_op):
-            self.row_fold[i] = NDTree(DenseTensor(sub_dims, rows, pair), pair,
-                                      counters=self.counters)
-            self.row_lazy[i] = NDTree(blank, pair, counters=self.counters)
-        self.counters.visits_total += count
+        # the last axis is a bare SegTree1D
+        self._bare = len(dims) == 2
+        self.row_fold: List = [None] * count
+        self.row_lazy: List = [None] * count
+        counters.visits_total += count
+
+    def _allocate(self):
+        """A fresh all-identity tree over the axes after axis 0."""
+        if self._bare:
+            return SegTree1D.identity(self.dims[1], self.pair, counters=self.counters)
+        t = NDTree.__new__(NDTree)
+        t._own = False
+        t._blank(self.dims[1:], self.pair, self.counters)
+        return t
 
     @property
     def node_count(self) -> int:
@@ -100,7 +136,8 @@ class NDTree:
 
     def _update(self, box: Box, value) -> None:
         xlo, xhi = box[0]
-        rest = box[1:]
+        # the arguments of an inner call ahead of the value
+        rest = box[1] if self._bare else (box[1:],)
         lo, hi = self.lo, self.hi
         left, right = self.left, self.right
         folds, lazies = self.row_fold, self.row_lazy
@@ -114,7 +151,10 @@ class NDTree:
             ilo = lo[i]
             ihi = hi[i]
             if xlo <= ilo and ihi <= xhi:
-                lazies[i].update(rest, value)
+                t = lazies[i]
+                if t is None:
+                    t = lazies[i] = self._allocate()
+                t.update(*rest, value)
             else:
                 visits += 2
                 l = left[i]
@@ -124,7 +164,10 @@ class NDTree:
                 if lo[r] <= xhi:
                     stack.append(r)
                 j = (ihi if ihi < xhi else xhi) - (ilo if ilo > xlo else xlo) + 1
-                folds[i].update(rest, rep(value, j))
+                t = folds[i]
+                if t is None:
+                    t = folds[i] = self._allocate()
+                t.update(*rest, rep(value, j))
         self.counters.visits_total += visits
 
     def query(self, box: Box):
@@ -141,7 +184,7 @@ class NDTree:
 
     def _query(self, box: Box):
         xlo, xhi = box[0]
-        rest = box[1:]
+        rest = box[1] if self._bare else (box[1:],)
         lo, hi = self.lo, self.hi
         left, right = self.left, self.right
         folds, lazies = self.row_fold, self.row_lazy
@@ -150,7 +193,8 @@ class NDTree:
         rep = self.pair.repeat
         out = self.pair.query_identity
         # the pending values of partially covered nodes, absorbed once the
-        # covered parts are folded: exact by the fold-commuting law
+        # covered parts are folded: exact by the fold-commuting law.  A None
+        # tree is all-identity and is skipped.
         pending = []
         visits = 1
         stack = [0]
@@ -159,9 +203,13 @@ class NDTree:
             ilo = lo[i]
             ihi = hi[i]
             if xlo <= ilo and ihi <= xhi:
-                base = folds[i].query(rest)
-                pend = lazies[i].query(rest)
-                out = q(out, u(base, rep(pend, ihi - ilo + 1)))
+                base = folds[i]
+                lazy = lazies[i]
+                if lazy is not None:
+                    pend = rep(lazy.query(*rest), ihi - ilo + 1)
+                    out = q(out, pend if base is None else u(base.query(*rest), pend))
+                elif base is not None:
+                    out = q(out, base.query(*rest))
             else:
                 visits += 2
                 r = right[i]
@@ -170,8 +218,10 @@ class NDTree:
                 l = left[i]
                 if hi[l] >= xlo:
                     stack.append(l)
-                j = (ihi if ihi < xhi else xhi) - (ilo if ilo > xlo else xlo) + 1
-                pending.append(rep(lazies[i].query(rest), j))
+                lazy = lazies[i]
+                if lazy is not None:
+                    j = (ihi if ihi < xhi else xhi) - (ilo if ilo > xlo else xlo) + 1
+                    pending.append(rep(lazy.query(*rest), j))
         for pend in pending:
             out = u(out, pend)
         self.counters.visits_total += visits

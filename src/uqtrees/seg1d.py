@@ -125,8 +125,31 @@ def row_folds(shape: NodeShape, row, q):
 class SegTree1D:
     def __init__(self, values: Sequence, pair: OperatorPair, *,
                  cell_weight: int = 1, counters: Optional[OpCounters] = None):
-        shape = node_shape(len(values))
-        self.size = len(values)
+        self._bind(len(values), pair, cell_weight, counters)
+        self.val: list = [None] * self.node_count
+        self.laz: list = [None] * self.node_count
+        self.reinit(values)
+
+    @classmethod
+    def identity(cls, size: int, pair: OperatorPair, *,
+                 counters: Optional[OpCounters] = None) -> "SegTree1D":
+        """A tree over ``size`` copies of ``query_identity``, filled without a walk.
+
+        Every fold is ``query_identity`` and every pending value
+        ``update_identity``, which is what the constructor would compute;
+        like the constructor it counts ``node_count`` visits.
+        """
+        t = cls.__new__(cls)
+        t._bind(size, pair, 1, counters)
+        t.val = [pair.query_identity] * t.node_count
+        t.laz = [pair.update_identity] * t.node_count
+        t.counters.visits_total += t.node_count
+        return t
+
+    def _bind(self, size: int, pair: OperatorPair, cell_weight: int,
+              counters: Optional[OpCounters]) -> None:
+        shape = node_shape(size)
+        self.size = size
         self.pair = pair
         self.cell_weight = cell_weight
         self._own = counters is None
@@ -136,10 +159,7 @@ class SegTree1D:
         # covered cells per node, pre-scaled by cell_weight
         self.sz = (shape.size if cell_weight == 1
                    else [k * cell_weight for k in shape.size])
-        self.val: list = [None] * self.node_count
-        self.laz: list = [None] * self.node_count
         self.last_lazy_spans: List[Tuple[int, int]] = []
-        self.reinit(values)
 
     def reinit(self, values: Sequence, qlo: int = 0) -> None:
         """Reset elements ``qlo .. qlo + len(values) - 1`` to fresh ``values``.

@@ -172,9 +172,12 @@ def run_verify(cfg: WorkloadConfig, inject_fault: Optional[int] = None) -> Verif
 
     ``inject_fault=k`` drops the k-th update (0-based) on the backend only;
     it exists so the mismatch path of the exit-code contract can be
-    exercised honestly.
+    exercised honestly.  A negative ``k``, or one the run never reaches,
+    raises ValueError: a fault that is never injected tests nothing.
     """
     cfg.check()
+    if inject_fault is not None and inject_fault < 0:
+        raise ValueError(f"inject_fault must be >= 0, got {inject_fault}")
     rng = random.Random(cfg.seed)
     tensor = initial_tensor(cfg, rng)
     oracle = tensor.copy()
@@ -197,6 +200,9 @@ def run_verify(cfg: WorkloadConfig, inject_fault: Optional[int] = None) -> Verif
                 if first is None:
                     first = f"action #{k}: query {box} -> backend {got!r}, oracle {want!r}"
             queries += 1
+    if inject_fault is not None and inject_fault >= updates:
+        raise ValueError(f"inject_fault={inject_fault} was never reached: "
+                         f"the run made {updates} updates")
     return VerifyReport(cfg, mismatches, first, updates, queries)
 
 

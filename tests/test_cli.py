@@ -106,6 +106,15 @@ class TestRunners:
         assert report.mismatches > 0
         assert "oracle" in report.first_mismatch
 
+    def test_injected_fault_must_be_reached(self):
+        cfg = WorkloadConfig("seg1d", "plus-plus", (4,), ops=10, seed=0)
+        updates = run_verify(cfg).updates
+        assert run_verify(cfg, inject_fault=updates - 1).updates == updates
+        with pytest.raises(ValueError, match=f"made {updates} updates"):
+            run_verify(cfg, inject_fault=updates)
+        with pytest.raises(ValueError, match=">= 0"):
+            run_verify(cfg, inject_fault=-1)
+
     def test_bench_rows_are_deterministic(self):
         cfg = WorkloadConfig("nd-special", "plus-plus", (16, 16), ops=400, seed=9)
         r1, r2 = run_bench(cfg), run_bench(cfg)
@@ -152,6 +161,16 @@ class TestCliVerify:
                 "--dims", "16", "--ops", "400", "--seed", "5", "--inject-fault", "0")
         assert p.returncode == 1
         assert "first mismatch" in p.stdout
+
+    def test_exit_two_on_a_fault_that_is_never_injected(self):
+        args = ("verify", "--backend", "seg1d", "--pair", "plus-plus",
+                "--dims", "4", "--ops", "10", "--inject-fault")
+        updates = run_verify(WorkloadConfig("seg1d", "plus-plus", (4,), ops=10)).updates
+        for k, message in (("999", f"made {updates} updates"), ("-1", ">= 0")):
+            p = cli(*args, k)
+            assert p.returncode == 2
+            assert "mismatches=" not in p.stdout
+            assert message in p.stderr
 
     def test_exit_two_on_bad_combo(self):
         p = cli("verify", "--backend", "nd-special", "--pair", "plus-min",

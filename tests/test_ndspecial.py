@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from uqtrees import (DenseTensor, NDTree, OperatorPair, WorkloadConfig,
+from uqtrees import (DenseTensor, NDTree, OperatorPair, SegTree1D, WorkloadConfig,
                      builtin_pairs, get_pair, run_verify)
 
 
@@ -104,9 +104,11 @@ def effective_fold(t, node, span):
     Walks root -> node collecting row_lazy queries; each pending fold is
     repeated (node's row count) times and absorbed into the node's row_fold
     query, which must then equal the true fold of the node's rows x span.
+    The last-axis trees are bare SegTree1Ds, and a pending tree that no
+    update has stamped yet is None, which reads as the identity.
     """
     pair = t.pair
-    base = t.row_fold[node].query((span,))
+    base = t.row_fold[node].query(*span)
     rows = t.hi[node] - t.lo[node] + 1
     acc = base
     path = [0]
@@ -115,7 +117,8 @@ def effective_fold(t, node, span):
         nxt = t.left[cur] if t.lo[t.left[cur]] <= t.lo[node] <= t.hi[t.left[cur]] else t.right[cur]
         path.append(nxt)
     for anc in path:
-        pend = t.row_lazy[anc].query((span,))
+        lazy = t.row_lazy[anc]
+        pend = pair.update_identity if lazy is None else lazy.query(*span)
         acc = pair.update_op(acc, pair.repeat(pend, rows))
     return acc
 
@@ -146,6 +149,64 @@ class TestTrueValueRule:
                             assert effective_fold(t, node, (c0, c1)) == want
 
 
+class TestPendingAllocation:
+    def test_fresh_3d_tree_holds_no_pending_tree(self, special_pair):
+        dims = (3, 4, 5)
+        data = [special_pair.sample_range[1]] * 60
+        t = NDTree(DenseTensor(dims, data, special_pair), special_pair)
+        assert t.row_lazy == [None] * t.node_count
+        for sub in t.row_fold:
+            assert isinstance(sub, NDTree)
+            assert sub.row_lazy == [None] * sub.node_count
+            assert all(isinstance(x, SegTree1D) for x in sub.row_fold)
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (3, 1, 4), (2, 5, 3), (32, 32, 32)])
+    def test_init_visits_closed_form(self, dims):
+        a, b, c = dims
+        t = NDTree(DenseTensor(dims, [0] * (a * b * c), get_pair("plus-plus")),
+                   get_pair("plus-plus"))
+        assert t.counters.visits_total == (2 * a - 1) * (1 + (2 * b - 1) * 2 * c)
+        if dims == (32, 32, 32):
+            assert t.counters.visits_total == 254079
+
+    def test_allocation_counts_its_node_list(self):
+        # a leaf stamp allocates one last-axis pending tree of 2m - 1 nodes;
+        # the same update again allocates nothing
+        pair = get_pair("plus-plus")
+        n, m = 5, 6
+        t = NDTree(DenseTensor((n, m), [1] * (n * m), pair), pair)
+        box = ((3, 3), (1, 4))
+        t.update(box, 2)
+        first = t.counters.visits_last_op
+        t.update(box, 2)
+        assert first - t.counters.visits_last_op == 2 * m - 1
+
+    def test_leaf_stamps_and_partly_allocated_pending_trees(self, special_pair):
+        dims = (5, 3, 4)
+        rng = random.Random(8)
+        data = [rng.randint(*special_pair.sample_range) for _ in range(60)]
+        t = NDTree(DenseTensor(dims, data, special_pair), special_pair)
+        o = DenseTensor(dims, data, special_pair)
+        full = o.full_box()
+        assert t.query(full) == o.query(full)  # before any stamp
+        v = special_pair.sample_range[1]
+        t.update(((2, 2), (1, 1), (0, 3)), v)
+        o.update(((2, 2), (1, 1), (0, 3)), v)
+        # only the axis-0 leaf over row 2 holds a pending tree, and inside
+        # it only the nodes on the path to column 1 are allocated
+        stamped = [i for i, x in enumerate(t.row_lazy) if x is not None]
+        assert [(t.lo[i], t.hi[i]) for i in stamped] == [(2, 2)]
+        sub = t.row_lazy[stamped[0]]
+        assert 0 < sum(x is not None for x in sub.row_fold + sub.row_lazy) < 2 * sub.node_count
+        for x in range(5):
+            for y in range(3):
+                for z0 in range(4):
+                    box = ((x, 4), (y, y), (z0, 3))
+                    assert t.query(box) == o.query(box)
+                    box = ((0, x), (0, y), (0, z0))
+                    assert t.query(box) == o.query(box)
+
+
 class TestCounterGrowth:
     def test_doubling_extent_costs_at_most_the_log_factor(self):
         # mean visits per op should grow like (log 2N / log N)^2 when both
@@ -162,11 +223,17 @@ class TestCounterGrowth:
 
 class TestLazyPairPlumbing:
     def test_builtin_pairs_are_self_companioned(self, special_pair):
-        # the pending-value trees fold with the pair itself, at every level
+        # the pending-value trees fold with the pair itself, at every level;
+        # this update stamps the top tree's node over row 0 and, inside both
+        # its pending tree and the fold tree of rows 0..1, the node over
+        # column 0
         t = NDTree(DenseTensor((2, 2, 2), [1] * 8, special_pair), special_pair)
         assert special_pair.update_op is special_pair.query_op
-        for level in (t, t.row_lazy[0], t.row_fold[1]):
-            assert all(lazy.pair is special_pair for lazy in level.row_lazy)
+        t.update(((0, 0), (0, 0), (0, 1)), special_pair.sample_range[1])
+        for level in (t, t.row_lazy[1], t.row_fold[0]):
+            allocated = [x for x in level.row_lazy if x is not None]
+            assert allocated
+            assert all(lazy.pair is special_pair for lazy in allocated)
 
     def test_rejects_a_special_pair_that_folds_differently(self):
         # fold-commuting, but query_op is not update_op: no registered pair is

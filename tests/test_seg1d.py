@@ -337,6 +337,20 @@ class TestValidate:
             o.update(((a, b),), v)
         t.validate(o)
 
+    @pytest.mark.parametrize("n", [1, 6, 13])
+    def test_identity_tree_passes_then_survives_an_update(self, pair, rng, n):
+        t = SegTree1D.identity(n, pair)
+        o = DenseTensor((n,), [pair.query_identity] * n, pair)
+        assert t.counters.visits_total == t.node_count == 2 * n - 1
+        assert t.val == SegTree1D([pair.query_identity] * n, pair).val
+        t.validate(o)
+        a, b = sorted((rng.randrange(n), rng.randrange(n)))
+        v = rng.randint(*pair.sample_range)
+        t.update(a, b, v)
+        o.update(((a, b),), v)
+        t.validate(o)
+        assert [t.query(i, i) for i in range(n)] == [o.query(((i, i),)) for i in range(n)]
+
     def test_corruption_is_caught(self):
         pair = get_pair("plus-plus")
         vals = list(range(16))

@@ -71,6 +71,20 @@ def test_constructors_make_no_cyclic_garbage(backend_id, pair_name, dims):
     assert _collect_with_gc_off(lambda: make_backend(backend_id, tensor)) == 0
 
 
+def test_first_stamps_on_a_fresh_tree_make_no_cyclic_garbage():
+    pair = get_pair("plus-plus")
+    t = NDTree(DenseTensor((5, 4, 3), list(range(60)), pair), pair)
+
+    def work():
+        t.query(((0, 4), (0, 3), (0, 2)))
+        t.update(((0, 4), (1, 2), (0, 1)), 3)
+        t.update(((2, 2), (3, 3), (2, 2)), 4)
+        t.query(((1, 3), (0, 3), (1, 2)))
+
+    assert _collect_with_gc_off(work) == 0
+    assert t.row_lazy[0] is not None
+
+
 def test_trees_of_equal_extent_share_one_layout():
     pair = get_pair("plus-plus")
     a = SegTree1D([1, 2, 3, 4, 5], pair)
@@ -82,9 +96,15 @@ def test_trees_of_equal_extent_share_one_layout():
     assert a.val is not b.val and a.laz is not b.laz
 
     t = NDTree(DenseTensor((4, 4, 4), list(range(64)), pair), pair)
-    inner = [line.line for sub in t.row_fold + t.row_lazy
-             for line in sub.row_fold + sub.row_lazy]
-    assert len(inner) == 2 * 7 * 2 * 7
+    t.update(((0, 3), (1, 2), (0, 3)), 1)
+    # the last-axis trees are bare SegTree1Ds: every fold tree's, and those
+    # pending trees the update has allocated
+    inner = [x for sub in t.row_fold + t.row_lazy if sub is not None
+             for x in sub.row_fold + sub.row_lazy if x is not None]
+    assert all(isinstance(x, SegTree1D) for x in inner)
+    # inside the pending tree stamped at the root: fold trees on the three
+    # partially covered nodes over axis 1, pending trees on its two leaves
+    assert len(inner) == 7 * 7 + 3 + 2
     assert all(x.lo is node_shape(4).lo and x.right is node_shape(4).right
                for x in inner)
     assert t.lo is node_shape(4).lo
