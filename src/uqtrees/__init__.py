@@ -18,8 +18,7 @@ differential/benchmark workloads (:mod:`uqtrees.workloads`) and the
 
 from .algebra import (MAX_MAX, MIN_MIN, PAIR_NAMES, PLUS_MAX, PLUS_MIN,
                       PLUS_PLUS, TIMES_PLUS, TIMES_TIMES, OperatorPair,
-                      ZeroTrackedSum, builtin_pairs, check_special,
-                      fold_after_partial_update, get_pair)
+                      ZeroTrackedSum, builtin_pairs, check_special, get_pair)
 from .boxes import Box, box_volume, check_box
 from .counters import OpCounters
 from .dense import DenseTensor, format_tensor, parse_tensor
@@ -40,7 +39,7 @@ __all__ = [
     "ValidationError",
     "PLUS_MIN", "PLUS_MAX", "PLUS_PLUS", "TIMES_TIMES", "MIN_MIN", "MAX_MAX",
     "TIMES_PLUS", "PAIR_NAMES", "builtin_pairs", "get_pair",
-    "fold_after_partial_update", "check_special",
+    "check_special",
     "box_volume", "check_box", "parse_tensor", "format_tensor",
     "probe_visit_bound",
     "ProductPair", "PRODUCT_PAIRS", "MIN_PLUS_PRODUCT", "MAX_PLUS_PRODUCT",

@@ -23,7 +23,7 @@ commutes with folding::
 Such pairs admit the d-dimensional tree in :mod:`uqtrees.ndspecial`: when
 only ``j`` of ``k`` folded elements absorb ``v``, the fold changes by a
 single ``update_op`` with ``v`` repeated ``j`` times (see
-:meth:`OperatorPair.repeat` and :func:`fold_after_partial_update`).
+:meth:`OperatorPair.repeat`).
 
 Pairs whose update operator has an exact inverse additionally support the
 matrix-product reduction in :mod:`uqtrees.matmul`.  Multiplicative pairs get
@@ -194,21 +194,6 @@ class OperatorPair:
 
     def __repr__(self) -> str:
         return f"OperatorPair({self.name!r})"
-
-
-def fold_after_partial_update(pair: OperatorPair, fold, value, hits: int, count: int):
-    """New fold of ``count`` elements after ``hits`` of them absorbed ``value``.
-
-    Only defined for fold-commuting pairs; which elements were hit does not
-    matter, only how many.
-    """
-    if not pair.is_special:
-        raise ValueError(f"pair {pair.name!r} is not fold-commuting")
-    if not 0 <= hits <= count:
-        raise ValueError("hits must lie in [0, count]")
-    if hits == 0:
-        return fold
-    return pair.update_op(fold, pair.repeat(value, hits))
 
 
 def check_special(pair: OperatorPair, samples: int = 1000, seed: int = 0):

@@ -3,9 +3,7 @@
 A box is a tuple of ``(lo, hi)`` integer pairs, one pair per dimension, with
 ``lo <= hi`` inclusive on both ends.  Boxes are always non-empty: an update
 or query over "nothing" is meaningless at the public API, so a reversed pair
-is rejected rather than silently treated as empty.  (Empty intersections do
-occur *inside* tree recursions; those branches return the query identity
-without ever materializing an empty box.)
+is rejected rather than silently treated as empty.
 """
 
 from __future__ import annotations
@@ -40,9 +38,3 @@ def box_volume(box: Sequence[Span]) -> int:
         vol *= hi - lo + 1
     return vol
 
-
-def overlap_len(alo: int, ahi: int, blo: int, bhi: int) -> int:
-    """Length of the intersection of two inclusive spans (0 if disjoint)."""
-    lo = alo if alo > blo else blo
-    hi = ahi if ahi < bhi else bhi
-    return hi - lo + 1 if lo <= hi else 0

@@ -58,10 +58,6 @@ class DenseTensor:
             strides[i] = strides[i + 1] * dims[i + 1]
         self._strides = tuple(strides)
 
-    @classmethod
-    def filled(cls, dims: Sequence[int], value, pair: OperatorPair) -> "DenseTensor":
-        return cls(dims, [value] * math.prod(dims), pair)
-
     def copy(self) -> "DenseTensor":
         return DenseTensor(self.dims, self.data, self.pair)
 

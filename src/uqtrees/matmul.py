@@ -17,6 +17,8 @@ Both need update values whose inverse undoes them exactly, so an infinite or
 nan entry of ``B`` (or a non-finite cell that a re-seed would invert) is
 rejected with ``ValueError``: ``inf + -inf`` would leave nan behind.
 Infinities in ``A`` are fine; they are only ever updated by finite values.
+A nan in ``A`` is rejected before any update: ``min``/``max`` answer nan by
+argument order, so no backend could match :func:`schoolbook`.
 
 Supported domains (:data:`PRODUCT_PAIRS`):
 
@@ -89,12 +91,25 @@ def _check_square(*mats: Sequence[Sequence]) -> int:
     return n
 
 
-def _not_finite(x) -> bool:
+def _not_finite(x, nan_only: bool = False) -> bool:
     # exact comparisons: an int beyond float range is finite, and float()
     # would overflow on it
     if isinstance(x, ZeroTrackedSum):
-        return any(_not_finite(m) for m in x.terms.values())
-    return x == INF or x == NEG_INF or x != x
+        return any(_not_finite(m, nan_only) for m in x.terms.values())
+    return x != x or not nan_only and (x == INF or x == NEG_INF)
+
+
+def _check_operands(a: Matrix, b: Matrix) -> int:
+    """Refuse a nan entry of ``a`` and a non-finite one of ``b``; return the size."""
+    n = _check_square(a, b)
+    for i in range(n):
+        for j in range(n):
+            if _not_finite(a[i][j], nan_only=True):
+                raise ValueError(f"A[{i}][{j}] is nan; the reduction cannot answer it exactly")
+            if _not_finite(b[i][j]):
+                raise ValueError(f"B[{i}][{j}] = {format_value(b[i][j])} is not finite; "
+                                 "its update cannot be undone exactly")
+    return n
 
 
 def schoolbook(a: Matrix, b: Matrix, domain: ProductPair) -> Matrix:
@@ -132,17 +147,11 @@ def product_via_backend(a: Matrix, b: Matrix, domain: ProductPair, backend) -> M
 
     Restores the backend's query-observable state before returning.
     """
-    n = _check_square(a, b)
+    n = _check_operands(a, b)
     if backend.dims != (n, n):
         raise ValueError(f"backend shape {backend.dims} != matrix shape {(n, n)}")
     if domain.pair.inverse is None:
         raise ValueError(f"pair {domain.pair.name!r} has no inverse")
-    # the inverse of an infinity does not undo it (inf + -inf is nan)
-    for i in range(n):
-        for j in range(n):
-            if _not_finite(b[i][j]):
-                raise ValueError(f"B[{i}][{j}] = {format_value(b[i][j])} is not finite; "
-                                 "its update cannot be undone exactly")
     update = backend.update
     query = backend.query
     inv = domain.inv
@@ -167,15 +176,16 @@ def multi_product_via_backend(pairs_of_matrices: Sequence[tuple], domain: Produc
 
     The backend may hold anything square of the right size; before each
     product every cell is re-seeded in place via ``inverse(cell) * A_k[i][j]``.
+    Every pair's entries are checked before the first update.
     """
+    sizes = [_check_operands(a, b) for a, b in pairs_of_matrices]
     out = []
     u = domain.pair.update_op
     inv = domain.inv
     lift = domain.lift
     update = backend.update
     query = backend.query
-    for a, b in pairs_of_matrices:
-        n = _check_square(a, b)
+    for (a, b), n in zip(pairs_of_matrices, sizes):
         if backend.dims != (n, n):
             raise ValueError(f"backend shape {backend.dims} != matrix shape {(n, n)}")
         for i in range(n):

@@ -43,12 +43,12 @@ extent likewise share one layout and each owns only its ``val``/``laz``.
 An update splits its box into the axis-0 span ``X`` and the remainder ``C``:
 nodes inside ``X`` stamp ``v`` into ``row_lazy`` over ``C``; partially
 overlapped nodes descend and repair ``row_fold`` over ``C`` with ``v``
-repeated ``|overlap with X|`` times.  A query mirrors this: it folds the
-fully covered nodes' results, then absorbs each partially overlapped node's
-pending values once, which the fold-commuting law makes exact.  Both walks
-are explicit-stack loops (see :mod:`uqtrees.seg1d`).  Queries leave the
-trees unchanged (they only bump the shared counters); updates need exclusive
-access.
+repeated ``|overlap with X|`` times.  A query folds everything with the
+pair's one operator: each covered node's ``row_fold`` query over ``C``, and
+for every node it meets, that node's ``row_lazy`` query over ``C`` repeated
+once per row the node shares with ``X``.  Both walks are explicit-stack
+loops (see :mod:`uqtrees.seg1d`).  Queries leave the trees unchanged (they
+only bump the shared counters); updates need exclusive access.
 
 All nested trees share one visit counter, so a top-level operation's visit
 count includes every inner-tree node it touched.
@@ -188,14 +188,9 @@ class NDTree:
         lo, hi = self.lo, self.hi
         left, right = self.left, self.right
         folds, lazies = self.row_fold, self.row_lazy
-        u = self.pair.update_op
         q = self.pair.query_op
         rep = self.pair.repeat
         out = self.pair.query_identity
-        # the pending values of partially covered nodes, absorbed once the
-        # covered parts are folded: exact by the fold-commuting law.  A None
-        # tree is all-identity and is skipped.
-        pending = []
         visits = 1
         stack = [0]
         while stack:
@@ -203,13 +198,9 @@ class NDTree:
             ilo = lo[i]
             ihi = hi[i]
             if xlo <= ilo and ihi <= xhi:
-                base = folds[i]
-                lazy = lazies[i]
-                if lazy is not None:
-                    pend = rep(lazy.query(*rest), ihi - ilo + 1)
-                    out = q(out, pend if base is None else u(base.query(*rest), pend))
-                elif base is not None:
-                    out = q(out, base.query(*rest))
+                t = folds[i]
+                if t is not None:
+                    out = q(out, t.query(*rest))
             else:
                 visits += 2
                 r = right[i]
@@ -218,11 +209,10 @@ class NDTree:
                 l = left[i]
                 if hi[l] >= xlo:
                     stack.append(l)
-                lazy = lazies[i]
-                if lazy is not None:
-                    j = (ihi if ihi < xhi else xhi) - (ilo if ilo > xlo else xlo) + 1
-                    pending.append(rep(lazy.query(*rest), j))
-        for pend in pending:
-            out = u(out, pend)
+            # a None pending tree is all-identity and is skipped
+            t = lazies[i]
+            if t is not None:
+                j = (ihi if ihi < xhi else xhi) - (ilo if ilo > xlo else xlo) + 1
+                out = q(out, rep(t.query(*rest), j))
         self.counters.visits_total += visits
         return out

@@ -1,12 +1,15 @@
 """Quadtree over a 2D matrix, with pending update values.
 
-The four-way analogue of the 1D tree: the root covers the whole matrix, a
-node over ``[x0,x1] x [y0,y1]`` splits at the midpoints of both axes into up
-to four children (two when one axis is already a single cell, none for a
-single cell).  Nodes keep a cached fold ``val`` and a pending update value
-``laz`` with the same semantics as :mod:`uqtrees.seg1d`; updates stamp
-contained nodes' ``laz`` and repair partially overlapped folds from the
-children, queries accumulate pending values on the way up and never mutate.
+The four-way analogue of the 1D tree: a node is a pair ``(a, b)`` of a row
+node of ``node_shape(n)`` and a column node of ``node_shape(m)`` (see
+:func:`~uqtrees.seg1d.node_shape`), so it splits at the midpoints of both
+axes; its children pair the shared ``left``/``right`` children of ``a`` and
+``b``, a leaf on an axis standing for itself.  The id ``a * (2m - 1) + b``
+indexes the flat lists ``val`` (cached fold) and ``laz`` (pending update
+value, as in :mod:`uqtrees.seg1d`); ids no descent reaches stay unused.
+Updates stamp contained nodes' ``laz`` and refold partially overlapped
+nodes from their children; queries carry the ancestors' pending values down
+and never mutate.  Both walk an explicit stack.
 
 The catch, and the reason this structure exists mostly as a measuring stick:
 nodes are square-ish, so a skinny box -- a single row or column, say --
@@ -24,6 +27,7 @@ from .algebra import OperatorPair
 from .boxes import Box, check_box
 from .counters import OpCounters
 from .dense import DenseTensor
+from .seg1d import node_shape
 
 
 def probe_visit_bound(k: int) -> int:
@@ -41,78 +45,72 @@ class QuadTree:
         self._own = counters is None
         self.counters = counters if counters is not None else OpCounters()
         n, m = tensor.dims
-        data = tensor.data
-        q = pair.query_op
-        u_id = pair.update_identity
-        self.x0: List[int] = []
-        self.x1: List[int] = []
-        self.y0: List[int] = []
-        self.y1: List[int] = []
-        self.area: List[int] = []
-        self.val: list = []
-        self.laz: list = []
-        self.kids: List[List[int]] = []
+        self.rows = node_shape(n)
+        self.cols = node_shape(m)
+        self.stride = s = 2 * m - 1
+        self.val: list = [None] * ((2 * n - 1) * s)
+        self.laz: list = [pair.update_identity] * len(self.val)
         self.last_lazy_nodes: List[int] = []
+        xlo, _, xl, xr, _ = self.rows
+        ylo, _, yl, yr, _ = self.cols
+        inner = []  # the reachable nodes above the cells, pre-order
+        stack = [(0, 0)]
+        while stack:
+            a, b = stack.pop()
+            if xl[a] < 0 and yl[b] < 0:
+                self.val[a * s + b] = tensor.data[xlo[a] * m + ylo[b]]
+                continue
+            kx = (a,) if xl[a] < 0 else (xl[a], xr[a])
+            ky = (b,) if yl[b] < 0 else (yl[b], yr[b])
+            inner.append((a * s + b, kx, ky))
+            stack += [(x, y) for x in kx for y in ky]
+        self._refold(inner)
+        self.node_count = len(inner) + n * m
+        self.counters.visits_total += self.node_count
 
-        def build(x0, x1, y0, y1) -> int:
-            i = len(self.x0)
-            self.x0.append(x0)
-            self.x1.append(x1)
-            self.y0.append(y0)
-            self.y1.append(y1)
-            self.area.append((x1 - x0 + 1) * (y1 - y0 + 1))
-            self.val.append(None)
-            self.laz.append(u_id)
-            self.kids.append([])
-            if x0 == x1 and y0 == y1:
-                self.val[i] = data[x0 * m + y0]
-            else:
-                xs = [(x0, x1)] if x0 == x1 else [(x0, (x0 + x1) // 2), ((x0 + x1) // 2 + 1, x1)]
-                ys = [(y0, y1)] if y0 == y1 else [(y0, (y0 + y1) // 2), ((y0 + y1) // 2 + 1, y1)]
-                ks = [build(a, b, c, d) for a, b in xs for c, d in ys]
-                self.kids[i] = ks
-                acc = self.val[ks[0]]
-                for k in ks[1:]:
-                    acc = q(acc, self.val[k])
-                self.val[i] = acc
-            return i
-
-        build(0, n - 1, 0, m - 1)
-        self.counters.visits_total += len(self.x0)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.x0)
+    def _refold(self, nodes: list) -> None:
+        """Refold each ``(id, row children, column children)``, last first."""
+        xsz, ysz, s = self.rows.size, self.cols.size, self.stride
+        val, laz = self.val, self.laz
+        q = self.pair.query_op
+        agg = self.pair.aggregator
+        for i, kx, ky in reversed(nodes):  # children before parents
+            acc = self.pair.query_identity
+            for x in kx:
+                for y in ky:
+                    k = x * s + y
+                    acc = q(acc, agg(val[k], laz[k], xsz[x] * ysz[y]))
+            val[i] = acc
 
     def update(self, box: Box, value) -> None:
         check_box(box, self.dims)
         (bx0, bx1), (by0, by1) = box
-        x0, x1, y0, y1 = self.x0, self.x1, self.y0, self.y1
-        val, laz, area, kids = self.val, self.laz, self.area, self.kids
+        xlo, xhi, xl, xr, _ = self.rows
+        ylo, yhi, yl, yr, _ = self.cols
+        s = self.stride
+        laz = self.laz
         u = self.pair.update_op
-        q = self.pair.query_op
-        agg = self.pair.aggregator
-        touched: List[int] = []
-        visits = 0
-
-        def un(i):
-            nonlocal visits
-            visits += 1
-            ix0 = x0[i]; ix1 = x1[i]; iy0 = y0[i]; iy1 = y1[i]
-            if bx0 <= ix0 and ix1 <= bx1 and by0 <= iy0 and iy1 <= by1:
+        self.last_lazy_nodes = touched = []
+        partial = []
+        visits = 1
+        stack = [(0, 0)]
+        while stack:
+            a, b = stack.pop()
+            i = a * s + b
+            if bx0 <= xlo[a] and xhi[a] <= bx1 and by0 <= ylo[b] and yhi[b] <= by1:
                 laz[i] = u(laz[i], value)
                 touched.append(i)
-            elif ix0 <= bx1 and bx0 <= ix1 and iy0 <= by1 and by0 <= iy1:
-                ks = kids[i]
-                for k in ks:
-                    un(k)
-                acc = agg(val[ks[0]], laz[ks[0]], area[ks[0]])
-                for k in ks[1:]:
-                    acc = q(acc, agg(val[k], laz[k], area[k]))
-                val[i] = acc
-
-        un(0)
-        self.last_lazy_nodes = touched
+                continue
+            kx = (a,) if xl[a] < 0 else (xr[a], xl[a])  # right first: pops left first
+            ky = (b,) if yl[b] < 0 else (yr[b], yl[b])
+            partial.append((i, kx, ky))
+            visits += len(kx) * len(ky)  # every child counts; the overlapping ones walk
+            for x in kx:
+                if xlo[x] <= bx1 and bx0 <= xhi[x]:
+                    for y in ky:
+                        if ylo[y] <= by1 and by0 <= yhi[y]:
+                            stack.append((x, y))
+        self._refold(partial)
         self.counters.visits_total += visits
         if self._own:
             self.counters.note_update(visits)
@@ -120,29 +118,31 @@ class QuadTree:
     def query(self, box: Box):
         check_box(box, self.dims)
         (bx0, bx1), (by0, by1) = box
-        x0, x1, y0, y1 = self.x0, self.x1, self.y0, self.y1
-        val, laz, area, kids = self.val, self.laz, self.area, self.kids
+        xlo, xhi, xl, xr, xsz = self.rows
+        ylo, yhi, yl, yr, ysz = self.cols
+        s = self.stride
+        val, laz = self.val, self.laz
+        u = self.pair.update_op
         q = self.pair.query_op
-        q_id = self.pair.query_identity
         agg = self.pair.aggregator
-        visits = 0
-
-        def qn(i):
-            nonlocal visits
-            visits += 1
-            ix0 = x0[i]; ix1 = x1[i]; iy0 = y0[i]; iy1 = y1[i]
-            if bx0 <= ix0 and ix1 <= bx1 and by0 <= iy0 and iy1 <= by1:
-                return agg(val[i], laz[i], area[i])
-            if ix0 > bx1 or ix1 < bx0 or iy0 > by1 or iy1 < by0:
-                return q_id
-            acc = q_id
-            for k in kids[i]:
-                acc = q(acc, qn(k))
-            ox = (ix1 if ix1 < bx1 else bx1) - (ix0 if ix0 > bx0 else bx0) + 1
-            oy = (iy1 if iy1 < by1 else by1) - (iy0 if iy0 > by0 else by0) + 1
-            return agg(acc, laz[i], ox * oy)
-
-        out = qn(0)
+        out = self.pair.query_identity
+        visits = 1
+        stack = [(0, 0, self.pair.update_identity)]  # z: the ancestors' pending value
+        while stack:
+            a, b, z = stack.pop()
+            i = a * s + b
+            if bx0 <= xlo[a] and xhi[a] <= bx1 and by0 <= ylo[b] and yhi[b] <= by1:
+                out = q(out, agg(val[i], u(z, laz[i]), xsz[a] * ysz[b]))
+                continue
+            z = u(z, laz[i])
+            kx = (a,) if xl[a] < 0 else (xr[a], xl[a])
+            ky = (b,) if yl[b] < 0 else (yr[b], yl[b])
+            visits += len(kx) * len(ky)
+            for x in kx:
+                if xlo[x] <= bx1 and bx0 <= xhi[x]:
+                    for y in ky:
+                        if ylo[y] <= by1 and by0 <= yhi[y]:
+                            stack.append((x, y, z))
         self.counters.visits_total += visits
         if self._own:
             self.counters.note_query(visits)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import get_pair
@@ -217,32 +217,16 @@ class BenchRow:
     wall_init_seconds: float
     wall_ops_seconds: float
 
-    CSV_FIELDS = ("backend", "pair", "dims", "init_visits", "mean_visits_per_update",
-                  "mean_visits_per_query", "wall_init_seconds", "wall_ops_seconds")
+    def as_dict(self) -> dict:
+        """The fields in order, with ``dims`` written as ``--dims`` takes it."""
+        return {**asdict(self), "dims": format_dims(self.dims)}
 
     def csv_values(self) -> List[str]:
-        return [
-            self.backend,
-            self.pair,
-            format_dims(self.dims),
-            str(self.init_visits),
-            f"{self.mean_visits_per_update:.6f}",
-            f"{self.mean_visits_per_query:.6f}",
-            f"{self.wall_init_seconds:.6f}",
-            f"{self.wall_ops_seconds:.6f}",
-        ]
+        return [f"{v:.6f}" if isinstance(v, float) else str(v)
+                for v in self.as_dict().values()]
 
-    def as_dict(self) -> dict:
-        return {
-            "backend": self.backend,
-            "pair": self.pair,
-            "dims": format_dims(self.dims),
-            "init_visits": self.init_visits,
-            "mean_visits_per_update": self.mean_visits_per_update,
-            "mean_visits_per_query": self.mean_visits_per_query,
-            "wall_init_seconds": self.wall_init_seconds,
-            "wall_ops_seconds": self.wall_ops_seconds,
-        }
+
+BenchRow.CSV_FIELDS = tuple(f.name for f in fields(BenchRow))
 
 
 def format_dims(dims: Sequence[int]) -> str:

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqtrees import (DenseTensor, NDTree, OperatorPair, SegTree1D,
-                     ZeroTrackedSum, builtin_pairs, check_special,
-                     fold_after_partial_update, get_pair)
+                     ZeroTrackedSum, builtin_pairs, check_special, get_pair)
 from uqtrees.seg1d import node_shape
 from conftest import fold, fold_updated, sample_values
 
@@ -125,11 +124,14 @@ class TestRepeat:
             assert bare.repeat(5, j) == 5 * j
 
 
-class TestFoldAfterPartialUpdate:
-    def test_rejects_non_special(self):
-        with pytest.raises(ValueError):
-            fold_after_partial_update(get_pair("plus-min"), 1, 1, 1, 2)
+def fold_after_partial_update(pair, fold, value, hits, count):
+    """The fold-commuting law: the new fold of ``count`` elements after
+    ``hits`` of them absorbed ``value``, whichever ones they were."""
+    assert pair.is_special and 0 <= hits <= count
+    return fold if hits == 0 else pair.update_op(fold, pair.repeat(value, hits))
 
+
+class TestFoldAfterPartialUpdate:
     def test_zero_hits_is_identity(self, special_pair):
         assert fold_after_partial_update(special_pair, 17, 3, 0, 4) == 17
 

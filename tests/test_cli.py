@@ -314,6 +314,15 @@ class TestCliMatmul:
         assert p.returncode == 2
         assert "error:" in p.stderr
 
+    @pytest.mark.parametrize("backend", ["grid2d-general", "oracle"])
+    def test_nan_in_a_exits_two(self, tmp_path, backend):
+        fa, fb = tmp_path / "a.txt", tmp_path / "b.txt"
+        fa.write_text("2 2 2\nnan 1\n1 2\n")
+        fb.write_text("2 2 2\n0 0\n0 0\n")
+        p = cli("matmul", str(fa), str(fb), "--pair", "plus-min", "--backend", backend)
+        assert p.returncode == 2
+        assert "A[0][0] is nan" in p.stderr and p.stdout == ""
+
     def test_missing_file_exits_two(self, tmp_path):
         p = cli("matmul", str(tmp_path / "none.txt"), str(tmp_path / "none.txt"),
                 "--pair", "plus-min")

@@ -168,6 +168,7 @@ class TestMultiProduct:
 
 
 INF = float("inf")
+NAN = float("nan")
 
 
 class TestNonFiniteInputs:
@@ -215,12 +216,41 @@ class TestNonFiniteInputs:
             multi_product_via_backend([(a, b), (b, b)], MIN_PLUS_PRODUCT, be)
 
     def test_reseed_rejects_a_non_finite_zero_tracked_cell(self):
-        # a nan mantissa is not equal to itself only as a plain number
-        a = [[1, float("nan")], [2, 3]]
+        # a nan mantissa is not equal to itself only as a plain number; a
+        # product refuses a nan in A, so the cell is seeded directly
         b = [[1, 0], [0, 1]]
-        be = seed_backend("grid2d-general", [[1, 1], [1, 1]], STANDARD_PRODUCT)
+        be = seed_backend("grid2d-general", [[1, float("nan")], [2, 3]], STANDARD_PRODUCT)
         with pytest.raises(ValueError, match=r"cell \(0, 1\)"):
-            multi_product_via_backend([(a, b), (b, b)], STANDARD_PRODUCT, be)
+            multi_product_via_backend([(b, b)], STANDARD_PRODUCT, be)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_nan_in_a_is_rejected_before_any_update(self, backend):
+        # min and max answer nan by argument order: grid2d-general gave
+        # inf inf / 1 1 here, schoolbook nan nan / 1 1
+        a = [[NAN, 1], [1, 2]]
+        b = [[0, 0], [0, 0]]
+        for domain in (MIN_PLUS_PRODUCT, MAX_PLUS_PRODUCT, STANDARD_PRODUCT):
+            be = seed_backend(backend, a, domain)
+            before = be.counters.visits_total
+            with pytest.raises(ValueError, match=r"A\[0\]\[0\] is nan"):
+                product_via_backend(a, b, domain, be)
+            assert be.counters.visits_total == before
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_multi_product_checks_every_a_before_any_update(self, backend):
+        ok = [[0, 1], [1, 2]]
+        be = seed_backend(backend, ok, MIN_PLUS_PRODUCT)
+        before = be.counters.visits_total
+        with pytest.raises(ValueError, match=r"A\[1\]\[1\] is nan"):
+            multi_product_via_backend([(ok, ok), ([[0, 1], [1, NAN]], ok)],
+                                      MIN_PLUS_PRODUCT, be)
+        assert be.counters.visits_total == before
+
+    def test_nan_zero_tracked_mantissa_in_a_is_rejected(self):
+        a = [[ZeroTrackedSum({0: 1, 1: NAN}), 1], [1, 2]]
+        be = seed_backend("grid2d-general", [[1, 1], [1, 1]], STANDARD_PRODUCT)
+        with pytest.raises(ValueError, match=r"A\[0\]\[0\] is nan"):
+            product_via_backend(a, [[1, 0], [0, 1]], STANDARD_PRODUCT, be)
 
 
 class TestZeroTrackedPlumbing:

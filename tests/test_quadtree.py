@@ -9,6 +9,26 @@ def qt(dims, data, pair_name):
     return QuadTree(DenseTensor(dims, data, pair), pair)
 
 
+def reachable(t):
+    """``{id: (rectangle, child ids)}`` for every node a descent from the root reaches.
+
+    Rectangles are ``(x0, x1, y0, y1)``; both come from the shared row and
+    column shapes, a leaf on one axis standing for itself on that axis.
+    """
+    rows, cols, s = t.rows, t.cols, t.stride
+    out = {}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        a, b = divmod(i, s)
+        xs = [a] if rows.left[a] < 0 else [rows.left[a], rows.right[a]]
+        ys = [b] if cols.left[b] < 0 else [cols.left[b], cols.right[b]]
+        kids = [x * s + y for x in xs for y in ys] if len(xs) * len(ys) > 1 else []
+        out[i] = ((rows.lo[a], rows.hi[a], cols.lo[b], cols.hi[b]), kids)
+        stack += kids
+    return out
+
+
 class TestBuild:
     def test_root_fold_examples(self):
         assert qt((4, 4), [1] * 16, "plus-plus").query(((0, 3), (0, 3))) == 16
@@ -20,31 +40,34 @@ class TestBuild:
         assert qt((4, 4), [0] * 16, "plus-plus").node_count == 21
 
     def test_children_partition_parent(self):
-        t = qt((6, 5), [0] * 30, "plus-plus")
-        for i in range(t.node_count):
-            ks = t.kids[i]
-            if not ks:
-                assert t.x0[i] == t.x1[i] and t.y0[i] == t.y1[i]
-                continue
-            cells = set()
-            for k in ks:
-                for x in range(t.x0[k], t.x1[k] + 1):
-                    for y in range(t.y0[k], t.y1[k] + 1):
-                        assert (x, y) not in cells
-                        cells.add((x, y))
-            want = {(x, y)
-                    for x in range(t.x0[i], t.x1[i] + 1)
-                    for y in range(t.y0[i], t.y1[i] + 1)}
-            assert cells == want
+        for dims in [(6, 5), (1, 7), (7, 1), (1, 1), (8, 8)]:
+            t = qt(dims, [0] * (dims[0] * dims[1]), "plus-plus")
+            nodes = reachable(t)
+            assert len(nodes) == t.node_count
+            for i, ((x0, x1, y0, y1), ks) in nodes.items():
+                if not ks:
+                    assert x0 == x1 and y0 == y1
+                    continue
+                assert all(k > i for k in ks)
+                cells = set()
+                for k in ks:
+                    kx0, kx1, ky0, ky1 = nodes[k][0]
+                    for x in range(kx0, kx1 + 1):
+                        for y in range(ky0, ky1 + 1):
+                            assert (x, y) not in cells
+                            cells.add((x, y))
+                assert cells == {(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)}
 
     def test_intersecting_nodes_nest(self, rng):
         # any two nodes with overlapping rectangles are ancestor/descendant
         t = qt((8, 8), [0] * 64, "plus-plus")
-        ids = list(range(t.node_count))
+        nodes = reachable(t)
+        assert len(nodes) == t.node_count
+        ids = list(nodes)
         for _ in range(500):
             a, b = rng.choice(ids), rng.choice(ids)
-            ax = (t.x0[a], t.x1[a], t.y0[a], t.y1[a])
-            bx = (t.x0[b], t.x1[b], t.y0[b], t.y1[b])
+            ax = nodes[a][0]
+            bx = nodes[b][0]
             overlap = not (ax[1] < bx[0] or bx[1] < ax[0]
                            or ax[3] < bx[2] or bx[3] < ax[2])
             if overlap:
@@ -59,7 +82,9 @@ class TestUpdateQuery:
         t.update(((0, 3), (1, 1)), 2)
         assert t.query(((0, 3), (1, 1))) == 12
         assert len(t.last_lazy_nodes) >= 4
-        assert all(not t.kids[i] for i in t.last_lazy_nodes)  # all leaves
+        nodes = reachable(t)
+        assert len(nodes) == t.node_count
+        assert all(not nodes[i][1] for i in t.last_lazy_nodes)  # all leaves
 
     def test_identity_update(self, pair, rng):
         data = [rng.randint(*pair.sample_range) for _ in range(25)]

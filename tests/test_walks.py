@@ -22,6 +22,7 @@ CASES = [
     ("seg1d", "plus-min", (64,)),
     ("grid2d-general", "plus-min", (16, 16)),
     ("nd-special", "plus-plus", (8, 8, 8)),
+    ("quadtree", "plus-min", (16, 16)),
 ]
 
 
