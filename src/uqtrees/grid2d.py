@@ -20,16 +20,18 @@ There are no pending values at the outer level.  An update splits its box
 into the row span and the column span; outer nodes inside the row span
 forward a lazy column update to their inner tree, while partially overlapped
 outer nodes cannot be patched in place (how their column folds change
-depends on which rows were hit), so they rebuild.  Only the columns of the
+depends on which rows were hit), so they rebuild.  The row span's
+:func:`~uqtrees.seg1d.split` names both kinds: every node of a covered
+subtree updates, every partial node rebuilds.  Only the columns of the
 update's span can have changed, so a rebuild reads both children's true
 columns on that span (``to_array(ylo, yhi)``), folds them element-wise and
 resets just that span of its own tree (``reinit(cols, ylo)``); every other
 column's fold is already right.  Children are always finalized before their
-parent rebuilds (post-order), and a child rebuilt just before hands its
-span columns up instead of being read again.  The rebuild events of the
-latest update are left in ``last_events`` for inspection.  A query folds
-inner-tree column queries over the outer decomposition of the row span and
-never mutates.
+parent rebuilds (covered subtrees, then partial nodes children first), and
+a child rebuilt just before hands its span columns up instead of being read
+again.  The events of the latest update are left in ``last_events`` for
+inspection.  A query folds inner-tree column queries over the covered nodes
+of the row span's split and never mutates.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .algebra import OperatorPair
 from .boxes import Box, check_box
 from .counters import OpCounters
 from .dense import DenseTensor
-from .seg1d import SegTree1D, node_shape, row_folds
+from .seg1d import SegTree1D, node_shape, row_folds, split
 
 
 class Grid2D:
@@ -52,7 +54,7 @@ class Grid2D:
         self.pair = pair
         self._own = counters is None
         self.counters = counters if counters is not None else OpCounters()
-        shape = node_shape(tensor.dims[0])
+        self.shape = shape = node_shape(tensor.dims[0])
         self.lo, self.hi, self.left, self.right = shape[:4]
         self.node_count = count = len(shape.lo)
         self.inner: List[SegTree1D] = [None] * count  # type: ignore[list-item]
@@ -64,6 +66,8 @@ class Grid2D:
 
     def update(self, box: Box, value) -> None:
         check_box(box, self.dims)
+        if value != value:
+            raise ValueError("cannot update with nan")
         c = self.counters
         before = c.visits_total
         (xlo, xhi), (ylo, yhi) = box
@@ -71,45 +75,29 @@ class Grid2D:
         left, right = self.left, self.right
         inner = self.inner
         q = self.pair.query_op
+        covered, partial = split(self.shape, xlo, xhi)
         events: List[Tuple[str, int]] = []
-        visits = 1
-        # pre-order with the right child first; reversed, that is the
-        # left-first post-order in which children finish before parents
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            ilo = lo[i]
-            ihi = hi[i]
-            l = left[i]
-            if xlo <= ilo and ihi <= xhi:
-                # no pending values at the outer level: every node inside the
-                # row span, descendants included, updates its own column tree
-                events.append(("inner-update", i))
-                if l >= 0:
-                    visits += 2
-                    stack.append(l)
-                    stack.append(right[i])
-            else:
-                events.append(("rebuild", i))
-                visits += 2
-                if hi[l] >= xlo:
-                    stack.append(l)
-                r = right[i]
-                if lo[r] <= xhi:
-                    stack.append(r)
-        events.reverse()
+        # the split's walk, plus both children of every internal node of a
+        # covered subtree: its node count less its root
+        visits = 1 + 2 * len(partial) - len(covered)
+        for i in covered:
+            # no pending values at the outer level: every node of a covered
+            # subtree, the index run i .. end - 1, updates its column tree
+            end = i + 2 * (hi[i] - lo[i]) + 1
+            for j in range(i, end):
+                inner[j].update(ylo, yhi, value)
+                events.append(("inner-update", j))
+            visits += end - i
         # span columns of the nodes just rebuilt, until their parent takes them
         held = {}
-        for kind, i in events:
-            if kind == "inner-update":
-                inner[i].update(ylo, yhi, value)
-            else:
-                l = left[i]
-                r = right[i]
-                cols_l = held.pop(l, None) or inner[l].to_array(ylo, yhi)
-                cols_r = held.pop(r, None) or inner[r].to_array(ylo, yhi)
-                cols = held[i] = list(map(q, cols_l, cols_r))
-                inner[i].reinit(cols, ylo)
+        for i in reversed(partial):  # children before parents
+            l = left[i]
+            r = right[i]
+            cols_l = held.pop(l, None) or inner[l].to_array(ylo, yhi)
+            cols_r = held.pop(r, None) or inner[r].to_array(ylo, yhi)
+            cols = held[i] = list(map(q, cols_l, cols_r))
+            inner[i].reinit(cols, ylo)
+            events.append(("rebuild", i))
         self.last_events = events
         c.visits_total += visits
         if self._own:
@@ -120,28 +108,13 @@ class Grid2D:
         c = self.counters
         before = c.visits_total
         (xlo, xhi), (ylo, yhi) = box
-        lo, hi = self.lo, self.hi
-        left, right = self.left, self.right
         inner = self.inner
         q = self.pair.query_op
         out = self.pair.query_identity
-        visits = 1
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            ilo = lo[i]
-            ihi = hi[i]
-            if xlo <= ilo and ihi <= xhi:
-                out = q(out, inner[i].query(ylo, yhi))
-            else:
-                visits += 2
-                r = right[i]
-                if lo[r] <= xhi:
-                    stack.append(r)
-                l = left[i]
-                if hi[l] >= xlo:
-                    stack.append(l)
-        c.visits_total += visits
+        covered, partial = split(self.shape, xlo, xhi)
+        for i in covered:
+            out = q(out, inner[i].query(ylo, yhi))
+        c.visits_total += 1 + 2 * len(partial)
         if self._own:
             c.note_query(c.visits_total - before)
         return out

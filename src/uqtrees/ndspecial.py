@@ -40,15 +40,15 @@ The axis-0 arena's layout is :func:`~uqtrees.seg1d.node_shape` of the
 extent, shared with every other tree of that extent; nested trees of equal
 extent likewise share one layout and each owns only its ``val``/``laz``.
 
-An update splits its box into the axis-0 span ``X`` and the remainder ``C``:
-nodes inside ``X`` stamp ``v`` into ``row_lazy`` over ``C``; partially
-overlapped nodes descend and repair ``row_fold`` over ``C`` with ``v``
-repeated ``|overlap with X|`` times.  A query folds everything with the
-pair's one operator: each covered node's ``row_fold`` query over ``C``, and
-for every node it meets, that node's ``row_lazy`` query over ``C`` repeated
-once per row the node shares with ``X``.  Both walks are explicit-stack
-loops (see :mod:`uqtrees.seg1d`).  Queries leave the trees unchanged (they
-only bump the shared counters); updates need exclusive access.
+An update splits its box into the axis-0 span ``X`` and the remainder ``C``,
+and ``X`` by :func:`~uqtrees.seg1d.split` into covered and partial nodes:
+covered nodes stamp ``v`` into ``row_lazy`` over ``C``; partial nodes
+repair ``row_fold`` over ``C`` with ``v`` repeated ``|overlap with X|``
+times.  A query folds everything with the pair's one operator: each covered
+node's ``row_fold`` query over ``C``, and for every node of the split, that
+node's ``row_lazy`` query over ``C`` repeated once per row the node shares
+with ``X``.  Queries leave the trees unchanged (they only bump the shared
+counters); updates need exclusive access.
 
 All nested trees share one visit counter, so a top-level operation's visit
 count includes every inner-tree node it touched.
@@ -62,7 +62,7 @@ from .algebra import OperatorPair, check_special
 from .boxes import Box, check_box
 from .counters import OpCounters
 from .dense import DenseTensor
-from .seg1d import SegTree1D, node_shape, row_folds
+from .seg1d import SegTree1D, node_shape, row_folds, split
 
 
 class NDTree:
@@ -100,7 +100,7 @@ class NDTree:
         self.line: Optional[SegTree1D] = None
         if len(dims) == 1:
             return
-        shape = node_shape(dims[0])
+        self.shape = shape = node_shape(dims[0])
         self.lo, self.hi, self.left, self.right = shape[:4]
         count = len(shape.lo)
         # the last axis is a bare SegTree1D
@@ -125,6 +125,8 @@ class NDTree:
 
     def update(self, box: Box, value) -> None:
         check_box(box, self.dims)
+        if value != value:
+            raise ValueError("cannot update with nan")
         c = self.counters
         before = c.visits_total
         if self.line is not None:
@@ -139,36 +141,25 @@ class NDTree:
         # the arguments of an inner call ahead of the value
         rest = box[1] if self._bare else (box[1:],)
         lo, hi = self.lo, self.hi
-        left, right = self.left, self.right
         folds, lazies = self.row_fold, self.row_lazy
         rep = self.pair.repeat
-        visits = 1
+        covered, partial = split(self.shape, xlo, xhi)
         # each node's own trees are independent of its children's, so the
         # order of the inner updates does not matter
-        stack = [0]
-        while stack:
-            i = stack.pop()
+        for i in covered:
+            t = lazies[i]
+            if t is None:
+                t = lazies[i] = self._allocate()
+            t.update(*rest, value)
+        for i in partial:
             ilo = lo[i]
             ihi = hi[i]
-            if xlo <= ilo and ihi <= xhi:
-                t = lazies[i]
-                if t is None:
-                    t = lazies[i] = self._allocate()
-                t.update(*rest, value)
-            else:
-                visits += 2
-                l = left[i]
-                if hi[l] >= xlo:
-                    stack.append(l)
-                r = right[i]
-                if lo[r] <= xhi:
-                    stack.append(r)
-                j = (ihi if ihi < xhi else xhi) - (ilo if ilo > xlo else xlo) + 1
-                t = folds[i]
-                if t is None:
-                    t = folds[i] = self._allocate()
-                t.update(*rest, rep(value, j))
-        self.counters.visits_total += visits
+            j = (ihi if ihi < xhi else xhi) - (ilo if ilo > xlo else xlo) + 1
+            t = folds[i]
+            if t is None:
+                t = folds[i] = self._allocate()
+            t.update(*rest, rep(value, j))
+        self.counters.visits_total += 1 + 2 * len(partial)
 
     def query(self, box: Box):
         check_box(box, self.dims)
@@ -186,33 +177,25 @@ class NDTree:
         xlo, xhi = box[0]
         rest = box[1] if self._bare else (box[1:],)
         lo, hi = self.lo, self.hi
-        left, right = self.left, self.right
         folds, lazies = self.row_fold, self.row_lazy
         q = self.pair.query_op
         rep = self.pair.repeat
         out = self.pair.query_identity
-        visits = 1
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            ilo = lo[i]
-            ihi = hi[i]
-            if xlo <= ilo and ihi <= xhi:
-                t = folds[i]
-                if t is not None:
-                    out = q(out, t.query(*rest))
-            else:
-                visits += 2
-                r = right[i]
-                if lo[r] <= xhi:
-                    stack.append(r)
-                l = left[i]
-                if hi[l] >= xlo:
-                    stack.append(l)
-            # a None pending tree is all-identity and is skipped
+        covered, partial = split(self.shape, xlo, xhi)
+        # a None tree is all-identity and is skipped
+        for i in covered:
+            t = folds[i]
+            if t is not None:
+                out = q(out, t.query(*rest))
             t = lazies[i]
             if t is not None:
+                out = q(out, rep(t.query(*rest), hi[i] - lo[i] + 1))
+        for i in partial:
+            t = lazies[i]
+            if t is not None:
+                ilo = lo[i]
+                ihi = hi[i]
                 j = (ihi if ihi < xhi else xhi) - (ilo if ilo > xlo else xlo) + 1
                 out = q(out, rep(t.query(*rest), j))
-        self.counters.visits_total += visits
+        self.counters.visits_total += 1 + 2 * len(partial)
         return out

@@ -84,6 +84,8 @@ class QuadTree:
 
     def update(self, box: Box, value) -> None:
         check_box(box, self.dims)
+        if value != value:
+            raise ValueError("cannot update with nan")
         (bx0, bx1), (by0, by1) = box
         xlo, xhi, xl, xr, _ = self.rows
         ylo, yhi, yl, yr, _ = self.cols

@@ -18,9 +18,13 @@ Each node ``n`` caches two things:
   still has to absorb ``laz[n]``"; equivalently, the fold cached at any
   descendant ``m`` must be read as ``aggregator(val[m], laz[n], size[m])``.
 
-``update`` stamps the pending value onto the maximal nodes fully inside the
-target span (the same nodes :meth:`decompose` returns) and repairs ``val``
-on the partially covered nodes above them, children first::
+:func:`split` breaks a span into the maximal nodes inside it and the
+partially covered nodes above them.  ``update``, ``decompose`` and a ranged
+``reinit`` consume that one split, as do the outer arenas of the 2D and
+d-dimensional trees; ``query``, ``to_array`` and ``validate`` carry pending
+values down their own walks.  ``update`` stamps the pending value onto the
+covered nodes (the same nodes :meth:`decompose` returns) and repairs ``val``
+on the partial nodes, children first::
 
     val[n] = query_op(aggregator(val[l], laz[l], size[l]),
                       aggregator(val[r], laz[r], size[r]))
@@ -100,6 +104,34 @@ def node_shape(n: int) -> NodeShape:
     return NodeShape(lo, hi, left, right, size)
 
 
+def split(shape: NodeShape, lo: int, hi: int) -> Tuple[List[int], List[int]]:
+    """Break the span ``[lo, hi]`` over ``shape`` into ``(covered, partial)``.
+
+    ``covered`` holds the maximal nodes inside the span, left to right;
+    ``partial`` the nodes that meet the span without lying inside it, in
+    pre-order (so ``reversed(partial)`` lists children before parents).  A
+    walk that visits the root and both children of every partial node
+    visits ``1 + 2 * len(partial)`` nodes.
+    """
+    slo, shi, left, right = shape.lo, shape.hi, shape.left, shape.right
+    covered: List[int] = []
+    partial: List[int] = []
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        if lo <= slo[i] and shi[i] <= hi:
+            covered.append(i)
+        else:
+            partial.append(i)
+            r = right[i]
+            if slo[r] <= hi:
+                stack.append(r)
+            l = left[i]
+            if shi[l] >= lo:
+                stack.append(l)
+    return covered, partial
+
+
 def row_folds(shape: NodeShape, row, q):
     """Yield ``(node, fold)`` for every node of ``shape``, children first.
 
@@ -154,33 +186,39 @@ class SegTree1D:
         self.cell_weight = cell_weight
         self._own = counters is None
         self.counters = counters if counters is not None else OpCounters()
+        self.shape = shape
         self.lo, self.hi, self.left, self.right = shape[:4]
         self.node_count = len(shape.lo)
         # covered cells per node, pre-scaled by cell_weight
         self.sz = (shape.size if cell_weight == 1
                    else [k * cell_weight for k in shape.size])
-        self.last_lazy_spans: List[Tuple[int, int]] = []
+        self._stamped: Sequence[int] = ()
+
+    @property
+    def last_lazy_spans(self) -> List[Tuple[int, int]]:
+        """The spans the latest update stamped its value onto, left to right."""
+        return [(self.lo[i], self.hi[i]) for i in self._stamped]
 
     def reinit(self, values: Sequence, qlo: int = 0) -> None:
         """Reset elements ``qlo .. qlo + len(values) - 1`` to fresh ``values``.
 
         Walks only the nodes that meet the span and counts one visit per
-        node.  A node inside the span resets its whole subtree in reverse
-        index order, children before parents, clearing its pending values;
-        values for the whole array reset every node this way, once each,
-        which is how the constructor fills the tree.  A partially covered
-        node (one on the two boundary paths) first pushes its pending value
-        down to both children, so elements outside the span keep their true
-        values; the partial nodes are then repaired bottom-up, as in
+        node.  Each partial node of the :func:`split` first pushes its
+        pending value down to both children, parents first, so elements
+        outside the span keep their true values.  Each covered node then
+        resets its whole subtree in reverse index order, children before
+        parents, clearing its pending values; values for the whole array
+        reset every node this way, once each, which is how the constructor
+        fills the tree.  The partial nodes are repaired last, as in
         :meth:`update`.
         """
-        lo, left, right = self.lo, self.left, self.right
+        lo, hi, left, right = self.lo, self.hi, self.left, self.right
         val, laz = self.val, self.laz
         u_id = self.pair.update_identity
         q = self.pair.query_op
         if qlo == 0 and len(values) == self.size:
-            # the whole array, as the constructor fills it: the loop below
-            # for the root, without the span's offset and bounds check
+            # the whole array, as the constructor fills it: the covered loop
+            # below for the root, without the span's offset and split
             for i in range(self.node_count - 1, -1, -1):
                 l = left[i]
                 val[i] = values[lo[i]] if l < 0 else q(val[l], val[right[i]])
@@ -189,42 +227,37 @@ class SegTree1D:
             return
         qhi = qlo + len(values) - 1
         self._check(qlo, qhi)
-        hi, sz = self.hi, self.sz
+        covered, partial = split(self.shape, qlo, qhi)
         u = self.pair.update_op
+        for i in partial:
+            l = left[i]
+            r = right[i]
+            z = laz[i]
+            laz[l] = u(laz[l], z)
+            laz[r] = u(laz[r], z)
+            laz[i] = u_id
+        visits = len(partial)
+        for i in covered:
+            # pre-order: the subtree of i is the index run i .. end - 1
+            end = i + 2 * (hi[i] - lo[i]) + 1
+            for j in range(end - 1, i - 1, -1):
+                l = left[j]
+                val[j] = values[lo[j] - qlo] if l < 0 else q(val[l], val[right[j]])
+                laz[j] = u_id
+            visits += end - i
+        self._repair(partial)
+        self.counters.visits_total += visits
+
+    def _repair(self, partial: List[int]) -> None:
+        """Refold ``val`` on the pre-order ``partial`` nodes, children first."""
+        left, right, sz = self.left, self.right, self.sz
+        val, laz = self.val, self.laz
+        q = self.pair.query_op
         agg = self.pair.aggregator
-        partial: List[int] = []
-        visits = 0
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            ilo = lo[i]
-            ihi = hi[i]
-            if qlo <= ilo and ihi <= qhi:
-                # pre-order: the subtree of i is the index run i .. end - 1
-                end = i + 2 * (ihi - ilo) + 1
-                for j in range(end - 1, i - 1, -1):
-                    l = left[j]
-                    val[j] = values[lo[j] - qlo] if l < 0 else q(val[l], val[right[j]])
-                    laz[j] = u_id
-                visits += end - i
-            else:
-                visits += 1
-                l = left[i]
-                r = right[i]
-                z = laz[i]
-                laz[l] = u(laz[l], z)
-                laz[r] = u(laz[r], z)
-                laz[i] = u_id
-                partial.append(i)
-                if lo[r] <= qhi:
-                    stack.append(r)
-                if hi[l] >= qlo:
-                    stack.append(l)
-        for i in reversed(partial):  # children before parents
+        for i in reversed(partial):
             l = left[i]
             r = right[i]
             val[i] = q(agg(val[l], laz[l], sz[l]), agg(val[r], laz[r], sz[r]))
-        self.counters.visits_total += visits
 
     def _check(self, qlo: int, qhi: int) -> None:
         index(qlo)
@@ -234,39 +267,16 @@ class SegTree1D:
 
     def update(self, qlo: int, qhi: int, value) -> None:
         self._check(qlo, qhi)
-        lo, hi = self.lo, self.hi
-        left, right, sz = self.left, self.right, self.sz
-        val, laz = self.val, self.laz
+        if value != value:
+            raise ValueError("cannot update with nan")
+        covered, partial = split(self.shape, qlo, qhi)
+        laz = self.laz
         u = self.pair.update_op
-        q = self.pair.query_op
-        agg = self.pair.aggregator
-        touched: List[Tuple[int, int]] = []
-        partial: List[int] = []
-        visits = 1
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            ilo = lo[i]
-            ihi = hi[i]
-            if qlo <= ilo and ihi <= qhi:
-                laz[i] = u(laz[i], value)
-                touched.append((ilo, ihi))
-            else:
-                # partially covered: both children count as visited, but a
-                # disjoint child has nothing to do
-                partial.append(i)
-                visits += 2
-                r = right[i]
-                if lo[r] <= qhi:
-                    stack.append(r)
-                l = left[i]
-                if hi[l] >= qlo:
-                    stack.append(l)
-        for i in reversed(partial):  # children before parents
-            l = left[i]
-            r = right[i]
-            val[i] = q(agg(val[l], laz[l], sz[l]), agg(val[r], laz[r], sz[r]))
-        self.last_lazy_spans = touched
+        for i in covered:
+            laz[i] = u(laz[i], value)
+        self._repair(partial)
+        self._stamped = covered
+        visits = 1 + 2 * len(partial)
         self.counters.visits_total += visits
         if self._own:
             self.counters.note_update(visits)
@@ -313,23 +323,9 @@ class SegTree1D:
         value onto.
         """
         self._check(qlo, qhi)
-        lo, hi = self.lo, self.hi
-        left, right = self.left, self.right
-        out: List[Tuple[int, int]] = []
-        visits = 0
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            visits += 1
-            ilo = lo[i]
-            ihi = hi[i]
-            if qlo <= ilo and ihi <= qhi:
-                out.append((ilo, ihi))
-            elif ilo <= qhi and qlo <= ihi:
-                stack.append(right[i])
-                stack.append(left[i])
-        self.counters.visits_total += visits
-        return out
+        covered, partial = split(self.shape, qlo, qhi)
+        self.counters.visits_total += 1 + 2 * len(partial)
+        return [(self.lo[i], self.hi[i]) for i in covered]
 
     def to_array(self, qlo: int = 0, qhi: Optional[int] = None) -> list:
         """True values of elements ``qlo .. qhi`` (default: the whole array).

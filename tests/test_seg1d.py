@@ -6,6 +6,7 @@ import pytest
 
 from uqtrees import (DenseTensor, SegTree1D, ValidationError, WorkloadConfig,
                      get_pair, run_verify)
+from uqtrees.seg1d import node_shape, split
 
 
 def make(values, pair_name="plus-min"):
@@ -153,6 +154,49 @@ class TestDecompose:
             bound = 2 * math.ceil(math.log2(n))
             assert all(len(t.decompose(lo, hi)) <= bound
                        for lo in range(n) for hi in range(lo, n))
+
+
+class TestSplit:
+    """``split`` against brute force over every span of every extent 1..33."""
+
+    @staticmethod
+    def preorder(shape):
+        # root first, then the left subtree, then the right, from the child
+        # links alone (not from the index order the layout happens to use)
+        out, stack = [], [0]
+        while stack:
+            i = stack.pop()
+            out.append(i)
+            if shape.left[i] >= 0:
+                stack += [shape.right[i], shape.left[i]]
+        return out
+
+    def test_exhaustive_against_brute_force(self):
+        pair = get_pair("plus-plus")
+        for n in range(1, 34):
+            shape = node_shape(n)
+            order = self.preorder(shape)
+            parent = {c: i for i in order for c in (shape.left[i], shape.right[i]) if c >= 0}
+            t = SegTree1D([0] * n, pair)
+            for lo in range(n):
+                for hi in range(lo, n):
+                    def inside(i):
+                        return lo <= shape.lo[i] and shape.hi[i] <= hi
+                    covered, partial = split(shape, lo, hi)
+                    maximal = sorted((i for i in order if inside(i)
+                                      and (i == 0 or not inside(parent[i]))),
+                                     key=shape.lo.__getitem__)
+                    assert covered == maximal
+                    assert [(shape.lo[i], shape.hi[i]) for i in covered] == t.decompose(lo, hi)
+                    assert partial == [i for i in order if not inside(i)
+                                       and shape.lo[i] <= hi and lo <= shape.hi[i]]
+                    visits = 1 + 2 * len(partial)
+                    before = t.counters.visits_total
+                    t.decompose(lo, hi)
+                    assert t.counters.visits_total - before == visits
+                    t.update(lo, hi, 1)
+                    assert t.counters.visits_last_op == visits
+                    assert t.last_lazy_spans == t.decompose(lo, hi)
 
 
 class TestLazySpans:
