@@ -15,15 +15,17 @@ An :class:`OperatorPair` bundles
   This is what lets a tree node repair its cached fold without touching the
   elements below it.
 
-A pair is *fold-commuting* (``is_special``) when updating part of a fold
-commutes with folding::
+A pair is *fold-commuting* when updating part of a fold commutes with
+folding::
 
     query_op(update_op(a, v), b) == update_op(query_op(a, b), v)
 
-Such pairs admit the d-dimensional tree in :mod:`uqtrees.ndspecial`: when
-only ``j`` of ``k`` folded elements absorb ``v``, the fold changes by a
-single ``update_op`` with ``v`` repeated ``j`` times (see
-:meth:`OperatorPair.repeat`).
+The d-dimensional tree in :mod:`uqtrees.ndspecial` takes the checkable form
+of this, ``is_special``: one operator (``update_op is query_op``) with one
+identity, where the law follows from commutativity and associativity.  When
+only ``j`` of ``k`` folded elements absorb ``v``, the fold then changes by a
+single ``update_op`` with ``v`` repeated ``j`` times, which is
+``aggregator(identity, v, j)``.
 
 Pairs whose update operator has an exact inverse additionally support the
 matrix-product reduction in :mod:`uqtrees.matmul`.  Multiplicative pairs get
@@ -162,30 +164,13 @@ class OperatorPair:
     query_identity: object
     aggregator: Callable  # (fold, value, count) -> new fold
     inverse: Optional[Callable] = None
-    is_special: bool = False
-    update_idempotent: bool = False
-    repeat_rule: Optional[Callable] = None  # (value, times) -> value repeated
     sample_range: Tuple[int, int] = (-100, 100)
 
-    def repeat(self, value, times: int):
-        """``value`` combined with itself ``times`` times under ``update_op``."""
-        if times < 1:
-            raise ValueError("times must be >= 1")
-        if self.update_idempotent:
-            return value
-        if self.repeat_rule is not None:
-            return self.repeat_rule(value, times)
-        # square-and-combine; O(log times) update_op calls
-        op = self.update_op
-        acc = None
-        sq = value
-        while times:
-            if times & 1:
-                acc = sq if acc is None else op(acc, sq)
-            times >>= 1
-            if times:
-                sq = op(sq, sq)
-        return acc
+    @property
+    def is_special(self) -> bool:
+        """One operator with one identity, so fold-commuting by its laws."""
+        return (self.update_op is self.query_op
+                and self.update_identity == self.query_identity)
 
     def invert(self, x):
         if self.inverse is None:
@@ -233,14 +218,6 @@ def _reciprocal(x):
     return 1 / x
 
 
-def _mul_repeat(v, j):
-    return v ** j
-
-
-def _add_repeat(v, j):
-    return v * j
-
-
 _PAIRS = {}
 
 
@@ -257,7 +234,6 @@ PLUS_MIN = _register(OperatorPair(
     query_identity=INF,
     aggregator=lambda a, v, k: a + v,
     inverse=operator.neg,
-    repeat_rule=_add_repeat,
 ))
 
 PLUS_MAX = _register(OperatorPair(
@@ -268,7 +244,6 @@ PLUS_MAX = _register(OperatorPair(
     query_identity=NEG_INF,
     aggregator=lambda a, v, k: a + v,
     inverse=operator.neg,
-    repeat_rule=_add_repeat,
 ))
 
 PLUS_PLUS = _register(OperatorPair(
@@ -279,8 +254,6 @@ PLUS_PLUS = _register(OperatorPair(
     query_identity=0,
     aggregator=lambda a, v, k: a + v * k,
     inverse=operator.neg,
-    is_special=True,
-    repeat_rule=_add_repeat,
 ))
 
 TIMES_TIMES = _register(OperatorPair(
@@ -291,8 +264,6 @@ TIMES_TIMES = _register(OperatorPair(
     query_identity=1,
     aggregator=lambda a, v, k: a * v ** k,
     inverse=_reciprocal,
-    is_special=True,
-    repeat_rule=_mul_repeat,
     sample_range=(-4, 4),
 ))
 
@@ -303,8 +274,6 @@ MIN_MIN = _register(OperatorPair(
     update_identity=INF,
     query_identity=INF,
     aggregator=lambda a, v, k: a if a < v else v,
-    is_special=True,
-    update_idempotent=True,
 ))
 
 MAX_MAX = _register(OperatorPair(
@@ -314,8 +283,6 @@ MAX_MAX = _register(OperatorPair(
     update_identity=NEG_INF,
     query_identity=NEG_INF,
     aggregator=lambda a, v, k: a if a > v else v,
-    is_special=True,
-    update_idempotent=True,
 ))
 
 TIMES_PLUS = _register(OperatorPair(
@@ -326,7 +293,6 @@ TIMES_PLUS = _register(OperatorPair(
     query_identity=0,
     aggregator=lambda a, v, k: a * v,
     inverse=_reciprocal,
-    repeat_rule=_mul_repeat,
     sample_range=(-4, 4),
 ))
 

@@ -105,6 +105,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     dims_list = [parse_dims(d) for d in args.dims.split(",") if d]
+    if not dims_list:
+        raise ValueError(f"--dims {args.dims!r} names no extents")
     rows: List[BenchRow] = []
     for dims in dims_list:
         cfg = WorkloadConfig(args.backend, args.pair, dims, ops=args.ops,

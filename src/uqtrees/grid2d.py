@@ -29,14 +29,14 @@ resets just that span of its own tree (``reinit(cols, ylo)``); every other
 column's fold is already right.  Children are always finalized before their
 parent rebuilds (covered subtrees, then partial nodes children first), and
 a child rebuilt just before hands its span columns up instead of being read
-again.  The events of the latest update are left in ``last_events`` for
-inspection.  A query folds inner-tree column queries over the covered nodes
+again.  ``last_events`` lists the latest update's events, derived from its
+stored split.  A query folds inner-tree column queries over the covered nodes
 of the row span's split and never mutates.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .algebra import OperatorPair
 from .boxes import Box, check_box
@@ -58,11 +58,20 @@ class Grid2D:
         self.lo, self.hi, self.left, self.right = shape[:4]
         self.node_count = count = len(shape.lo)
         self.inner: List[SegTree1D] = [None] * count  # type: ignore[list-item]
-        self.last_events: List[Tuple[str, int]] = []
+        self._split: Tuple[Sequence[int], Sequence[int]] = ((), ())
         for i, rows in row_folds(shape, tensor.first_axis_slice, pair.query_op):
             self.inner[i] = SegTree1D(rows, pair, cell_weight=shape.size[i],
                                       counters=self.counters)
         self.counters.visits_total += count
+
+    @property
+    def last_events(self) -> List[Tuple[str, int]]:
+        """The latest update's inner updates and rebuilds, in the order done."""
+        covered, partial = self._split
+        hi, lo = self.hi, self.lo
+        events = [("inner-update", j) for i in covered
+                  for j in range(i, i + 2 * (hi[i] - lo[i]) + 1)]
+        return events + [("rebuild", i) for i in reversed(partial)]
 
     def update(self, box: Box, value) -> None:
         check_box(box, self.dims)
@@ -75,8 +84,7 @@ class Grid2D:
         left, right = self.left, self.right
         inner = self.inner
         q = self.pair.query_op
-        covered, partial = split(self.shape, xlo, xhi)
-        events: List[Tuple[str, int]] = []
+        self._split = covered, partial = split(self.shape, xlo, xhi)
         # the split's walk, plus both children of every internal node of a
         # covered subtree: its node count less its root
         visits = 1 + 2 * len(partial) - len(covered)
@@ -86,7 +94,6 @@ class Grid2D:
             end = i + 2 * (hi[i] - lo[i]) + 1
             for j in range(i, end):
                 inner[j].update(ylo, yhi, value)
-                events.append(("inner-update", j))
             visits += end - i
         # span columns of the nodes just rebuilt, until their parent takes them
         held = {}
@@ -97,8 +104,6 @@ class Grid2D:
             cols_r = held.pop(r, None) or inner[r].to_array(ylo, yhi)
             cols = held[i] = list(map(q, cols_l, cols_r))
             inner[i].reinit(cols, ylo)
-            events.append(("rebuild", i))
-        self.last_events = events
         c.visits_total += visits
         if self._own:
             c.note_update(c.visits_total - before)

@@ -1,11 +1,13 @@
 """d-dimensional tree for fold-commuting operator pairs.
 
-Works for pairs satisfying ``query_op(update_op(a, v), b) ==
-update_op(query_op(a, b), v)`` (checked at construction): when only ``j`` of
-the elements inside a fold absorb an update ``v``, the fold itself simply
-absorbs ``v`` repeated ``j`` times, no matter *which* elements were hit.
-That collapses the cross-axis bookkeeping that blocks the general case and
-yields O(log n_0 * ... * log n_{d-1}) updates and queries.
+Works for pairs with one operator (``OperatorPair.is_special``, checked at
+construction): ``update_op is query_op`` with equal identities.  Such a pair
+is fold-commuting: when only ``j`` of the elements inside a fold absorb an
+update ``v``, the fold simply absorbs ``v`` repeated ``j`` times, no matter
+*which* elements were hit, and repeats come from the aggregator: the fold
+``a`` becomes ``aggregator(a, v, j)``.  That collapses the cross-axis
+bookkeeping that blocks the general case and yields
+O(log n_0 * ... * log n_{d-1}) updates and queries.
 
 Structure, recursively over axis 0:
 
@@ -14,11 +16,10 @@ Structure, recursively over axis 0:
   rows) holds two trees over the remaining axes:
 
   - ``row_fold[n]``  -- the element-wise fold of the rows ``n`` covers,
-  - ``row_lazy[n]``  -- pending update values, folded under the pair itself
-    (so the pair must have ``update_op is query_op`` and equal identities,
-    as every registered fold-commuting pair has), meaning "every
-    descendant's ``row_fold`` entry at coordinate ``c`` still has to absorb
-    ``row_lazy[n](c)`` repeated (descendant row count) times".
+  - ``row_lazy[n]``  -- pending update values, folded under the pair's one
+    operator, meaning "every descendant's ``row_fold`` entry at coordinate
+    ``c`` still has to absorb ``row_lazy[n](c)`` repeated (descendant row
+    count) times".
 
   With ``d == 2`` both are bare :class:`~uqtrees.seg1d.SegTree1D`\\ s over
   the last axis, called with the box's last span; with ``d >= 3`` they are
@@ -43,12 +44,13 @@ extent likewise share one layout and each owns only its ``val``/``laz``.
 An update splits its box into the axis-0 span ``X`` and the remainder ``C``,
 and ``X`` by :func:`~uqtrees.seg1d.split` into covered and partial nodes:
 covered nodes stamp ``v`` into ``row_lazy`` over ``C``; partial nodes
-repair ``row_fold`` over ``C`` with ``v`` repeated ``|overlap with X|``
-times.  A query folds everything with the pair's one operator: each covered
-node's ``row_fold`` query over ``C``, and for every node of the split, that
-node's ``row_lazy`` query over ``C`` repeated once per row the node shares
-with ``X``.  Queries leave the trees unchanged (they only bump the shared
-counters); updates need exclusive access.
+repair ``row_fold`` over ``C`` with ``aggregator(identity, v, j)``, ``j``
+being ``|overlap with X|``.  A query folds everything with the pair's one
+operator: each covered node's ``row_fold`` query over ``C``, and for every
+node of the split, that node's ``row_lazy`` query over ``C`` through the
+aggregator, counted once per row the node shares with ``X``.  Queries leave
+the trees unchanged (they only bump the shared counters); updates need
+exclusive access.
 
 All nested trees share one visit counter, so a top-level operation's visit
 count includes every inner-tree node it touched.
@@ -70,12 +72,10 @@ class NDTree:
                  counters: Optional[OpCounters] = None):
         if not pair.is_special:
             ok, witness = check_special(pair)
-            detail = f"; counterexample (a, b, v) = {witness}" if not ok else ""
-            raise ValueError(f"pair {pair.name!r} is not fold-commuting{detail}")
-        if pair.update_op is not pair.query_op or pair.update_identity != pair.query_identity:
-            # the pending-value trees fold with the pair itself
-            raise ValueError(f"pair {pair.name!r} must fold with its update operator: "
-                             "need update_op is query_op and equal identities")
+            detail = (f"is not fold-commuting; counterexample (a, b, v) = {witness}"
+                      if not ok else "must fold with its update operator: "
+                      "need update_op is query_op and equal identities")
+            raise ValueError(f"pair {pair.name!r} {detail}")
         self._own = counters is None
         self._blank(tensor.dims, pair, counters if counters is not None else OpCounters())
         c = self.counters
@@ -142,7 +142,8 @@ class NDTree:
         rest = box[1] if self._bare else (box[1:],)
         lo, hi = self.lo, self.hi
         folds, lazies = self.row_fold, self.row_lazy
-        rep = self.pair.repeat
+        agg = self.pair.aggregator
+        e = self.pair.update_identity
         covered, partial = split(self.shape, xlo, xhi)
         # each node's own trees are independent of its children's, so the
         # order of the inner updates does not matter
@@ -158,7 +159,7 @@ class NDTree:
             t = folds[i]
             if t is None:
                 t = folds[i] = self._allocate()
-            t.update(*rest, rep(value, j))
+            t.update(*rest, agg(e, value, j))
         self.counters.visits_total += 1 + 2 * len(partial)
 
     def query(self, box: Box):
@@ -179,7 +180,7 @@ class NDTree:
         lo, hi = self.lo, self.hi
         folds, lazies = self.row_fold, self.row_lazy
         q = self.pair.query_op
-        rep = self.pair.repeat
+        agg = self.pair.aggregator
         out = self.pair.query_identity
         covered, partial = split(self.shape, xlo, xhi)
         # a None tree is all-identity and is skipped
@@ -189,13 +190,13 @@ class NDTree:
                 out = q(out, t.query(*rest))
             t = lazies[i]
             if t is not None:
-                out = q(out, rep(t.query(*rest), hi[i] - lo[i] + 1))
+                out = agg(out, t.query(*rest), hi[i] - lo[i] + 1)
         for i in partial:
             t = lazies[i]
             if t is not None:
                 ilo = lo[i]
                 ihi = hi[i]
                 j = (ihi if ihi < xhi else xhi) - (ilo if ilo > xlo else xlo) + 1
-                out = q(out, rep(t.query(*rest), j))
+                out = agg(out, t.query(*rest), j)
         self.counters.visits_total += 1 + 2 * len(partial)
         return out

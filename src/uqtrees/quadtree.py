@@ -162,8 +162,7 @@ class QuadTree:
             boxes.append(((min(a, b), max(a, b)), (min(c, d), max(c, d))))
         return boxes
 
-    def max_probe_visits(self, boxes: Optional[List[Box]] = None, *,
-                         extra: int = 200, seed: int = 0) -> int:
+    def max_probe_visits(self, *, extra: int = 200, seed: int = 0) -> int:
         """Max visits for any single update or query over the probe family.
 
         Requires a square matrix with power-of-two side >= 4, the shape the
@@ -174,11 +173,9 @@ class QuadTree:
         n, m = self.dims
         if n != m or n < 4 or n & (n - 1):
             raise ValueError(f"probe bounds need a square power-of-two side >= 4, got {n}x{m}")
-        if boxes is None:
-            boxes = self.probe_family(extra=extra, seed=seed)
         c = self.counters
         worst = 0
-        for box in boxes:
+        for box in self.probe_family(extra=extra, seed=seed):
             before = c.visits_total
             self.update(box, self.pair.update_identity)
             worst = max(worst, c.visits_total - before)

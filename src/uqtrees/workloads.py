@@ -312,7 +312,7 @@ def measure_mean_visits(cfg: WorkloadConfig) -> float:
 
 
 def run_scaling(backend_id: str, pair_name: str, sizes: Sequence[int],
-                ops: int = 2000, seed: int = 0, update_ratio: float = 0.5) -> ScalingReport:
+                ops: int = 2000, seed: int = 0) -> ScalingReport:
     """Mean visits per op at each size, plus consecutive-size growth ratios.
 
     Each ratio is checked against the backend's declared envelope: polylog
@@ -326,7 +326,7 @@ def run_scaling(backend_id: str, pair_name: str, sizes: Sequence[int],
     means = []
     for n in sizes:
         cfg = WorkloadConfig(backend_id, pair_name, scaling_dims(backend_id, n),
-                             ops=ops, seed=seed, update_ratio=update_ratio)
+                             ops=ops, seed=seed)
         means.append(measure_mean_visits(cfg))
     report = ScalingReport(backend_id, pair_name, sizes, means)
     env = GROWTH_ENVELOPES[backend_id]

@@ -1,5 +1,4 @@
 import math
-import operator
 from fractions import Fraction
 
 import pytest
@@ -24,6 +23,14 @@ class TestRegistry:
     def test_special_flags(self):
         for p in builtin_pairs():
             assert p.is_special == (p.name in SPECIAL), p.name
+
+    def test_special_is_derived_from_the_operators(self):
+        # one operator object with one identity; nothing is declared
+        agg = lambda a, v, k: math.gcd(a, v)
+        assert OperatorPair("gcd-gcd", math.gcd, math.gcd, 0, 0, agg).is_special
+        assert not OperatorPair("gcd-ids", math.gcd, math.gcd, 0, 1, agg).is_special
+        assert not OperatorPair("gcd-lambda", math.gcd, lambda a, b: math.gcd(a, b),
+                                0, 0, agg).is_special
 
     def test_inverses_present(self):
         for p in builtin_pairs():
@@ -100,35 +107,41 @@ class TestFoldAfterUpdate:
 
 
 class TestRepeat:
-    def test_examples(self):
-        assert get_pair("plus-plus").repeat(3, 4) == 12
-        assert get_pair("min-min").repeat(5, 7) == 5
-        assert get_pair("times-times").repeat(2, 10) == 1024
+    """With one operator, ``aggregator(e, v, j)`` is ``v`` repeated ``j`` times."""
 
-    def test_additivity(self, pair, rng):
-        u = pair.update_op
+    def test_examples(self):
+        for name, v, j, want in (("plus-plus", 3, 4, 12), ("min-min", 5, 7, 5),
+                                 ("times-times", 2, 10, 1024)):
+            pair = get_pair(name)
+            assert pair.aggregator(pair.update_identity, v, j) == want
+
+    def test_against_brute_force(self, special_pair, rng):
+        pair = special_pair
         for _ in range(200):
             v = sample_values(pair, rng, 1)[0]
+            j = rng.randint(1, 20)
+            assert pair.aggregator(pair.update_identity, v, j) == fold(pair, [v] * j)
+
+    def test_additivity(self, special_pair, rng):
+        agg, u, e = special_pair.aggregator, special_pair.update_op, special_pair.update_identity
+        for _ in range(200):
+            v = sample_values(special_pair, rng, 1)[0]
             j, l = rng.randint(1, 20), rng.randint(1, 20)
-            assert u(pair.repeat(v, j), pair.repeat(v, l)) == pair.repeat(v, j + l)
+            assert agg(e, v, j + l) == u(agg(e, v, j), agg(e, v, l))
 
-    def test_requires_positive_count(self, pair):
-        with pytest.raises(ValueError):
-            pair.repeat(1, 0)
-
-    def test_square_and_combine_fallback(self):
-        # a pair with no closed form exercises the generic O(log j) path
-        bare = OperatorPair("bare-plus", operator.add, operator.add, 0, 0,
-                            lambda a, v, k: a + v * k)
-        for j in (1, 2, 3, 7, 16, 31):
-            assert bare.repeat(5, j) == 5 * j
+    def test_absorbing_a_repeat(self, special_pair, rng):
+        agg, u, e = special_pair.aggregator, special_pair.update_op, special_pair.update_identity
+        for _ in range(200):
+            a, v = sample_values(special_pair, rng, 2)
+            k = rng.randint(1, 20)
+            assert agg(a, v, k) == u(a, agg(e, v, k))
 
 
 def fold_after_partial_update(pair, fold, value, hits, count):
     """The fold-commuting law: the new fold of ``count`` elements after
     ``hits`` of them absorbed ``value``, whichever ones they were."""
     assert pair.is_special and 0 <= hits <= count
-    return fold if hits == 0 else pair.update_op(fold, pair.repeat(value, hits))
+    return fold if hits == 0 else pair.aggregator(fold, value, hits)
 
 
 class TestFoldAfterPartialUpdate:

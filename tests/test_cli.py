@@ -205,11 +205,14 @@ class TestCliBench:
         assert payload["rows"][0]["dims"] == "8x8"
         assert "mean_visits_per_update" in payload["rows"][0]
 
-    def test_empty_dims_list_gives_empty_table(self):
-        p = cli("bench", "--backend", "seg1d", "--pair", "plus-plus",
-                "--dims", "", "--ops", "10")
-        assert p.returncode == 0
-        assert p.stdout.strip() == ",".join(BenchRow.CSV_FIELDS)
+    def test_dims_naming_no_extents_exits_two(self):
+        # a sweep over no extents measures nothing, so it must not succeed
+        for dims in ("", ",", ",,"):
+            p = cli("bench", "--backend", "seg1d", "--pair", "plus-min",
+                    "--dims", dims, "--ops", "10")
+            assert p.returncode == 2
+            assert p.stdout == ""
+            assert "--dims" in p.stderr
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "rows.csv"

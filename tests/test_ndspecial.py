@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 
@@ -102,8 +103,9 @@ def effective_fold(t, node, span):
     """Node fold over a column span, with every covering pending value applied.
 
     Walks root -> node collecting row_lazy queries; each pending fold is
-    repeated (node's row count) times and absorbed into the node's row_fold
-    query, which must then equal the true fold of the node's rows x span.
+    absorbed into the node's row_fold query through the aggregator, once per
+    row of the node, which must then equal the true fold of the node's
+    rows x span.
     The last-axis trees are bare SegTree1Ds, and a pending tree that no
     update has stamped yet is None, which reads as the identity.
     """
@@ -119,7 +121,7 @@ def effective_fold(t, node, span):
     for anc in path:
         lazy = t.row_lazy[anc]
         pend = pair.update_identity if lazy is None else lazy.query(*span)
-        acc = pair.update_op(acc, pair.repeat(pend, rows))
+        acc = pair.aggregator(acc, pend, rows)
     return acc
 
 
@@ -239,9 +241,32 @@ class TestLazyPairPlumbing:
         # fold-commuting, but query_op is not update_op: no registered pair is
         # like this, and the pending-value trees could not fold with it
         pair = OperatorPair("plus-plus-lambda", operator.add, lambda a, b: a + b,
-                            0, 0, lambda a, v, k: a + v * k, is_special=True)
+                            0, 0, lambda a, v, k: a + v * k)
         with pytest.raises(ValueError, match="update_op is query_op"):
             NDTree(DenseTensor((2, 2), [1, 2, 3, 4], pair), pair)
+
+    @pytest.mark.parametrize("dims", [(5, 6, 4), (7, 9)])
+    def test_unregistered_one_operator_pair_matches_oracle(self, dims):
+        # gcd-gcd declares nothing beyond its operator, identity and
+        # aggregator; one operator with one identity is all nd-special needs
+        pair = OperatorPair("gcd-gcd", math.gcd, math.gcd, 0, 0,
+                            lambda a, v, k: math.gcd(a, v))
+        rng = random.Random(11)
+        for _ in range(20):
+            # values 0..60 with a common factor per round, so that folds over
+            # many cells do not all come out 1
+            k = rng.choice((2, 3, 4, 5, 6, 10, 12))
+            data = [k * rng.randint(0, 60 // k) for _ in range(math.prod(dims))]
+            t = NDTree(DenseTensor(dims, data, pair), pair)
+            o = DenseTensor(dims, data, pair)
+            for _ in range(100):
+                box = tuple(tuple(sorted((rng.randrange(n), rng.randrange(n)))) for n in dims)
+                if rng.random() < 0.3:
+                    v = k * rng.randint(0, 60 // k)
+                    t.update(box, v)
+                    o.update(box, v)
+                else:
+                    assert t.query(box) == o.query(box), box
 
     def test_counters_shared_across_levels(self):
         pair = get_pair("plus-plus")
