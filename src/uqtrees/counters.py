@@ -48,12 +48,6 @@ class OpCounters:
         self.query_ops += 1
         self.query_visits += visits
 
-    def mean_update_visits(self) -> float:
-        return self.update_visits / self.update_ops if self.update_ops else 0.0
-
-    def mean_query_visits(self) -> float:
-        return self.query_visits / self.query_ops if self.query_ops else 0.0
-
     def __repr__(self) -> str:
         return (
             f"OpCounters(total={self.visits_total}, last={self.visits_last_op}, "

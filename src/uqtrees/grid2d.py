@@ -32,6 +32,12 @@ a child rebuilt just before hands its span columns up instead of being read
 again.  ``last_events`` lists the latest update's events, derived from its
 stored split.  A query folds inner-tree column queries over the covered nodes
 of the row span's split and never mutates.
+
+The row span is split with the plain :func:`~uqtrees.seg1d.split`, not the
+memoised :func:`~uqtrees.seg1d.plan`: each operation splits its row span
+once, and consecutive operations rarely repeat it, so a memo would only
+miss and add its copy.  The inner trees do plan their column span, which
+every inner call of one operation repeats.
 """
 
 from __future__ import annotations

@@ -52,6 +52,14 @@ aggregator, counted once per row the node shares with ``X``.  Queries leave
 the trees unchanged (they only bump the shared counters); updates need
 exclusive access.
 
+Each level splits its own axis-0 span with the plain
+:func:`~uqtrees.seg1d.split`, not the memoised :func:`~uqtrees.seg1d.plan`:
+a level splits its span once per call, so a memo would mostly miss, and
+where an axis has the last axis's extent (a cube) the two share one layout,
+so its splits would evict the last axis's span from their one-span memo.
+The last-axis trees plan their span, which every one of them repeats within
+an operation.
+
 All nested trees share one visit counter, so a top-level operation's visit
 count includes every inner-tree node it touched.
 """

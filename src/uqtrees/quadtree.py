@@ -51,8 +51,8 @@ class QuadTree:
         self.val: list = [None] * ((2 * n - 1) * s)
         self.laz: list = [pair.update_identity] * len(self.val)
         self.last_lazy_nodes: List[int] = []
-        xlo, _, xl, xr, _ = self.rows
-        ylo, _, yl, yr, _ = self.cols
+        xlo, _, xl, xr, _ = self.rows[:5]
+        ylo, _, yl, yr, _ = self.cols[:5]
         inner = []  # the reachable nodes above the cells, pre-order
         stack = [(0, 0)]
         while stack:
@@ -87,8 +87,8 @@ class QuadTree:
         if value != value:
             raise ValueError("cannot update with nan")
         (bx0, bx1), (by0, by1) = box
-        xlo, xhi, xl, xr, _ = self.rows
-        ylo, yhi, yl, yr, _ = self.cols
+        xlo, xhi, xl, xr, _ = self.rows[:5]
+        ylo, yhi, yl, yr, _ = self.cols[:5]
         s = self.stride
         laz = self.laz
         u = self.pair.update_op
@@ -120,8 +120,8 @@ class QuadTree:
     def query(self, box: Box):
         check_box(box, self.dims)
         (bx0, bx1), (by0, by1) = box
-        xlo, xhi, xl, xr, xsz = self.rows
-        ylo, yhi, yl, yr, ysz = self.cols
+        xlo, xhi, xl, xr, xsz = self.rows[:5]
+        ylo, yhi, yl, yr, ysz = self.cols[:5]
         s = self.stride
         val, laz = self.val, self.laz
         u = self.pair.update_op

@@ -20,14 +20,26 @@ Each node ``n`` caches two things:
 
 :func:`split` breaks a span into the maximal nodes inside it and the
 partially covered nodes above them.  ``update``, ``decompose`` and a ranged
-``reinit`` consume that one split, as do the outer arenas of the 2D and
-d-dimensional trees; ``query``, ``to_array`` and ``validate`` carry pending
-values down their own walks.  ``update`` stamps the pending value onto the
-covered nodes (the same nodes :meth:`decompose` returns) and repairs ``val``
-on the partial nodes, children first::
+``reinit`` consume that one split through :func:`plan`; the outer arenas of
+the 2D and d-dimensional trees call :func:`split` directly; ``query``,
+``to_array`` and ``validate`` carry pending values down their own walks.
+``update`` stamps the pending value onto the covered nodes (the same nodes
+:meth:`decompose` returns) and repairs ``val`` on the partial nodes,
+children first::
 
     val[n] = query_op(aggregator(val[l], laz[l], size[l]),
                       aggregator(val[r], laz[r], size[r]))
+
+:func:`plan` remembers the latest split of each extent, one span deep: the
+inner trees of a nested structure share one layout and are called one after
+another with the same span, so only the first of them walks it.  The memo is
+one slot on the shared :class:`NodeShape` holding one immutable tuple
+``(lo, hi, covered, partial)``; it is read once, compared, and replaced
+whole on a miss.  Two threads updating two different trees of one extent
+therefore never pair a span with another span's nodes -- at worst each
+walks its own span -- and concurrent readers of a plan get right answers.
+A span that never repeats costs a tuple copy of its split and nothing more,
+and the memo holds one split per extent, however long the workload runs.
 
 ``query`` never pushes pending values down -- it carries the combined
 pending value of a node's ancestors down to it -- so queries leave the tree
@@ -63,7 +75,7 @@ class NodeShape(NamedTuple):
     """The mid-split pre-order layout over ``[0, n-1]``, one entry per node.
 
     ``left``/``right`` are -1 at leaves; ``size`` counts covered slots,
-    unscaled.
+    unscaled.  ``memo`` is :func:`plan`'s one slot.
     """
 
     lo: List[int]
@@ -71,6 +83,7 @@ class NodeShape(NamedTuple):
     left: List[int]
     right: List[int]
     size: List[int]
+    memo: list
 
 
 @cache
@@ -101,7 +114,7 @@ def node_shape(n: int) -> NodeShape:
             right[i] = i + 2 * (m - a + 1)
             stack.append((right[i], m + 1, b))
             stack.append((i + 1, a, m))
-    return NodeShape(lo, hi, left, right, size)
+    return NodeShape(lo, hi, left, right, size, [(-1, -1, (), ())])
 
 
 def split(shape: NodeShape, lo: int, hi: int) -> Tuple[List[int], List[int]]:
@@ -130,6 +143,21 @@ def split(shape: NodeShape, lo: int, hi: int) -> Tuple[List[int], List[int]]:
             if shi[l] >= lo:
                 stack.append(l)
     return covered, partial
+
+
+def plan(shape: NodeShape, lo: int, hi: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """:func:`split` as tuples, walked only when ``shape``'s last span differs.
+
+    Callers share the tuples.  ``lo``/``hi`` must be checked ints: a float
+    equal to a remembered bound would hit.
+    """
+    memo = shape.memo
+    m = memo[0]
+    if m[0] == lo and m[1] == hi:
+        return m[2], m[3]
+    covered, partial = split(shape, lo, hi)
+    m = memo[0] = (lo, hi, tuple(covered), tuple(partial))
+    return m[2], m[3]
 
 
 def row_folds(shape: NodeShape, row, q):
@@ -227,7 +255,7 @@ class SegTree1D:
             return
         qhi = qlo + len(values) - 1
         self._check(qlo, qhi)
-        covered, partial = split(self.shape, qlo, qhi)
+        covered, partial = plan(self.shape, qlo, qhi)
         u = self.pair.update_op
         for i in partial:
             l = left[i]
@@ -248,7 +276,7 @@ class SegTree1D:
         self._repair(partial)
         self.counters.visits_total += visits
 
-    def _repair(self, partial: List[int]) -> None:
+    def _repair(self, partial: Sequence[int]) -> None:
         """Refold ``val`` on the pre-order ``partial`` nodes, children first."""
         left, right, sz = self.left, self.right, self.sz
         val, laz = self.val, self.laz
@@ -269,7 +297,7 @@ class SegTree1D:
         self._check(qlo, qhi)
         if value != value:
             raise ValueError("cannot update with nan")
-        covered, partial = split(self.shape, qlo, qhi)
+        covered, partial = plan(self.shape, qlo, qhi)
         laz = self.laz
         u = self.pair.update_op
         for i in covered:
@@ -323,7 +351,7 @@ class SegTree1D:
         value onto.
         """
         self._check(qlo, qhi)
-        covered, partial = split(self.shape, qlo, qhi)
+        covered, partial = plan(self.shape, qlo, qhi)
         self.counters.visits_total += 1 + 2 * len(partial)
         return [(self.lo[i], self.hi[i]) for i in covered]
 

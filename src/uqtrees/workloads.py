@@ -212,8 +212,9 @@ class BenchRow:
     pair: str
     dims: Tuple[int, ...]
     init_visits: int
-    mean_visits_per_update: float
-    mean_visits_per_query: float
+    # None when the run made no operation of that kind
+    mean_visits_per_update: Optional[float]
+    mean_visits_per_query: Optional[float]
     wall_init_seconds: float
     wall_ops_seconds: float
 
@@ -222,7 +223,8 @@ class BenchRow:
         return {**asdict(self), "dims": format_dims(self.dims)}
 
     def csv_values(self) -> List[str]:
-        return [f"{v:.6f}" if isinstance(v, float) else str(v)
+        """The fields as CSV cells; an absent mean is an empty cell."""
+        return ["" if v is None else f"{v:.6f}" if isinstance(v, float) else str(v)
                 for v in self.as_dict().values()]
 
 
@@ -241,6 +243,11 @@ def parse_dims(text: str) -> Tuple[int, ...]:
     if not dims or any(n < 1 for n in dims):
         raise ValueError(f"bad dims {text!r}")
     return dims
+
+
+def _mean(visits: int, ops: int) -> Optional[float]:
+    """Visits per operation, or None over no operations: not a measured zero."""
+    return visits / ops if ops else None
 
 
 def run_bench(cfg: WorkloadConfig) -> BenchRow:
@@ -262,8 +269,8 @@ def run_bench(cfg: WorkloadConfig) -> BenchRow:
         pair=cfg.pair,
         dims=cfg.dims,
         init_visits=init_visits,
-        mean_visits_per_update=counters.mean_update_visits(),
-        mean_visits_per_query=counters.mean_query_visits(),
+        mean_visits_per_update=_mean(counters.update_visits, counters.update_ops),
+        mean_visits_per_query=_mean(counters.query_visits, counters.query_ops),
         wall_init_seconds=wall_init,
         wall_ops_seconds=wall_ops,
     )

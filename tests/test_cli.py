@@ -205,6 +205,26 @@ class TestCliBench:
         assert payload["rows"][0]["dims"] == "8x8"
         assert "mean_visits_per_update" in payload["rows"][0]
 
+    @pytest.mark.parametrize("ratio, absent, present", [
+        ("0", "mean_visits_per_update", "mean_visits_per_query"),
+        ("1", "mean_visits_per_query", "mean_visits_per_update"),
+    ])
+    def test_mean_over_no_operations_is_absent(self, ratio, absent, present):
+        # a run without updates (or queries) has no mean for them, not a zero
+        args = ("bench", "--backend", "seg1d", "--pair", "plus-min",
+                "--dims", "8", "--ops", "10", "--ratio", ratio)
+        p = cli(*args)
+        assert p.returncode == 0
+        header, row = (line.split(",") for line in p.stdout.strip().splitlines())
+        cells = dict(zip(header, row))
+        assert cells[absent] == ""
+        assert float(cells[present]) > 0
+        p = cli(*args, "--format", "json")
+        assert p.returncode == 0
+        fields = json.loads(p.stdout)["rows"][0]
+        assert fields[absent] is None
+        assert fields[present] > 0
+
     def test_dims_naming_no_extents_exits_two(self):
         # a sweep over no extents measures nothing, so it must not succeed
         for dims in ("", ",", ",,"):

@@ -1,12 +1,15 @@
 import math
 import random
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import pytest
 
 from uqtrees import (DenseTensor, SegTree1D, ValidationError, WorkloadConfig,
                      get_pair, run_verify)
-from uqtrees.seg1d import node_shape, split
+from uqtrees.seg1d import node_shape, plan, split
 
 
 def make(values, pair_name="plus-min"):
@@ -197,6 +200,131 @@ class TestSplit:
                     t.update(lo, hi, 1)
                     assert t.counters.visits_last_op == visits
                     assert t.last_lazy_spans == t.decompose(lo, hi)
+
+
+class TestPlan:
+    """``plan``: ``split`` as tuples, remembered one span deep per extent."""
+
+    def test_equals_split_when_spans_and_extents_interleave(self):
+        calls = [(n, lo, hi) for n in range(1, 34)
+                 for lo in range(n) for hi in range(lo, n)] * 2
+        random.Random(5).shuffle(calls)
+        for n, lo, hi in calls:
+            shape = node_shape(n)
+            covered, partial = split(shape, lo, hi)
+            got = plan(shape, lo, hi)
+            assert got == (tuple(covered), tuple(partial))
+            # a repeat is served from the memo, the same tuples again
+            again = plan(shape, lo, hi)
+            assert again[0] is got[0] and again[1] is got[1]
+
+    def test_a_hit_never_crosses_extents(self):
+        for first, second, hi in ((32, 33, 31), (33, 32, 31), (5, 64, 4)):
+            a, b = node_shape(first), node_shape(second)
+            plan(a, 0, hi)
+            assert plan(b, 0, hi) == tuple(map(tuple, split(b, 0, hi)))
+            assert plan(a, 0, hi) == tuple(map(tuple, split(a, 0, hi)))
+
+    def test_a_float_equal_to_the_remembered_span_is_still_refused(self):
+        t = SegTree1D(list(range(8)), get_pair("plus-min"))
+        t.update(3, 5, 1)
+        for bad in ((3.0, 5), (3, 5.0)):
+            with pytest.raises(TypeError):
+                t.update(*bad, 1)
+            with pytest.raises(TypeError):
+                t.decompose(*bad)
+        t.reinit([0, 0, 0], 3)
+        with pytest.raises(TypeError):
+            t.reinit([0, 0, 0], 3.0)
+        assert t.to_array() == [0, 1, 2, 0, 0, 0, 6, 7]
+
+    def test_trees_sharing_a_layout_match_the_oracle(self, pair):
+        # several trees of one extent, each span repeated across them as a
+        # nested caller does, so most calls hit another tree's plan
+        rng = random.Random(11)
+        n = 13
+        shape = node_shape(n)
+        trees, oracles = [], []
+        for _ in range(3):
+            vals = [rng.randint(*pair.sample_range) for _ in range(n)]
+            trees.append(SegTree1D(vals, pair))
+            oracles.append(DenseTensor((n,), vals, pair))
+        for step in range(300):
+            lo, hi = sorted((rng.randrange(n), rng.randrange(n)))
+            covered, partial = split(shape, lo, hi)
+            for t, o in zip(trees, oracles):
+                before = t.counters.visits_total
+                if step % 5 == 4:
+                    fresh = [rng.randint(*pair.sample_range) for _ in range(hi - lo + 1)]
+                    t.reinit(fresh, lo)
+                    o.data[lo:hi + 1] = fresh
+                    assert t.counters.visits_total - before == meeting_nodes(t, lo, hi)
+                else:
+                    v = rng.randint(*pair.sample_range)
+                    t.update(lo, hi, v)
+                    o.update(((lo, hi),), v)
+                    assert t.counters.visits_last_op == 1 + 2 * len(partial)
+                    assert t.last_lazy_spans == [(shape.lo[i], shape.hi[i]) for i in covered]
+                assert t.query(lo, hi) == o.query(((lo, hi),))
+        for t, o in zip(trees, oracles):
+            assert t.to_array() == o.data
+            t.validate(o)
+
+    def test_two_threads_on_trees_of_one_extent(self):
+        # each thread repeats its own spans on its own tree, so a memo whose
+        # span and nodes could come from different writers would hand one
+        # thread the other's nodes.  CPython rarely switches threads inside
+        # the memo's few bytecodes, so the bounds yield while they compare:
+        # the other thread may then replace the memo between this thread's
+        # reading the span and its reading the nodes
+        class Bound(int):
+            def __eq__(self, other):
+                time.sleep(0)
+                return int.__eq__(self, other)
+
+            __hash__ = int.__hash__
+
+        pair = get_pair("plus-plus")
+        n = 32
+        spans = ([(0, 20), (5, 9), (17, 31)], [(3, 30), (11, 11), (0, 7)])
+
+        def script(k):
+            rng = random.Random(k)
+            return [(Bound(lo), Bound(hi), rng.randint(1, 9))
+                    for _ in range(100) for lo, hi in spans[k] for _ in range(3)]
+
+        scripts = [script(0), script(1)]
+        trees = [SegTree1D([0] * n, pair) for _ in scripts]
+        start = threading.Barrier(2)
+        errors = []
+
+        def run(t, ops):
+            try:
+                start.wait(timeout=60)
+                for lo, hi, v in ops:
+                    t.update(lo, hi, v)
+            except Exception as e:  # pragma: no cover - reported below
+                errors.append(e)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(t, ops))
+                       for t, ops in zip(trees, scripts)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors
+        for t, ops in zip(trees, scripts):
+            o = DenseTensor((n,), [0] * n, pair)
+            for lo, hi, v in ops:
+                o.update(((lo, hi),), v)
+            assert t.to_array() == o.data
+            t.validate(o)
 
 
 class TestLazySpans:
