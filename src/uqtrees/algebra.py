@@ -220,6 +220,24 @@ def _reciprocal(x):
 
 _PAIRS = {}
 
+# (callable, exact inline form over a, b -- an aggregator's over a, v, k):
+# each form gives the very object its callable gives; builtin min/max keep
+# the first operand unless the second is strictly smaller/larger
+_INLINE = [(operator.add, "a + b"), (operator.mul, "a * b"),
+           (min, "b if b < a else a"), (max, "b if b > a else a")]
+
+
+def inline_form(fn) -> Optional[str]:
+    """The expression registered for the callable ``fn``, else None."""
+    return next((expr for f, expr in _INLINE if f is fn), None)
+
+
+def _aggregator(expr: str) -> Callable:
+    """``lambda a, v, k: expr``, registered with ``expr`` as its inline form."""
+    fn = eval(f"lambda a, v, k: {expr}")
+    _INLINE.append((fn, expr))
+    return fn
+
 
 def _register(pair: OperatorPair) -> OperatorPair:
     _PAIRS[pair.name] = pair
@@ -232,7 +250,7 @@ PLUS_MIN = _register(OperatorPair(
     query_op=min,
     update_identity=0,
     query_identity=INF,
-    aggregator=lambda a, v, k: a + v,
+    aggregator=_aggregator("a + v"),
     inverse=operator.neg,
 ))
 
@@ -242,7 +260,7 @@ PLUS_MAX = _register(OperatorPair(
     query_op=max,
     update_identity=0,
     query_identity=NEG_INF,
-    aggregator=lambda a, v, k: a + v,
+    aggregator=_aggregator("a + v"),
     inverse=operator.neg,
 ))
 
@@ -252,7 +270,7 @@ PLUS_PLUS = _register(OperatorPair(
     query_op=operator.add,
     update_identity=0,
     query_identity=0,
-    aggregator=lambda a, v, k: a + v * k,
+    aggregator=_aggregator("a + v * k"),
     inverse=operator.neg,
 ))
 
@@ -262,7 +280,7 @@ TIMES_TIMES = _register(OperatorPair(
     query_op=operator.mul,
     update_identity=1,
     query_identity=1,
-    aggregator=lambda a, v, k: a * v ** k,
+    aggregator=_aggregator("a * v ** k"),
     inverse=_reciprocal,
     sample_range=(-4, 4),
 ))
@@ -273,7 +291,7 @@ MIN_MIN = _register(OperatorPair(
     query_op=min,
     update_identity=INF,
     query_identity=INF,
-    aggregator=lambda a, v, k: a if a < v else v,
+    aggregator=_aggregator("a if a < v else v"),
 ))
 
 MAX_MAX = _register(OperatorPair(
@@ -282,7 +300,7 @@ MAX_MAX = _register(OperatorPair(
     query_op=max,
     update_identity=NEG_INF,
     query_identity=NEG_INF,
-    aggregator=lambda a, v, k: a if a > v else v,
+    aggregator=_aggregator("a if a > v else v"),
 ))
 
 TIMES_PLUS = _register(OperatorPair(
@@ -291,7 +309,7 @@ TIMES_PLUS = _register(OperatorPair(
     query_op=operator.add,
     update_identity=1,
     query_identity=0,
-    aggregator=lambda a, v, k: a * v,
+    aggregator=_aggregator("a * v"),
     inverse=_reciprocal,
     sample_range=(-4, 4),
 ))

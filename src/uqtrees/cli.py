@@ -5,7 +5,7 @@ Subcommands::
     uqtrees verify   --backend seg1d --pair plus-min --dims 16 --ops 1000 --seed 42
     uqtrees bench    --backend nd-special --pair plus-plus --dims 10x10,30x30 --format csv
     uqtrees matmul   A.txt B.txt --pair plus-min --backend grid2d-general --check
-    uqtrees scaling  --backend seg1d --pair plus-plus --sizes 128,256
+    uqtrees scaling  --backend seg1d --pair plus-plus --sizes 128,256 --format json
 
 Exit codes: 0 = all gates passed, 1 = mismatch or gate failure, 2 = usage or
 parse error (including invalid backend/pair/dims combinations).  Matrices
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import List, Optional
 
 from .algebra import PAIR_NAMES
@@ -79,7 +80,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated increasing sizes, e.g. 128,256")
     p.add_argument("--ops", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
+
+
+def _config(args, **extra) -> dict:
+    """The ``config`` object of a JSON report."""
+    return {"backend": args.backend, "pair": args.pair, "ops": args.ops,
+            "seed": args.seed, **extra}
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -118,16 +126,8 @@ def _cmd_bench(args) -> int:
         lines += [",".join(r.csv_values()) for r in rows]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        payload = {
-            "config": {
-                "backend": args.backend,
-                "pair": args.pair,
-                "ops": args.ops,
-                "update_ratio": args.ratio,
-                "seed": args.seed,
-            },
-            "rows": [r.as_dict() for r in rows],
-        }
+        payload = {"config": _config(args, update_ratio=args.ratio),
+                   "rows": [r.as_dict() for r in rows]}
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -168,13 +168,21 @@ def _cmd_matmul(args) -> int:
 def _cmd_scaling(args) -> int:
     sizes = [int(t) for t in args.sizes.split(",") if t]
     report = run_scaling(args.backend, args.pair, sizes, ops=args.ops, seed=args.seed)
-    for n, mv in zip(report.sizes, report.mean_visits):
-        print(f"size={n} mean_visits_per_op={mv:.3f}")
-    for step in report.steps:
-        lo, hi = step.envelope
-        verdict = "PASS" if step.ok else "FAIL"
-        print(f"{step.size_from}->{step.size_to} ratio={step.ratio:.3f} "
-              f"envelope=[{lo}, {hi}] {verdict}")
+    if args.format == "json":
+        print(json.dumps({
+            "config": _config(args),
+            "sizes": [{"size": n, "mean_visits_per_op": mv}
+                      for n, mv in zip(report.sizes, report.mean_visits)],
+            "steps": [dict(asdict(s), ok=s.ok) for s in report.steps],
+            "ok": report.ok}, indent=2, sort_keys=True))
+    else:
+        for n, mv in zip(report.sizes, report.mean_visits):
+            print(f"size={n} mean_visits_per_op={mv:.3f}")
+        for step in report.steps:
+            lo, hi = step.envelope
+            verdict = "PASS" if step.ok else "FAIL"
+            print(f"{step.size_from}->{step.size_to} ratio={step.ratio:.3f} "
+                  f"envelope=[{lo}, {hi}] {verdict}")
     return 0 if report.ok else 1
 
 

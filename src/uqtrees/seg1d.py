@@ -19,10 +19,10 @@ Each node ``n`` caches two things:
   descendant ``m`` must be read as ``aggregator(val[m], laz[n], size[m])``.
 
 :func:`split` breaks a span into the maximal nodes inside it and the
-partially covered nodes above them.  ``update``, ``decompose`` and a ranged
-``reinit`` consume that one split through :func:`plan`; the outer arenas of
-the 2D and d-dimensional trees call :func:`split` directly; ``query``,
-``to_array`` and ``validate`` carry pending values down their own walks.
+partially covered nodes above them.  ``update``, ``decompose``, ``to_array``
+and a ranged ``reinit`` consume that one split through :func:`plan`; the
+outer arenas of the 2D and d-dimensional trees call :func:`split` directly;
+``query`` and ``validate`` carry pending values down their own walks.
 ``update`` stamps the pending value onto the covered nodes (the same nodes
 :meth:`decompose` returns) and repairs ``val`` on the partial nodes,
 children first::
@@ -51,6 +51,18 @@ The walks are loops over an explicit stack, not recursive closures: a
 recursive closure is a reference cycle, so every call would leave garbage
 that only a run of the cyclic garbage collector can free.
 
+:func:`kernels` compiles one template per walk (``update``'s stamp and
+repair, ``reinit`` and its whole-array fill, ``query``, ``to_array``) with
+the pair's operators written in, once per :class:`OperatorPair` object; a
+tree holds them as ``_k``.  A callable with an exact inline form, found by
+identity as :class:`DenseTensor` finds its fast paths, becomes an expression
+(``operator.add``: ``a + b``, ``operator.mul``: ``a * b``, ``min``: ``b if b
+< a else a``, ``max``: ``b if b > a else a``, a registered aggregator: the
+expression that defines it); any other callable stays a call, with the same
+answers, only slower.  Tracebacks show the generated lines (:mod:`linecache`).
+The public methods stay on the class and call the kernels, so a tracer that
+wraps them still sees every call; ``validate`` and the oracle never use them.
+
 ``cell_weight`` scales every node size: a tree whose slots each stand for
 ``w`` real cells (the 2D structure in :mod:`uqtrees.grid2d` uses this) gets
 correct aggregator calls simply by building with ``cell_weight=w``.
@@ -58,11 +70,14 @@ correct aggregator calls simply by building with ``cell_weight=w``.
 
 from __future__ import annotations
 
+import linecache
+import re
 from functools import cache
 from operator import index
+from types import SimpleNamespace
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import OperatorPair
+from .algebra import OperatorPair, inline_form
 from .counters import OpCounters
 from .dense import DenseTensor
 
@@ -182,6 +197,134 @@ def row_folds(shape: NodeShape, row, q):
         yield i, fold
 
 
+# One template per walk; each line ``target = OP(args)``, OP one of U, Q, AGG
+# (update_op, query_op, aggregator), is rendered per pair; UID/QID, the
+# identities, are bound as objects.
+_REPAIR = """
+    left, right, sz, val = t.left, t.right, t.sz, t.val
+    for i in reversed(partial):
+        l, r = left[i], right[i]
+        x = AGG(val[l], laz[l], sz[l])
+        y = AGG(val[r], laz[r], sz[r])
+        val[i] = Q(x, y)
+"""
+_TEMPLATE = """
+def update(t, covered, partial, value):
+    laz = t.laz
+    for i in covered:
+        laz[i] = U(laz[i], value)
+""" + _REPAIR + """
+
+def reinit(t, values, qlo, covered, partial):
+    lo, hi, left, right, val, laz = t.lo, t.hi, t.left, t.right, t.val, t.laz
+    for i in partial:
+        l, r, z = left[i], right[i], laz[i]
+        laz[l] = U(laz[l], z)
+        laz[r] = U(laz[r], z)
+        laz[i] = UID
+    visits = len(partial)
+    for i in covered:
+        # pre-order: the subtree of i is the index run i .. end - 1
+        end = i + 2 * (hi[i] - lo[i]) + 1
+        for j in range(end - 1, i - 1, -1):
+            l = left[j]
+            if l < 0:
+                val[j] = values[lo[j] - qlo]
+            else:
+                val[j] = Q(val[l], val[right[j]])
+            laz[j] = UID
+        visits += end - i
+""" + _REPAIR + """
+    return visits
+
+def fill(t, values):
+    lo, left, right, val, laz = t.lo, t.left, t.right, t.val, t.laz
+    for i in range(len(lo) - 1, -1, -1):
+        l = left[i]
+        if l < 0:
+            val[i] = values[lo[i]]
+        else:
+            val[i] = Q(val[l], val[right[i]])
+        laz[i] = UID
+
+def query(t, qlo, qhi):
+    lo, hi, left, right, sz, val, laz = t.lo, t.hi, t.left, t.right, t.sz, t.val, t.laz
+    out = QID
+    visits = 1
+    # (node, combined pending value of its strict ancestors); a covered node
+    # absorbs them at its own size, exact as aggregator distributes over Q
+    stack = [(0, UID)]
+    while stack:
+        i, z = stack.pop()
+        z = U(z, laz[i])
+        if qlo <= lo[i] and hi[i] <= qhi:
+            x = AGG(val[i], z, sz[i])
+            out = Q(out, x)
+        else:
+            visits += 2
+            r = right[i]
+            if lo[r] <= qhi:
+                stack.append((r, z))
+            l = left[i]
+            if hi[l] >= qlo:
+                stack.append((l, z))
+    return out, visits
+
+def to_array(t, covered, partial):
+    lo, hi, left, right, sz, val, laz = t.lo, t.hi, t.left, t.right, t.sz, t.val, t.laz
+    carried = [UID] * len(lo)
+    for i in partial:
+        z = U(carried[i], laz[i])
+        carried[left[i]] = carried[right[i]] = z
+    out = []
+    visits = len(partial)
+    for i in covered:
+        end = i + 2 * (hi[i] - lo[i]) + 1
+        for j in range(i, end):
+            z = U(carried[j], laz[j])
+            l = left[j]
+            if l < 0:
+                x = AGG(val[j], z, sz[j])
+                out.append(x)
+            else:
+                carried[l] = carried[right[j]] = z
+        visits += end - i
+    return out, visits
+"""
+_OP_LINE = re.compile(r"^( *)(.+) = (U|Q|AGG)\((.*)\)$", re.M)
+
+
+def _render(forms: dict) -> str:
+    """The walks, each op line inline where ``forms`` has a form.  Operands
+    are names or subscripts, so a form may read one twice."""
+    def line(m):
+        pad, target, op, args = m.groups()
+        if forms[op] is None:
+            return m.group()
+        names = dict(zip("avk" if op == "AGG" else "ab", args.split(", ")))
+        return f"{pad}{target} = " + re.sub(r"\b[abvk]\b", lambda n: names[n[0]], forms[op])
+    return _OP_LINE.sub(line, _TEMPLATE)
+
+
+_compiled: dict = {}  # id(pair) -> (pair, its walks)
+
+
+def kernels(pair: OperatorPair) -> SimpleNamespace:
+    """``pair``'s walks, compiled on its first use in the process.  Keyed on
+    the pair's identity, which the held pair keeps unique: it need not hash."""
+    hit = _compiled.get(id(pair))
+    if hit is None:
+        ops = {"U": pair.update_op, "Q": pair.query_op, "AGG": pair.aggregator}
+        src = _render({k: inline_form(fn) for k, fn in ops.items()})
+        filename = f"<seg1d kernels {pair.name} {id(pair):#x}>"
+        linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+        ns = dict(ops, UID=pair.update_identity, QID=pair.query_identity)
+        exec(compile(src, filename, "exec"), ns)
+        walks = {f: ns[f] for f in ("update", "reinit", "fill", "query", "to_array")}
+        hit = _compiled[id(pair)] = (pair, SimpleNamespace(**walks))
+    return hit[1]
+
+
 class SegTree1D:
     def __init__(self, values: Sequence, pair: OperatorPair, *,
                  cell_weight: int = 1, counters: Optional[OpCounters] = None):
@@ -221,6 +364,7 @@ class SegTree1D:
         self.sz = (shape.size if cell_weight == 1
                    else [k * cell_weight for k in shape.size])
         self._stamped: Sequence[int] = ()
+        self._k = kernels(pair)
 
     @property
     def last_lazy_spans(self) -> List[Tuple[int, int]]:
@@ -230,62 +374,20 @@ class SegTree1D:
     def reinit(self, values: Sequence, qlo: int = 0) -> None:
         """Reset elements ``qlo .. qlo + len(values) - 1`` to fresh ``values``.
 
-        Walks only the nodes that meet the span and counts one visit per
-        node.  Each partial node of the :func:`split` first pushes its
-        pending value down to both children, parents first, so elements
-        outside the span keep their true values.  Each covered node then
-        resets its whole subtree in reverse index order, children before
-        parents, clearing its pending values; values for the whole array
-        reset every node this way, once each, which is how the constructor
-        fills the tree.  The partial nodes are repaired last, as in
-        :meth:`update`.
+        Walks and counts the nodes that meet the span: the partial nodes of
+        the :func:`plan` push their pending values down, parents first, so
+        elements outside the span keep their true values; each covered
+        subtree is reset children first; the partial nodes are repaired last,
+        as in :meth:`update`.  The whole array needs no span check or plan.
         """
-        lo, hi, left, right = self.lo, self.hi, self.left, self.right
-        val, laz = self.val, self.laz
-        u_id = self.pair.update_identity
-        q = self.pair.query_op
         if qlo == 0 and len(values) == self.size:
-            # the whole array, as the constructor fills it: the covered loop
-            # below for the root, without the span's offset and split
-            for i in range(self.node_count - 1, -1, -1):
-                l = left[i]
-                val[i] = values[lo[i]] if l < 0 else q(val[l], val[right[i]])
-                laz[i] = u_id
+            self._k.fill(self, values)
             self.counters.visits_total += self.node_count
             return
         qhi = qlo + len(values) - 1
         self._check(qlo, qhi)
         covered, partial = plan(self.shape, qlo, qhi)
-        u = self.pair.update_op
-        for i in partial:
-            l = left[i]
-            r = right[i]
-            z = laz[i]
-            laz[l] = u(laz[l], z)
-            laz[r] = u(laz[r], z)
-            laz[i] = u_id
-        visits = len(partial)
-        for i in covered:
-            # pre-order: the subtree of i is the index run i .. end - 1
-            end = i + 2 * (hi[i] - lo[i]) + 1
-            for j in range(end - 1, i - 1, -1):
-                l = left[j]
-                val[j] = values[lo[j] - qlo] if l < 0 else q(val[l], val[right[j]])
-                laz[j] = u_id
-            visits += end - i
-        self._repair(partial)
-        self.counters.visits_total += visits
-
-    def _repair(self, partial: Sequence[int]) -> None:
-        """Refold ``val`` on the pre-order ``partial`` nodes, children first."""
-        left, right, sz = self.left, self.right, self.sz
-        val, laz = self.val, self.laz
-        q = self.pair.query_op
-        agg = self.pair.aggregator
-        for i in reversed(partial):
-            l = left[i]
-            r = right[i]
-            val[i] = q(agg(val[l], laz[l], sz[l]), agg(val[r], laz[r], sz[r]))
+        self.counters.visits_total += self._k.reinit(self, values, qlo, covered, partial)
 
     def _check(self, qlo: int, qhi: int) -> None:
         index(qlo)
@@ -298,11 +400,7 @@ class SegTree1D:
         if value != value:
             raise ValueError("cannot update with nan")
         covered, partial = plan(self.shape, qlo, qhi)
-        laz = self.laz
-        u = self.pair.update_op
-        for i in covered:
-            laz[i] = u(laz[i], value)
-        self._repair(partial)
+        self._k.update(self, covered, partial, value)
         self._stamped = covered
         visits = 1 + 2 * len(partial)
         self.counters.visits_total += visits
@@ -311,33 +409,7 @@ class SegTree1D:
 
     def query(self, qlo: int, qhi: int):
         self._check(qlo, qhi)
-        lo, hi = self.lo, self.hi
-        left, right, sz = self.left, self.right, self.sz
-        val, laz = self.val, self.laz
-        u = self.pair.update_op
-        q = self.pair.query_op
-        agg = self.pair.aggregator
-        out = self.pair.query_identity
-        visits = 1
-        # (node, combined pending value of its strict ancestors); a covered
-        # node absorbs them all at its own size, as in to_array, which is
-        # exact because aggregator distributes over query_op
-        stack = [(0, self.pair.update_identity)]
-        while stack:
-            i, z = stack.pop()
-            ilo = lo[i]
-            ihi = hi[i]
-            if qlo <= ilo and ihi <= qhi:
-                out = q(out, agg(val[i], u(z, laz[i]), sz[i]))
-            else:
-                visits += 2
-                z = u(z, laz[i])
-                r = right[i]
-                if lo[r] <= qhi:
-                    stack.append((r, z))
-                l = left[i]
-                if hi[l] >= qlo:
-                    stack.append((l, z))
+        out, visits = self._k.query(self, qlo, qhi)
         self.counters.visits_total += visits
         if self._own:
             self.counters.note_query(visits)
@@ -358,53 +430,15 @@ class SegTree1D:
     def to_array(self, qlo: int = 0, qhi: Optional[int] = None) -> list:
         """True values of elements ``qlo .. qhi`` (default: the whole array).
 
-        Walks the arena in index order, which is pre-order, so every parent
-        comes before its children; each node passes the combined pending
-        values of its ancestors and itself on to its children, and each leaf
-        emits ``aggregator(val, carried, leaf size)``.  Only the nodes that
-        meet the span are walked and counted: a disjoint subtree is one
-        index run, skipped in one step, and once a node starts right of the
-        span so does every later one.  The whole array costs exactly
-        ``node_count`` visits.
+        Walks the :func:`plan` of the span, parents first: each node passes
+        the combined pending values of its ancestors and itself on to its
+        children, and each leaf emits ``aggregator(val, carried, leaf
+        size)``.  The whole array costs exactly ``node_count`` visits.
         """
         if qhi is None:
             qhi = self.size - 1
         self._check(qlo, qhi)
-        lo, hi, left, right = self.lo, self.hi, self.left, self.right
-        val, laz = self.val, self.laz
-        u = self.pair.update_op
-        agg = self.pair.aggregator
-        w = self.cell_weight
-        count = self.node_count
-        out = []
-        carried = [self.pair.update_identity] * count
-        visits = 0
-        i = 0
-        while i < count:
-            ilo = lo[i]
-            if ilo > qhi:
-                break
-            ihi = hi[i]
-            end = i + 2 * (ihi - ilo) + 1  # one past the subtree of i
-            if ihi < qlo:
-                i = end
-            elif qlo <= ilo and ihi <= qhi:
-                for j in range(i, end):
-                    z = u(carried[j], laz[j])
-                    l = left[j]
-                    if l < 0:
-                        out.append(agg(val[j], z, w))
-                    else:
-                        carried[l] = z
-                        carried[right[j]] = z
-                visits += end - i
-                i = end
-            else:
-                z = u(carried[i], laz[i])
-                carried[left[i]] = z
-                carried[right[i]] = z
-                visits += 1
-                i += 1
+        out, visits = self._k.to_array(self, *plan(self.shape, qlo, qhi))
         self.counters.visits_total += visits
         return out
 

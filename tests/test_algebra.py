@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,52 @@ from hypothesis import strategies as st
 
 from uqtrees import (DenseTensor, NDTree, OperatorPair, SegTree1D,
                      ZeroTrackedSum, builtin_pairs, check_special, get_pair)
+from uqtrees.algebra import inline_form
 from uqtrees.seg1d import node_shape
 from conftest import fold, fold_updated, sample_values
 
 SPECIAL = {"plus-plus", "times-times", "min-min", "max-max"}
 WITH_INVERSE = {"plus-min", "plus-max", "plus-plus", "times-plus", "times-times"}
+
+
+def outcome(fn, args):
+    """The operand ``fn(*args)`` returned, else the type and repr of the new
+    value, else the type of the exception raised."""
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return "raises", type(exc)
+    for i, a in enumerate(args):
+        if out is a:
+            return "operand", i
+    return "value", type(out), repr(out)
+
+
+NAN = float("nan")
+MIXED = [(1, 1.0), (1.0, 1), (Fraction(1), 1), (NAN, 1), (1, NAN),
+         (ZeroTrackedSum({0: 2}), 1), (1, ZeroTrackedSum({0: 2}))]
+
+
+class TestInlineForms:
+    @pytest.mark.parametrize("args", MIXED, ids=repr)
+    @pytest.mark.parametrize("fn", [operator.add, operator.mul, min, max],
+                             ids=lambda f: f.__name__)
+    def test_operator_form_gives_the_very_object(self, fn, args):
+        inline = eval(f"lambda a, b: {inline_form(fn)}")
+        assert outcome(inline, args) == outcome(fn, args)
+
+    @pytest.mark.parametrize("args", MIXED, ids=repr)
+    def test_aggregator_form_gives_the_very_object(self, pair, args):
+        inline = eval(f"lambda a, v, k: {inline_form(pair.aggregator)}")
+        for k in (1, 3):
+            assert outcome(inline, args + (k,)) == outcome(pair.aggregator, args + (k,))
+
+    def test_every_registered_pair_is_inline(self, pair):
+        assert None not in map(inline_form, (pair.update_op, pair.query_op, pair.aggregator))
+
+    def test_found_by_identity(self):
+        assert inline_form(lambda a, b: min(a, b)) is None
+        assert inline_form(math.gcd) is None
 
 
 class TestRegistry:

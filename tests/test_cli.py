@@ -363,3 +363,21 @@ class TestCliScaling:
         p = cli("scaling", "--backend", "seg1d", "--pair", "plus-plus",
                 "--sizes", "64", "--ops", "100")
         assert p.returncode == 2
+
+    @pytest.mark.parametrize("sizes, code", [("8,16", 0), ("8,9", 1)])
+    def test_json(self, sizes, code):
+        # quadtree visits grow linearly, so 8 -> 9 falls below its envelope
+        p = cli("scaling", "--backend", "quadtree", "--pair", "plus-plus",
+                "--sizes", sizes, "--ops", "200", "--seed", "3", "--format", "json")
+        assert p.returncode == code
+        out = json.loads(p.stdout)
+        assert out["config"] == {"backend": "quadtree", "pair": "plus-plus",
+                                 "ops": 200, "seed": 3}
+        rep = run_scaling("quadtree", "plus-plus", [int(n) for n in sizes.split(",")],
+                          ops=200, seed=3)
+        assert out["sizes"] == [{"size": n, "mean_visits_per_op": mv}
+                                for n, mv in zip(rep.sizes, rep.mean_visits)]
+        step, = out["steps"]
+        assert step["ratio"] == rep.steps[0].ratio
+        assert step["envelope"] == [1.5, 3.0]
+        assert step["ok"] is out["ok"] is (code == 0)

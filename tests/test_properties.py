@@ -6,7 +6,9 @@ the whole tensor before its first update, so ``nd-special`` is read while
 every pending-value tree is still unallocated; single-cell updates stamp
 only leaves, and later queries read partly allocated pending trees.
 Answers are compared with ``==``.  A backend that cannot handle a pair must
-refuse it with ValueError at construction.
+refuse it with ValueError at construction.  Cells and update values are
+integers or ``Fraction``s; ``gcd-gcd`` joins the registered pairs as one that
+no inline form covers, so its trees run their kernels in call form.
 """
 
 import math
@@ -15,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqtrees import BACKEND_IDS, DenseTensor, builtin_pairs, make_backend
+from uqtrees import (BACKEND_IDS, DenseTensor, OperatorPair, builtin_pairs,
+                     make_backend)
 from uqtrees.workloads import _box_ops
 
 SHAPES = {
@@ -30,6 +33,8 @@ BACKEND_RANKS = {
     "grid2d-general": (2,),
     "quadtree": (2,),
 }
+GCD_GCD = OperatorPair("gcd-gcd", math.gcd, math.gcd, 0, 0,
+                       lambda a, v, k: math.gcd(a, v), sample_range=(0, 60))
 
 
 @st.composite
@@ -55,9 +60,11 @@ def boxes(draw, dims):
 @st.composite
 def cases(draw):
     backend = draw(st.sampled_from(BACKEND_IDS))
-    pair = draw(st.sampled_from(builtin_pairs()))
+    pair = draw(st.sampled_from(builtin_pairs() + [GCD_GCD]))
     dims = draw(st.sampled_from([d for rank in BACKEND_RANKS[backend] for d in SHAPES[rank]]))
     values = st.integers(*pair.sample_range)
+    if pair is not GCD_GCD:
+        values |= st.fractions(*pair.sample_range, max_denominator=4)
     size = math.prod(dims)
     data = draw(st.lists(values, min_size=size, max_size=size))
     ops = draw(st.lists(st.tuples(boxes(dims), st.none() | values), max_size=12))

@@ -3,13 +3,14 @@ import random
 import sys
 import threading
 import time
+import traceback
 from dataclasses import replace
 
 import pytest
 
-from uqtrees import (DenseTensor, SegTree1D, ValidationError, WorkloadConfig,
-                     get_pair, run_verify)
-from uqtrees.seg1d import node_shape, plan, split
+from uqtrees import (DenseTensor, OperatorPair, SegTree1D, ValidationError,
+                     WorkloadConfig, get_pair, run_verify)
+from uqtrees.seg1d import kernels, node_shape, plan, split
 
 
 def make(values, pair_name="plus-min"):
@@ -541,3 +542,49 @@ class TestCellWeight:
         t.update(0, 1, 5)
         assert t.to_array() == [10 + 15, 20 + 15, 30]
         assert t.query(0, 2) == 90
+
+
+class Gcd:
+    """``math.gcd`` as an unhashable callable object."""
+
+    __hash__ = None
+
+    def __call__(self, a, b):
+        return math.gcd(a, b)
+
+
+class TestKernels:
+    def test_unhashable_callable_pair_builds_and_answers(self):
+        gcd = Gcd()
+        pair = OperatorPair("gcd-unhashable", gcd, gcd, 0, 0,
+                            lambda a, v, k: gcd(a, v))
+        with pytest.raises(TypeError):
+            hash(pair)
+        rng = random.Random(5)
+        values = [rng.randrange(0, 60, 6) for _ in range(13)]
+        t, o = SegTree1D(values, pair), DenseTensor((13,), values, pair)
+        for _ in range(300):
+            lo, hi = sorted(rng.randrange(13) for _ in range(2))
+            if rng.random() < 0.5:
+                v = rng.randrange(0, 60, 4)
+                t.update(lo, hi, v)
+                o.update(((lo, hi),), v)
+            else:
+                assert t.query(lo, hi) == o.query(((lo, hi),))
+        assert t.to_array() == o.data
+        t.validate(o)
+
+    def test_compiled_once_per_pair_object(self):
+        pair = get_pair("plus-min")
+        a, b = SegTree1D([1, 2, 3], pair), SegTree1D.identity(5, pair)
+        assert a._k is b._k is kernels(pair)
+        assert kernels(replace(pair)) is not a._k
+
+    def test_traceback_shows_the_generated_line(self):
+        def refuse(a, b):
+            raise ArithmeticError("refused")
+        pair = replace(get_pair("plus-min"), update_op=refuse)
+        t = SegTree1D([1, 2, 3], pair)
+        with pytest.raises(ArithmeticError) as err:
+            t.update(0, 1, 5)
+        assert "laz[i] = U(laz[i], value)" in "".join(traceback.format_tb(err.tb))
