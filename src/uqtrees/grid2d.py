@@ -36,8 +36,9 @@ of the row span's split and never mutates.
 The row span is split with the plain :func:`~uqtrees.seg1d.split`, not the
 memoised :func:`~uqtrees.seg1d.plan`: each operation splits its row span
 once, and consecutive operations rarely repeat it, so a memo would only
-miss and add its copy.  The inner trees do plan their column span, which
-every inner call of one operation repeats.
+miss and add its copy.  The column span is checked and planned once per
+covered subtree: :meth:`~uqtrees.seg1d.SegTree1D.update_many` stamps it
+onto all of the subtree's column trees in one compiled walk.
 """
 
 from __future__ import annotations
@@ -96,10 +97,10 @@ class Grid2D:
         visits = 1 + 2 * len(partial) - len(covered)
         for i in covered:
             # no pending values at the outer level: every node of a covered
-            # subtree, the index run i .. end - 1, updates its column tree
+            # subtree, the index run i .. end - 1, updates its column tree,
+            # all in one forest walk that checks and plans the span once
             end = i + 2 * (hi[i] - lo[i]) + 1
-            for j in range(i, end):
-                inner[j].update(ylo, yhi, value)
+            SegTree1D.update_many(inner[i:end], ylo, yhi, value)
             visits += end - i
         # span columns of the nodes just rebuilt, until their parent takes them
         held = {}

@@ -52,7 +52,8 @@ recursive closure is a reference cycle, so every call would leave garbage
 that only a run of the cyclic garbage collector can free.
 
 :func:`kernels` compiles one template per walk (``update``'s stamp and
-repair, ``reinit`` and its whole-array fill, ``query``, ``to_array``) with
+repair, ``update_many``'s loop of that same text over a forest of trees,
+``reinit`` and its whole-array fill, ``query``, ``to_array``) with
 the pair's operators written in, once per :class:`OperatorPair` object; a
 tree holds them as ``_k``.  A callable with an exact inline form, found by
 identity as :class:`DenseTensor` finds its fast paths, becomes an expression
@@ -61,7 +62,9 @@ identity as :class:`DenseTensor` finds its fast paths, becomes an expression
 expression that defines it); any other callable stays a call, with the same
 answers, only slower.  Tracebacks show the generated lines (:mod:`linecache`).
 The public methods stay on the class and call the kernels, so a tracer that
-wraps them still sees every call; ``validate`` and the oracle never use them.
+wraps them sees every single-tree call, but not ``Grid2D``'s inner updates:
+they bypass ``update`` through ``update_many``.  ``validate`` and the oracle
+never use the kernels.
 
 ``cell_weight`` scales every node size: a tree whose slots each stand for
 ``w`` real cells (the 2D structure in :mod:`uqtrees.grid2d` uses this) gets
@@ -74,6 +77,7 @@ import linecache
 import re
 from functools import cache
 from operator import index
+from textwrap import indent
 from types import SimpleNamespace
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -208,12 +212,19 @@ _REPAIR = """
         y = AGG(val[r], laz[r], sz[r])
         val[i] = Q(x, y)
 """
-_TEMPLATE = """
-def update(t, covered, partial, value):
+_UPDATE = """
     laz = t.laz
     for i in covered:
         laz[i] = U(laz[i], value)
 """ + _REPAIR + """
+    t._stamped = covered
+"""
+_TEMPLATE = """
+def update(t, covered, partial, value):
+""" + _UPDATE + """
+def update_many(trees, covered, partial, value):
+    for t in trees:
+""" + indent(_UPDATE, "    ") + """
 
 def reinit(t, values, qlo, covered, partial):
     lo, hi, left, right, val, laz = t.lo, t.hi, t.left, t.right, t.val, t.laz
@@ -320,7 +331,7 @@ def kernels(pair: OperatorPair) -> SimpleNamespace:
         linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
         ns = dict(ops, UID=pair.update_identity, QID=pair.query_identity)
         exec(compile(src, filename, "exec"), ns)
-        walks = {f: ns[f] for f in ("update", "reinit", "fill", "query", "to_array")}
+        walks = {f: ns[f] for f in re.findall(r"^def (\w+)", src, re.M)}
         hit = _compiled[id(pair)] = (pair, SimpleNamespace(**walks))
     return hit[1]
 
@@ -401,11 +412,23 @@ class SegTree1D:
             raise ValueError("cannot update with nan")
         covered, partial = plan(self.shape, qlo, qhi)
         self._k.update(self, covered, partial, value)
-        self._stamped = covered
         visits = 1 + 2 * len(partial)
         self.counters.visits_total += visits
         if self._own:
             self.counters.note_update(visits)
+
+    @staticmethod
+    def update_many(trees: Sequence["SegTree1D"], qlo: int, qhi: int, value) -> None:
+        """:meth:`update` on every tree of ``trees``, which share one extent,
+        pair and counters object: one check, one plan, one compiled walk.
+        Counts each tree's visits; the forest's owner notes the operation."""
+        t = trees[0]
+        t._check(qlo, qhi)
+        if value != value:
+            raise ValueError("cannot update with nan")
+        covered, partial = plan(t.shape, qlo, qhi)
+        t._k.update_many(trees, covered, partial, value)
+        t.counters.visits_total += len(trees) * (1 + 2 * len(partial))
 
     def query(self, qlo: int, qhi: int):
         self._check(qlo, qhi)

@@ -4,7 +4,7 @@ import pytest
 
 from uqtrees import (DenseTensor, Grid2D, SegTree1D, WorkloadConfig,
                      get_pair, run_verify)
-from uqtrees.seg1d import node_shape
+from uqtrees.seg1d import node_shape, split
 from conftest import fold
 
 
@@ -256,3 +256,45 @@ class TestCounters:
             costs.append(g.counters.visits_last_op)
         one, full = costs
         assert one < full
+
+
+class TestForestUpdates:
+    def test_covered_subtrees_stamp_validate_and_count(self, pair):
+        # full-row spans (one covered subtree) mixed with row spans that
+        # split into several, on grids whose extents are not powers of two
+        for n, m in ((9, 7), (1, 6)):
+            rng = random.Random(n * 100 + m)
+            data = [rng.randint(*pair.sample_range) for _ in range(n * m)]
+            g = Grid2D(DenseTensor((n, m), data, pair), pair)
+            o = DenseTensor((n, m), data, pair)
+            cols = SegTree1D.identity(m, pair)
+            for step in range(24):
+                rows = ((0, n - 1) if step % 3 == 0
+                        else tuple(sorted(rng.randrange(n) for _ in range(2))))
+                ylo, yhi = sorted(rng.randrange(m) for _ in range(2))
+                v = rng.randint(*pair.sample_range)
+                before = g.counters.visits_total
+                g.update((rows, (ylo, yhi)), v)
+                o.update((rows, (ylo, yhi)), v)
+                spent = g.counters.visits_total - before
+
+                covered, partial = split(g.shape, *rows)
+                col_covered, col_partial = split(cols.shape, ylo, yhi)
+                stamped = cols.decompose(ylo, yhi)
+                subtrees = [range(i, i + 2 * (g.hi[i] - g.lo[i]) + 1) for i in covered]
+                for run in subtrees:
+                    for j in run:
+                        assert g.inner[j].last_lazy_spans == stamped
+                for i in range(g.node_count):
+                    want = [o.query(((g.lo[i], g.hi[i]), (y, y))) for y in range(m)]
+                    g.inner[i].validate(DenseTensor((m,), want, pair))
+                # the outer walk and one column update per node of a covered
+                # subtree, plus the rebuilds: a reinit per partial node and a
+                # read of each child that was not rebuilt just before
+                forest = (1 + 2 * len(partial) - len(covered)
+                          + sum(len(run) for run in subtrees) * (2 + 2 * len(col_partial)))
+                meets = len(col_partial) + sum(2 * (cols.hi[i] - cols.lo[i]) + 1
+                                               for i in col_covered)
+                reads = sum(1 for i in partial for c in (g.left[i], g.right[i])
+                            if c not in partial)
+                assert spent == forest + meets * (len(partial) + reads)

@@ -5,11 +5,13 @@ import threading
 import time
 import traceback
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from uqtrees import (DenseTensor, OperatorPair, SegTree1D, ValidationError,
-                     WorkloadConfig, get_pair, run_verify)
+from uqtrees import (DenseTensor, OpCounters, OperatorPair, SegTree1D,
+                     ValidationError, WorkloadConfig, builtin_pairs, get_pair,
+                     run_verify)
 from uqtrees.seg1d import kernels, node_shape, plan, split
 
 
@@ -588,3 +590,64 @@ class TestKernels:
         with pytest.raises(ArithmeticError) as err:
             t.update(0, 1, 5)
         assert "laz[i] = U(laz[i], value)" in "".join(traceback.format_tb(err.tb))
+
+
+# no inline form covers math.gcd, so its trees run their walks in call form
+GCD_GCD = OperatorPair("gcd-gcd", math.gcd, math.gcd, 0, 0,
+                       lambda a, v, k: math.gcd(a, v), sample_range=(0, 60))
+FOREST_CASES = ([(p, "int") for p in builtin_pairs()]
+                + [(p, "fraction") for p in builtin_pairs()]
+                + [(GCD_GCD, "int")])
+
+
+class TestUpdateMany:
+    """A forest update is one :meth:`SegTree1D.update` per tree, node for node."""
+
+    @pytest.mark.parametrize("pair, cells", FOREST_CASES,
+                             ids=[f"{p.name}-{c}" for p, c in FOREST_CASES])
+    def test_matches_update_on_a_copy(self, pair, cells):
+        rng = random.Random(17)
+        n = 13
+
+        def cell():
+            v = rng.randint(*pair.sample_range)
+            return Fraction(v, rng.randint(1, 4)) if cells == "fraction" else v
+
+        # trees of one extent weigh their slots differently, as in Grid2D
+        rows = [[cell() for _ in range(n)] for _ in range(3)]
+        shared = OpCounters()
+        forest = [SegTree1D(r, pair, cell_weight=w, counters=shared)
+                  for w, r in enumerate(rows, 1)]
+        copies = [SegTree1D(r, pair, cell_weight=w) for w, r in enumerate(rows, 1)]
+        for step in range(60):
+            lo, hi = sorted(rng.randrange(n) for _ in range(2))
+            v = cell()
+            k = 1 + step % 3
+            before = shared.visits_total
+            SegTree1D.update_many(forest[:k], lo, hi, v)
+            spent = 0
+            for c in copies[:k]:
+                was = c.counters.visits_total
+                c.update(lo, hi, v)
+                spent += c.counters.visits_total - was
+            assert shared.visits_total - before == spent
+            for t, c in zip(forest, copies):
+                assert t.val == c.val
+                assert t.laz == c.laz
+                assert t.last_lazy_spans == c.last_lazy_spans
+
+    @pytest.mark.parametrize("qlo, qhi, value", [
+        (6, 5, 1), (-1, 4, 1), (3, 13, 1), (0.0, 4, 1), (0, 4.0, 1),
+        (0, 4, math.nan)], ids=["reversed", "below", "above", "float-lo",
+                                "float-hi", "nan"])
+    def test_refusal_leaves_the_forest_alone(self, qlo, qhi, value):
+        pair = get_pair("plus-min")
+        shared = OpCounters()
+        forest = [SegTree1D(list(range(13)), pair, counters=shared) for _ in range(3)]
+        SegTree1D.update_many(forest, 2, 9, 4)  # leaves pending values and stamps
+        held = [(list(t.val), list(t.laz), t._stamped) for t in forest]
+        before = shared.visits_total
+        with pytest.raises((TypeError, ValueError)):
+            SegTree1D.update_many(forest, qlo, qhi, value)
+        assert [(t.val, t.laz, t._stamped) for t in forest] == held
+        assert shared.visits_total == before
