@@ -34,12 +34,19 @@ class TestBuild:
     def test_every_node_matches_columnwise_fold(self, pair, rng):
         # built and after every update, each outer node's column tree holds
         # the column folds of that node's rows, node by node
-        for n, m in ((5, 6), (1, 7), (7, 1), (7, 11), (13, 5)):
+        for n, m in ((5, 6), (1, 7), (7, 1), (7, 11), (13, 5), (9, 7)):
             data = [rng.randint(*pair.sample_range) for _ in range(n * m)]
             g = Grid2D(DenseTensor((n, m), data, pair), pair)
             o = DenseTensor((n, m), data, pair)
 
-            def check():
+            def check(box=None):
+                if box is not None:
+                    # every tree of a covered subtree stamped the column span
+                    rows, (ylo, yhi) = box
+                    stamped = g.inner[0].decompose(ylo, yhi)
+                    for i in split(g.shape, *rows)[0]:
+                        for j in range(i, i + 2 * (g.hi[i] - g.lo[i]) + 1):
+                            assert g.inner[j].last_lazy_spans == stamped
                 for i in range(g.node_count):
                     want = [o.query(((g.lo[i], g.hi[i]), (y, y))) for y in range(m)]
                     assert g.inner[i].to_array() == want
@@ -61,7 +68,7 @@ class TestBuild:
                 v = rng.randint(*pair.sample_range)
                 g.update(box, v)
                 o.update(box, v)
-                check()
+                check(box)
 
     def test_rebuild_keeps_pending_values_outside_the_span(self, pair, rng):
         n, m = 8, 8
@@ -225,11 +232,14 @@ class TestCounters:
         # walk over the column nodes that meet the span for reinit plus one
         # per child read with to_array; a child rebuilt just before hands
         # its columns over and is not read
-        n = m = 16
-        shape = node_shape(m)
-        spans = list(zip(shape.lo, shape.hi))
-        for box in (((3, 12), (2, 13)), ((3, 12), (7, 7)), ((1, 14), (0, 15)),
-                    ((5, 5), (4, 9)), ((0, 15), (2, 13))):
+        cases = [((16, 16), box) for box in (
+            ((3, 12), (2, 13)), ((3, 12), (7, 7)), ((1, 14), (0, 15)),
+            ((5, 5), (4, 9)), ((0, 15), (2, 13)))]
+        cases += [((9, 7), ((0, 8), (1, 5))), ((9, 7), ((1, 7), (0, 6))),
+                  ((9, 7), ((2, 5), (3, 3))), ((1, 6), ((0, 0), (1, 4)))]
+        for (n, m), box in cases:
+            shape = node_shape(m)
+            spans = list(zip(shape.lo, shape.hi))
             g = grid((n, m), [0] * (n * m), "plus-min")
             (xlo, xhi), (ylo, yhi) = box
             before = g.counters.visits_total
@@ -256,45 +266,3 @@ class TestCounters:
             costs.append(g.counters.visits_last_op)
         one, full = costs
         assert one < full
-
-
-class TestForestUpdates:
-    def test_covered_subtrees_stamp_validate_and_count(self, pair):
-        # full-row spans (one covered subtree) mixed with row spans that
-        # split into several, on grids whose extents are not powers of two
-        for n, m in ((9, 7), (1, 6)):
-            rng = random.Random(n * 100 + m)
-            data = [rng.randint(*pair.sample_range) for _ in range(n * m)]
-            g = Grid2D(DenseTensor((n, m), data, pair), pair)
-            o = DenseTensor((n, m), data, pair)
-            cols = SegTree1D.identity(m, pair)
-            for step in range(24):
-                rows = ((0, n - 1) if step % 3 == 0
-                        else tuple(sorted(rng.randrange(n) for _ in range(2))))
-                ylo, yhi = sorted(rng.randrange(m) for _ in range(2))
-                v = rng.randint(*pair.sample_range)
-                before = g.counters.visits_total
-                g.update((rows, (ylo, yhi)), v)
-                o.update((rows, (ylo, yhi)), v)
-                spent = g.counters.visits_total - before
-
-                covered, partial = split(g.shape, *rows)
-                col_covered, col_partial = split(cols.shape, ylo, yhi)
-                stamped = cols.decompose(ylo, yhi)
-                subtrees = [range(i, i + 2 * (g.hi[i] - g.lo[i]) + 1) for i in covered]
-                for run in subtrees:
-                    for j in run:
-                        assert g.inner[j].last_lazy_spans == stamped
-                for i in range(g.node_count):
-                    want = [o.query(((g.lo[i], g.hi[i]), (y, y))) for y in range(m)]
-                    g.inner[i].validate(DenseTensor((m,), want, pair))
-                # the outer walk and one column update per node of a covered
-                # subtree, plus the rebuilds: a reinit per partial node and a
-                # read of each child that was not rebuilt just before
-                forest = (1 + 2 * len(partial) - len(covered)
-                          + sum(len(run) for run in subtrees) * (2 + 2 * len(col_partial)))
-                meets = len(col_partial) + sum(2 * (cols.hi[i] - cols.lo[i]) + 1
-                                               for i in col_covered)
-                reads = sum(1 for i in partial for c in (g.left[i], g.right[i])
-                            if c not in partial)
-                assert spent == forest + meets * (len(partial) + reads)
