@@ -24,8 +24,8 @@ from .algebra import PAIR_NAMES
 from .dense import DenseTensor, format_tensor, format_value, parse_tensor
 from .matmul import (PRODUCT_PAIRS, product_via_backend, schoolbook,
                      seed_backend)
-from .workloads import (BACKEND_IDS, BenchRow, WorkloadConfig, format_dims,
-                        parse_dims, run_bench, run_scaling, run_verify)
+from .workloads import (BACKEND_IDS, PRODUCT_BACKENDS, BenchRow, WorkloadConfig,
+                        format_dims, parse_dims, run_bench, run_scaling, run_verify)
 
 
 def _add_workload_flags(p: argparse.ArgumentParser, dims_help: str) -> None:
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", required=True, choices=tuple(PRODUCT_PAIRS),
                    help="operator pair (plus-min = min-plus product, "
                         "plus-max = max-plus, times-plus = standard)")
-    p.add_argument("--backend", default="grid2d-general", choices=("oracle", "grid2d-general"))
+    p.add_argument("--backend", default="grid2d-general", choices=PRODUCT_BACKENDS)
     p.add_argument("--check", action="store_true",
                    help="also run the schoolbook product and report the cells that differ")
     p.add_argument("--out", default=None)

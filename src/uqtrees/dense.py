@@ -26,7 +26,7 @@ from itertools import product
 from typing import Sequence
 
 from .algebra import OperatorPair
-from .boxes import Box, box_volume, check_box
+from .boxes import Box, box_volume, check_box, check_extents
 from .counters import OpCounters
 
 
@@ -42,9 +42,7 @@ class DenseTensor:
 
     def __init__(self, dims: Sequence[int], data: Sequence, pair: OperatorPair,
                  counters: OpCounters | None = None):
-        dims = tuple(dims)
-        if not dims or any(n < 1 for n in dims):
-            raise ValueError(f"bad extents {dims}")
+        dims = check_extents(dims)
         data = list(data)
         if len(data) != math.prod(dims):
             raise ValueError(f"got {len(data)} values for extents {dims}")
@@ -186,11 +184,9 @@ def parse_tensor(text: str, pair: OperatorPair) -> DenseTensor:
     d = int(toks[0])
     if d < 1 or len(toks) < 1 + d:
         raise ValueError("bad tensor header")
+    # the constructor checks the extents before it counts the values
     dims = [int(t) for t in toks[1:1 + d]]
-    vals = [parse_value(t) for t in toks[1 + d:]]
-    if len(vals) != math.prod(dims):
-        raise ValueError(f"expected {math.prod(dims)} values for extents {dims}, got {len(vals)}")
-    return DenseTensor(dims, vals, pair)
+    return DenseTensor(dims, [parse_value(t) for t in toks[1 + d:]], pair)
 
 
 def format_tensor(t: DenseTensor) -> str:

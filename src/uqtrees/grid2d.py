@@ -36,9 +36,10 @@ of the row span's split and never mutates.
 The row span is split with the plain :func:`~uqtrees.seg1d.split`, not the
 memoised :func:`~uqtrees.seg1d.plan`: each operation splits its row span
 once, and consecutive operations rarely repeat it, so a memo would only
-miss and add its copy.  The column span is checked and planned once per
-covered subtree: :meth:`~uqtrees.seg1d.SegTree1D.update_many` stamps it
-onto all of the subtree's column trees in one compiled walk.
+miss and add its copy.  An update's column span is checked once per
+operation, planned once per covered subtree: the unchecked forest entry
+``SegTree1D._update_many`` stamps it onto all of the subtree's column trees
+in one compiled walk.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import OperatorPair
-from .boxes import Box, check_box
+from .boxes import Box, check_box, check_value
 from .counters import OpCounters
 from .dense import DenseTensor
 from .seg1d import SegTree1D, node_shape, row_folds, split
@@ -82,8 +83,7 @@ class Grid2D:
 
     def update(self, box: Box, value) -> None:
         check_box(box, self.dims)
-        if value != value:
-            raise ValueError("cannot update with nan")
+        check_value(value)
         c = self.counters
         before = c.visits_total
         (xlo, xhi), (ylo, yhi) = box
@@ -98,9 +98,9 @@ class Grid2D:
         for i in covered:
             # no pending values at the outer level: every node of a covered
             # subtree, the index run i .. end - 1, updates its column tree,
-            # all in one forest walk that checks and plans the span once
+            # all in one forest walk that plans the span once
             end = i + 2 * (hi[i] - lo[i]) + 1
-            SegTree1D.update_many(inner[i:end], ylo, yhi, value)
+            SegTree1D._update_many(inner[i:end], ylo, yhi, value)
             visits += end - i
         # span columns of the nodes just rebuilt, until their parent takes them
         held = {}

@@ -41,7 +41,7 @@ from typing import Callable, List, Sequence
 from .algebra import (INF, NEG_INF, OperatorPair, PLUS_MAX, PLUS_MIN,
                       TIMES_PLUS, ZeroTrackedSum)
 from .dense import DenseTensor, format_value
-from .grid2d import Grid2D
+from .workloads import PRODUCT_BACKENDS, make_backend
 
 Matrix = List[list]
 
@@ -132,14 +132,11 @@ def schoolbook(a: Matrix, b: Matrix, domain: ProductPair) -> Matrix:
 
 def seed_backend(backend_id: str, a: Matrix, domain: ProductPair):
     """Build a 2D backend holding ``a`` (lifted) under the domain's pair."""
+    if backend_id not in PRODUCT_BACKENDS:
+        raise ValueError(f"backend {backend_id!r} cannot run matrix products")
     n = _check_square(a)
     flat = [domain.lift(v) for row in a for v in row]
-    tensor = DenseTensor((n, n), flat, domain.pair)
-    if backend_id == "oracle":
-        return tensor
-    if backend_id == "grid2d-general":
-        return Grid2D(tensor, domain.pair)
-    raise ValueError(f"backend {backend_id!r} cannot run matrix products")
+    return make_backend(backend_id, DenseTensor((n, n), flat, domain.pair))
 
 
 def product_via_backend(a: Matrix, b: Matrix, domain: ProductPair, backend) -> Matrix:

@@ -69,7 +69,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from .algebra import OperatorPair, check_special
-from .boxes import Box, check_box
+from .boxes import Box, check_box, check_value
 from .counters import OpCounters
 from .dense import DenseTensor
 from .seg1d import SegTree1D, node_shape, row_folds, split
@@ -133,8 +133,7 @@ class NDTree:
 
     def update(self, box: Box, value) -> None:
         check_box(box, self.dims)
-        if value != value:
-            raise ValueError("cannot update with nan")
+        check_value(value)
         c = self.counters
         before = c.visits_total
         if self.line is not None:

@@ -24,7 +24,7 @@ import random
 from typing import List, Optional
 
 from .algebra import OperatorPair
-from .boxes import Box, check_box
+from .boxes import Box, check_box, check_value
 from .counters import OpCounters
 from .dense import DenseTensor
 from .seg1d import node_shape
@@ -84,8 +84,7 @@ class QuadTree:
 
     def update(self, box: Box, value) -> None:
         check_box(box, self.dims)
-        if value != value:
-            raise ValueError("cannot update with nan")
+        check_value(value)
         (bx0, bx1), (by0, by1) = box
         xlo, xhi, xl, xr, _ = self.rows[:5]
         ylo, yhi, yl, yr, _ = self.cols[:5]

@@ -51,20 +51,20 @@ The walks are loops over an explicit stack, not recursive closures: a
 recursive closure is a reference cycle, so every call would leave garbage
 that only a run of the cyclic garbage collector can free.
 
-:func:`kernels` compiles one template per walk (``update``'s stamp and
-repair, ``update_many``'s loop of that same text over a forest of trees,
-``reinit`` and its whole-array fill, ``query``, ``to_array``) with
-the pair's operators written in, once per :class:`OperatorPair` object; a
-tree holds them as ``_k``.  A callable with an exact inline form, found by
-identity as :class:`DenseTensor` finds its fast paths, becomes an expression
+:func:`kernels` compiles one template per walk with the pair's operators
+written in, once per :class:`OperatorPair` object; a tree holds them as
+``_k``: ``update`` (stamp and repair), ``update_many`` (that text looped
+over a forest), ``reinit``, ``fill`` (a whole-array reinit), ``query`` and
+``to_array``.  A callable with an exact inline form, found by identity as
+:class:`DenseTensor` finds its fast paths, becomes an expression
 (``operator.add``: ``a + b``, ``operator.mul``: ``a * b``, ``min``: ``b if b
 < a else a``, ``max``: ``b if b > a else a``, a registered aggregator: the
 expression that defines it); any other callable stays a call, with the same
 answers, only slower.  Tracebacks show the generated lines (:mod:`linecache`).
-The public methods stay on the class and call the kernels, so a tracer that
-wraps them sees every single-tree call, but not ``Grid2D``'s inner updates:
-they bypass ``update`` through ``update_many``.  ``validate`` and the oracle
-never use the kernels.
+The public methods check their spans and call the kernels, so a tracer that
+wraps them sees every single-tree call.  The forest entry ``_update_many``
+is unchecked and belongs to ``Grid2D.update``, whose checks are the only
+ones on a forest update.  ``validate`` and the oracle never use the kernels.
 
 ``cell_weight`` scales every node size: a tree whose slots each stand for
 ``w`` real cells (the 2D structure in :mod:`uqtrees.grid2d` uses this) gets
@@ -76,12 +76,12 @@ from __future__ import annotations
 import linecache
 import re
 from functools import cache
-from operator import index
 from textwrap import indent
 from types import SimpleNamespace
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import OperatorPair, inline_form
+from .boxes import check_extents, check_span, check_value
 from .counters import OpCounters
 from .dense import DenseTensor
 
@@ -113,8 +113,7 @@ def node_shape(n: int) -> NodeShape:
     child after the ``2 * (left width) - 1`` nodes of the left subtree.  The
     lists are shared, so nobody may mutate them.
     """
-    if n < 1:
-        raise ValueError("cannot build over an empty array")
+    check_extents((n,))
     count = 2 * n - 1
     lo = [0] * count
     hi = [0] * count
@@ -396,20 +395,13 @@ class SegTree1D:
             self.counters.visits_total += self.node_count
             return
         qhi = qlo + len(values) - 1
-        self._check(qlo, qhi)
+        check_span(qlo, qhi, self.size)
         covered, partial = plan(self.shape, qlo, qhi)
         self.counters.visits_total += self._k.reinit(self, values, qlo, covered, partial)
 
-    def _check(self, qlo: int, qhi: int) -> None:
-        index(qlo)
-        index(qhi)
-        if qlo > qhi or qlo < 0 or qhi >= self.size:
-            raise ValueError(f"span ({qlo}, {qhi}) out of bounds for length {self.size}")
-
     def update(self, qlo: int, qhi: int, value) -> None:
-        self._check(qlo, qhi)
-        if value != value:
-            raise ValueError("cannot update with nan")
+        check_span(qlo, qhi, self.size)
+        check_value(value)
         covered, partial = plan(self.shape, qlo, qhi)
         self._k.update(self, covered, partial, value)
         visits = 1 + 2 * len(partial)
@@ -418,20 +410,18 @@ class SegTree1D:
             self.counters.note_update(visits)
 
     @staticmethod
-    def update_many(trees: Sequence["SegTree1D"], qlo: int, qhi: int, value) -> None:
+    def _update_many(trees: Sequence["SegTree1D"], qlo: int, qhi: int, value) -> None:
         """:meth:`update` on every tree of ``trees``, which share one extent,
-        pair and counters object: one check, one plan, one compiled walk.
-        Counts each tree's visits; the forest's owner notes the operation."""
+        pair and counters object: one plan, one compiled walk, no checks (the
+        caller has checked the span and the value).  Counts each tree's
+        visits; the forest's owner notes the operation."""
         t = trees[0]
-        t._check(qlo, qhi)
-        if value != value:
-            raise ValueError("cannot update with nan")
         covered, partial = plan(t.shape, qlo, qhi)
         t._k.update_many(trees, covered, partial, value)
         t.counters.visits_total += len(trees) * (1 + 2 * len(partial))
 
     def query(self, qlo: int, qhi: int):
-        self._check(qlo, qhi)
+        check_span(qlo, qhi, self.size)
         out, visits = self._k.query(self, qlo, qhi)
         self.counters.visits_total += visits
         if self._own:
@@ -445,7 +435,7 @@ class SegTree1D:
         N == 1); these are exactly the nodes an update stamps its pending
         value onto.
         """
-        self._check(qlo, qhi)
+        check_span(qlo, qhi, self.size)
         covered, partial = plan(self.shape, qlo, qhi)
         self.counters.visits_total += 1 + 2 * len(partial)
         return [(self.lo[i], self.hi[i]) for i in covered]
@@ -460,7 +450,7 @@ class SegTree1D:
         """
         if qhi is None:
             qhi = self.size - 1
-        self._check(qlo, qhi)
+        check_span(qlo, qhi, self.size)
         out, visits = self._k.to_array(self, *plan(self.shape, qlo, qhi))
         self.counters.visits_total += visits
         return out

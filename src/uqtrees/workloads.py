@@ -22,38 +22,38 @@ import math
 import random
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import get_pair
+from .boxes import check_extents
 from .dense import DenseTensor
 from .grid2d import Grid2D
 from .ndspecial import NDTree
 from .quadtree import QuadTree
 from .seg1d import SegTree1D
 
-BACKEND_IDS = ("oracle", "seg1d", "nd-special", "grid2d-general", "quadtree")
 
-# dimension counts each backend accepts (None = any)
-_BACKEND_DIMS = {
-    "oracle": None,
-    "seg1d": (1,),
-    "nd-special": (1, 2, 3),
-    "grid2d-general": (2,),
-    "quadtree": (2,),
+class _Backend(NamedTuple):
+    build: Callable[[DenseTensor], object]  # the structure seeded by a tensor
+    dims: Optional[Tuple[int, ...]]  # dimension counts it accepts (None = any)
+    envelope: Tuple[float, float]  # mean-visits ratio (lo, hi) when doubling N
+    products: bool  # whether matrix products may run through it
+
+
+_BACKENDS = {
+    "oracle": _Backend(DenseTensor.copy, None, (0.0, 5.0), True),
+    "seg1d": _Backend(lambda t: SegTree1D(t.data, t.pair), (1,), (0.0, 1.5), False),
+    "nd-special": _Backend(lambda t: NDTree(t, t.pair), (1, 2, 3), (0.0, 1.7), False),
+    "grid2d-general": _Backend(lambda t: Grid2D(t, t.pair), (2,), (0.0, 3.0), True),
+    "quadtree": _Backend(lambda t: QuadTree(t, t.pair), (2,), (1.5, 3.0), False),
 }
+BACKEND_IDS = tuple(_BACKENDS)
+GROWTH_ENVELOPES = {k: b.envelope for k, b in _BACKENDS.items()}
+PRODUCT_BACKENDS = tuple(k for k, b in _BACKENDS.items() if b.products)
 
 # multiplicative pairs stay tiny so 10k-op runs keep exact integers cheap
 _VALUE_RANGES = {"times-times": (-1, 1), "times-plus": (-1, 1)}
 _DEFAULT_VALUE_RANGE = (-100, 100)
-
-# visit-growth envelope (lo, hi) for the mean-visits ratio when doubling N
-GROWTH_ENVELOPES = {
-    "seg1d": (0.0, 1.5),
-    "nd-special": (0.0, 1.7),
-    "grid2d-general": (0.0, 3.0),
-    "quadtree": (1.5, 3.0),
-    "oracle": (0.0, 5.0),
-}
 
 
 @dataclass
@@ -74,12 +74,11 @@ class WorkloadConfig:
     def check(self) -> None:
         if self.backend not in BACKEND_IDS:
             raise ValueError(f"unknown backend {self.backend!r}; known: {', '.join(BACKEND_IDS)}")
-        allowed = _BACKEND_DIMS[self.backend]
+        allowed = _BACKENDS[self.backend].dims
         if allowed is not None and len(self.dims) not in allowed:
             raise ValueError(
                 f"backend {self.backend!r} supports {allowed} dimensions, got {len(self.dims)}")
-        if not self.dims or any(n < 1 for n in self.dims):
-            raise ValueError(f"bad extents {self.dims}")
+        check_extents(self.dims)
         if self.ops < 1:
             raise ValueError("ops must be >= 1")
         if not 0.0 <= self.update_ratio <= 1.0:
@@ -95,17 +94,9 @@ def make_backend(backend_id: str, tensor: DenseTensor):
     Invalid combinations raise ValueError; in particular ``nd-special``
     refuses non-fold-commuting pairs with a concrete counterexample.
     """
-    if backend_id == "oracle":
-        return tensor.copy()
-    if backend_id == "seg1d":
-        return SegTree1D(tensor.data, tensor.pair)
-    if backend_id == "nd-special":
-        return NDTree(tensor, tensor.pair)
-    if backend_id == "grid2d-general":
-        return Grid2D(tensor, tensor.pair)
-    if backend_id == "quadtree":
-        return QuadTree(tensor, tensor.pair)
-    raise ValueError(f"unknown backend {backend_id!r}")
+    if backend_id not in _BACKENDS:
+        raise ValueError(f"unknown backend {backend_id!r}")
+    return _BACKENDS[backend_id].build(tensor)
 
 
 def _box_ops(backend_id: str, structure):
@@ -240,9 +231,7 @@ def parse_dims(text: str) -> Tuple[int, ...]:
         dims = tuple(int(t) for t in text.lower().split("x"))
     except ValueError:
         raise ValueError(f"bad dims {text!r}; expected forms like 64 or 32x32") from None
-    if not dims or any(n < 1 for n in dims):
-        raise ValueError(f"bad dims {text!r}")
-    return dims
+    return check_extents(dims)
 
 
 def _mean(visits: int, ops: int) -> Optional[float]:
@@ -336,7 +325,7 @@ def run_scaling(backend_id: str, pair_name: str, sizes: Sequence[int],
                              ops=ops, seed=seed)
         means.append(measure_mean_visits(cfg))
     report = ScalingReport(backend_id, pair_name, sizes, means)
-    env = GROWTH_ENVELOPES[backend_id]
+    env = _BACKENDS[backend_id].envelope
     for (a, b), (va, vb) in zip(zip(sizes, sizes[1:]), zip(means, means[1:])):
         ratio = vb / va if va else math.inf
         report.steps.append(ScalingStep(a, b, ratio, env))

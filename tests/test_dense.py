@@ -153,3 +153,17 @@ class TestTextFormat:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             DenseTensor((2, 2), [1, 2, 3], get_pair("plus-plus"))
+
+
+class TestExtents:
+    """Extents are integers >= 1, checked before the values are counted."""
+
+    def test_float_extent_rejected(self):
+        # was accepted, and answered queries
+        with pytest.raises(ValueError, match=r"bad extent 2\.0 "):
+            DenseTensor((2.0, 2), [1, 2, 3, 4], get_pair("plus-min"))
+
+    def test_negative_extent_named_before_the_value_count(self):
+        # was "expected -3 values for extents [-3], got 0"
+        with pytest.raises(ValueError, match="bad extent -3 "):
+            parse_tensor("1 -3", get_pair("plus-min"))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -266,3 +267,23 @@ class TestCounters:
             costs.append(g.counters.visits_last_op)
         one, full = costs
         assert one < full
+
+
+class TestForestRefusals:
+    """``Grid2D.update``'s checks are the only ones on its forest updates: a
+    bad column span or value is refused before any inner tree changes."""
+
+    @pytest.mark.parametrize("qlo, qhi, value", [
+        (6, 5, 1), (-1, 4, 1), (3, 13, 1), (0.0, 4, 1), (0, 4.0, 1),
+        (0, 4, math.nan)], ids=["reversed", "below", "above", "float-lo",
+                                "float-hi", "nan"])
+    def test_refusal_leaves_the_forest_alone(self, qlo, qhi, value):
+        g = grid((5, 13), list(range(65)), "plus-min")
+        g.update(((1, 4), (2, 9)), 4)  # leaves pending values and stamps
+        held = [(list(t.val), list(t.laz), t._stamped) for t in g.inner]
+        c = g.counters
+        counts = [getattr(c, k) for k in c.__slots__]
+        with pytest.raises((TypeError, ValueError)):
+            g.update(((1, 4), (qlo, qhi)), value)
+        assert [(t.val, t.laz, t._stamped) for t in g.inner] == held
+        assert [getattr(c, k) for k in c.__slots__] == counts

@@ -1,10 +1,13 @@
-"""A nan update value is refused by every tree before it touches anything.
+"""A nan update value or a bad box is refused by every tree before it
+touches anything.
 
 ``min``/``max`` answer nan by argument order, so a tree that took a nan
 value would answer differently from the dense oracle (``SegTree1D([3, 1,
 0], plus-min)`` with ``update(0, 1, nan)`` then ``query(0, 2)`` gave
 ``inf``, the oracle nan).  Each public ``update`` raises ValueError instead
-and leaves the structure, its visit counters included, as it was.
+and leaves the structure, its visit counters included, as it was.  A bad
+box gets the oracle's exception and message on every backend: the span rule
+is stated once, in :mod:`uqtrees.boxes`.
 """
 
 import math
@@ -33,17 +36,39 @@ def test_the_reported_case():
     assert t.query(0, 2) == 0
 
 
+def bad_boxes(dims):
+    """Per axis: a reversed span, one below 0, one past the extent and a
+    float bound, each with full spans on the other axes."""
+    full = tuple((0, n - 1) for n in dims)
+    for axis, n in enumerate(dims):
+        for span in ((1, 0), (-1, 0), (0, n), (0.0, n - 1)):
+            yield full[:axis] + (span,) + full[axis + 1:]
+
+
+def refusal(update, box, value):
+    with pytest.raises((TypeError, ValueError)) as err:
+        update(box, value)
+    return type(err.value), str(err.value)
+
+
 @pytest.mark.parametrize("backend_id,pair_name,dims", CASES)
 def test_nan_update_is_refused_and_changes_nothing(backend_id, pair_name, dims):
     pair = get_pair(pair_name)
     data = list(range(math.prod(dims)))
-    structure = make_backend(backend_id, DenseTensor(dims, data, pair))
-    update, query = _box_ops(backend_id, structure)
     full = tuple((0, n - 1) for n in dims)
-    update(full, 2)
-    before = query(full)
-    visits = structure.counters.visits_total
+    # the backend, then the oracle: (counters, update, query, full-box answer)
+    runs = []
+    for b in (backend_id, "oracle"):
+        structure = make_backend(b, DenseTensor(dims, data, pair))
+        update, query = _box_ops(b, structure)
+        update(full, 2)
+        runs.append((structure.counters, update, query, query(full)))
+    (_, update, _, _), (_, oracle_update, _, _) = runs
+    visits = [c.visits_total for c, *_ in runs]
     with pytest.raises(ValueError, match="nan"):
         update(full, NAN)
-    assert structure.counters.visits_total == visits
-    assert query(full) == before
+    for box in bad_boxes(dims):
+        assert refusal(update, box, 1) == refusal(oracle_update, box, 1), box
+    assert [c.visits_total for c, *_ in runs] == visits
+    for _, _, query, held in runs:
+        assert query(full) == held

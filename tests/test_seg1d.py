@@ -601,7 +601,10 @@ FOREST_CASES = ([(p, "int") for p in builtin_pairs()]
 
 
 class TestUpdateMany:
-    """A forest update is one :meth:`SegTree1D.update` per tree, node for node."""
+    """A forest update is one :meth:`SegTree1D.update` per tree, node for node.
+
+    The forest entry checks nothing; ``Grid2D.update``'s checks guard it
+    (``tests/test_grid2d.py::TestForestRefusals``)."""
 
     @pytest.mark.parametrize("pair, cells", FOREST_CASES,
                              ids=[f"{p.name}-{c}" for p, c in FOREST_CASES])
@@ -624,7 +627,7 @@ class TestUpdateMany:
             v = cell()
             k = 1 + step % 3
             before = shared.visits_total
-            SegTree1D.update_many(forest[:k], lo, hi, v)
+            SegTree1D._update_many(forest[:k], lo, hi, v)
             spent = 0
             for c in copies[:k]:
                 was = c.counters.visits_total
@@ -635,19 +638,3 @@ class TestUpdateMany:
                 assert t.val == c.val
                 assert t.laz == c.laz
                 assert t.last_lazy_spans == c.last_lazy_spans
-
-    @pytest.mark.parametrize("qlo, qhi, value", [
-        (6, 5, 1), (-1, 4, 1), (3, 13, 1), (0.0, 4, 1), (0, 4.0, 1),
-        (0, 4, math.nan)], ids=["reversed", "below", "above", "float-lo",
-                                "float-hi", "nan"])
-    def test_refusal_leaves_the_forest_alone(self, qlo, qhi, value):
-        pair = get_pair("plus-min")
-        shared = OpCounters()
-        forest = [SegTree1D(list(range(13)), pair, counters=shared) for _ in range(3)]
-        SegTree1D.update_many(forest, 2, 9, 4)  # leaves pending values and stamps
-        held = [(list(t.val), list(t.laz), t._stamped) for t in forest]
-        before = shared.visits_total
-        with pytest.raises((TypeError, ValueError)):
-            SegTree1D.update_many(forest, qlo, qhi, value)
-        assert [(t.val, t.laz, t._stamped) for t in forest] == held
-        assert shared.visits_total == before
