@@ -22,16 +22,15 @@ forward a lazy column update to their inner tree, while partially overlapped
 outer nodes cannot be patched in place (how their column folds change
 depends on which rows were hit), so they rebuild.  The row span's
 :func:`~uqtrees.seg1d.split` names both kinds: every node of a covered
-subtree updates, every partial node rebuilds.  Only the columns of the
-update's span can have changed, so a rebuild reads both children's true
-columns on that span (``to_array(ylo, yhi)``), folds them element-wise and
-resets just that span of its own tree (``reinit(cols, ylo)``); every other
-column's fold is already right.  Children are always finalized before their
-parent rebuilds (covered subtrees, then partial nodes children first), and
-a child rebuilt just before hands its span columns up instead of being read
-again.  ``last_events`` lists the latest update's events, derived from its
-stored split.  A query folds inner-tree column queries over the covered nodes
-of the row span's split and never mutates.
+subtree updates, then every partial node rebuilds, children first.  Only the
+columns of the update's span can have changed, so a rebuild
+(``SegTree1D._rebuild``, one compiled walk) resets that span of its own tree
+to the element-wise fold of both children's true columns, read straight from
+their trees.  It counts the column nodes that meet the span once, and once
+more per child not rebuilt in this update: ``len(partial) + 1`` children, as
+the partial nodes form a subtree.  ``last_events`` lists the latest update's
+events, derived from its stored split.  A query folds inner-tree column
+queries over the covered nodes of the row span's split and never mutates.
 
 The row span is split with the plain :func:`~uqtrees.seg1d.split`, not the
 memoised :func:`~uqtrees.seg1d.plan`: each operation splits its row span
@@ -39,7 +38,7 @@ once, and consecutive operations rarely repeat it, so a memo would only
 miss and add its copy.  An update's column span is checked once per
 operation, planned once per covered subtree: the unchecked forest entry
 ``SegTree1D._update_many`` stamps it onto all of the subtree's column trees
-in one compiled walk.
+in one compiled walk; the rebuilds reuse that plan.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from .algebra import OperatorPair
 from .boxes import Box, check_box, check_value
 from .counters import OpCounters
 from .dense import DenseTensor
-from .seg1d import SegTree1D, node_shape, row_folds, split
+from .seg1d import SegTree1D, node_shape, plan, row_folds, split
 
 
 class Grid2D:
@@ -87,10 +86,8 @@ class Grid2D:
         c = self.counters
         before = c.visits_total
         (xlo, xhi), (ylo, yhi) = box
-        lo, hi = self.lo, self.hi
-        left, right = self.left, self.right
+        lo, hi, left, right = self.lo, self.hi, self.left, self.right
         inner = self.inner
-        q = self.pair.query_op
         self._split = covered, partial = split(self.shape, xlo, xhi)
         # the split's walk, plus both children of every internal node of a
         # covered subtree: its node count less its root
@@ -102,15 +99,13 @@ class Grid2D:
             end = i + 2 * (hi[i] - lo[i]) + 1
             SegTree1D._update_many(inner[i:end], ylo, yhi, value)
             visits += end - i
-        # span columns of the nodes just rebuilt, until their parent takes them
-        held = {}
-        for i in reversed(partial):  # children before parents
-            l = left[i]
-            r = right[i]
-            cols_l = held.pop(l, None) or inner[l].to_array(ylo, yhi)
-            cols_r = held.pop(r, None) or inner[r].to_array(ylo, yhi)
-            cols = held[i] = list(map(q, cols_l, cols_r))
-            inner[i].reinit(cols, ylo)
+        if partial:  # the forest walk left the column span's plan in the memo
+            ccov, cpar = plan(inner[0].shape, ylo, yhi)
+            # the nodes that meet it, per rebuild and per child not rebuilt
+            visits += ((len(cpar) + 2 * (yhi - ylo + 1) - len(ccov))
+                       * (2 * len(partial) + 1))
+            for i in reversed(partial):  # children before parents
+                inner[i]._rebuild(inner[left[i]], inner[right[i]], ccov, cpar)
         c.visits_total += visits
         if self._own:
             c.note_update(c.visits_total - before)

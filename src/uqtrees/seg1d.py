@@ -54,17 +54,18 @@ that only a run of the cyclic garbage collector can free.
 :func:`kernels` compiles one template per walk with the pair's operators
 written in, once per :class:`OperatorPair` object; a tree holds them as
 ``_k``: ``update`` (stamp and repair), ``update_many`` (that text looped
-over a forest), ``reinit``, ``fill`` (a whole-array reinit), ``query`` and
-``to_array``.  A callable with an exact inline form, found by identity as
-:class:`DenseTensor` finds its fast paths, becomes an expression
-(``operator.add``: ``a + b``, ``operator.mul``: ``a * b``, ``min``: ``b if b
-< a else a``, ``max``: ``b if b > a else a``, a registered aggregator: the
-expression that defines it); any other callable stays a call, with the same
-answers, only slower.  Tracebacks show the generated lines (:mod:`linecache`).
-The public methods check their spans and call the kernels, so a tracer that
-wraps them sees every single-tree call.  The forest entry ``_update_many``
-is unchecked and belongs to ``Grid2D.update``, whose checks are the only
-ones on a forest update.  ``validate`` and the oracle never use the kernels.
+over a forest), ``reinit``, ``rebuild`` (reinit from two trees), ``fill`` (a
+whole-array reinit), ``query`` and ``to_array``.  A callable with an exact
+inline form, found by identity as :class:`DenseTensor` finds its fast paths,
+becomes an expression (``operator.add``: ``a + b``, ``operator.mul``: ``a *
+b``, ``min``: ``b if b < a else a``, ``max``: ``b if b > a else a``, a
+registered aggregator: the expression that defines it); any other callable
+stays a call, with the same answers, only slower.  Tracebacks show the
+generated lines (:mod:`linecache`).  The public methods check their spans
+and call the kernels, so a tracer that wraps them sees every single-tree
+call.  The unchecked entries ``_update_many`` and ``_rebuild`` belong to
+``Grid2D.update``, whose checks are the only ones on its inner trees.
+``validate`` and the oracle never use the kernels.
 
 ``cell_weight`` scales every node size: a tree whose slots each stand for
 ``w`` real cells (the 2D structure in :mod:`uqtrees.grid2d` uses this) gets
@@ -211,6 +212,13 @@ _REPAIR = """
         y = AGG(val[r], laz[r], sz[r])
         val[i] = Q(x, y)
 """
+_PUSH = """
+    for i in partial:
+        l, r, z = left[i], right[i], laz[i]
+        laz[l] = U(laz[l], z)
+        laz[r] = U(laz[r], z)
+        laz[i] = UID
+"""
 _UPDATE = """
     laz = t.laz
     for i in covered:
@@ -227,11 +235,7 @@ def update_many(trees, covered, partial, value):
 
 def reinit(t, values, qlo, covered, partial):
     lo, hi, left, right, val, laz = t.lo, t.hi, t.left, t.right, t.val, t.laz
-    for i in partial:
-        l, r, z = left[i], right[i], laz[i]
-        laz[l] = U(laz[l], z)
-        laz[r] = U(laz[r], z)
-        laz[i] = UID
+""" + _PUSH + """
     visits = len(partial)
     for i in covered:
         # pre-order: the subtree of i is the index run i .. end - 1
@@ -247,6 +251,33 @@ def reinit(t, values, qlo, covered, partial):
 """ + _REPAIR + """
     return visits
 
+def rebuild(t, a, b, covered, partial):
+    lo, hi, left, right, val, laz = t.lo, t.hi, t.left, t.right, t.val, t.laz
+""" + _PUSH + """
+    av, al, asz, bv, bl, bsz = a.val, a.laz, a.sz, b.val, b.laz, b.sz
+    ca, cb = [UID] * len(lo), [UID] * len(lo)
+    for i in partial:
+        ca[left[i]] = ca[right[i]] = U(ca[i], al[i])
+        cb[left[i]] = cb[right[i]] = U(cb[i], bl[i])
+    for i in covered:
+        end = i + 2 * (hi[i] - lo[i]) + 1
+        for j in range(i, end):
+            za = U(ca[j], al[j])
+            zb = U(cb[j], bl[j])
+            l, r = left[j], right[j]
+            laz[j] = UID
+            if l < 0:
+                x = AGG(av[j], za, asz[j])
+                y = AGG(bv[j], zb, bsz[j])
+                val[j] = Q(x, y)
+            else:
+                ca[l] = ca[r] = za
+                cb[l] = cb[r] = zb
+        for j in range(end - 1, i - 1, -1):
+            l, r = left[j], right[j]
+            if l >= 0:
+                val[j] = Q(val[l], val[r])
+""" + _REPAIR + """
 def fill(t, values):
     lo, left, right, val, laz = t.lo, t.left, t.right, t.val, t.laz
     for i in range(len(lo) - 1, -1, -1):
@@ -419,6 +450,10 @@ class SegTree1D:
         covered, partial = plan(t.shape, qlo, qhi)
         t._k.update_many(trees, covered, partial, value)
         t.counters.visits_total += len(trees) * (1 + 2 * len(partial))
+
+    def _rebuild(self, a: "SegTree1D", b: "SegTree1D", covered, partial) -> None:
+        """Unchecked, uncounted :meth:`reinit` of the plan from ``a`` and ``b``."""
+        self._k.rebuild(self, a, b, covered, partial)
 
     def query(self, qlo: int, qhi: int):
         check_span(qlo, qhi, self.size)

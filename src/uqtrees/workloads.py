@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import get_pair
-from .boxes import check_extents
+from .boxes import check_box, check_extents, draw_box
 from .dense import DenseTensor
 from .grid2d import Grid2D
 from .ndspecial import NDTree
@@ -101,8 +101,11 @@ def make_backend(backend_id: str, tensor: DenseTensor):
 
 def _box_ops(backend_id: str, structure):
     if backend_id == "seg1d":
-        return (lambda box, v: structure.update(box[0][0], box[0][1], v),
-                lambda box: structure.query(box[0][0], box[0][1]))
+        def span(box):
+            check_box(box, (structure.size,))  # the oracle's refusal, message too
+            return box[0]
+        return (lambda box, v: structure.update(*span(box), v),
+                lambda box: structure.query(*span(box)))
     return structure.update, structure.query
 
 
@@ -111,15 +114,6 @@ def initial_tensor(cfg: WorkloadConfig, rng: random.Random) -> DenseTensor:
     size = math.prod(cfg.dims)
     data = [rng.randint(vlo, vhi) for _ in range(size)]
     return DenseTensor(cfg.dims, data, get_pair(cfg.pair))
-
-
-def _draw_box(rng: random.Random, dims: Tuple[int, ...]):
-    spans = []
-    for n in dims:
-        a = rng.randrange(n)
-        b = rng.randrange(n)
-        spans.append((a, b) if a <= b else (b, a))
-    return tuple(spans)
 
 
 def actions(cfg: WorkloadConfig, rng: random.Random) -> Iterator[tuple]:
@@ -133,7 +127,7 @@ def actions(cfg: WorkloadConfig, rng: random.Random) -> Iterator[tuple]:
     ratio = cfg.update_ratio
     dims = cfg.dims
     for _ in range(cfg.ops):
-        box = _draw_box(rng, dims)
+        box = draw_box(rng, dims)
         yield box, (rng.randint(vlo, vhi) if rng.random() < ratio else None)
 
 

@@ -1,8 +1,26 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from uqtrees import builtin_pairs, get_pair
+from uqtrees import OperatorPair, builtin_pairs, get_pair
+
+# no inline form covers math.gcd, so its trees run their walks in call form
+GCD_GCD = OperatorPair("gcd-gcd", math.gcd, math.gcd, 0, 0,
+                       lambda a, v, k: math.gcd(a, v), sample_range=(0, 60))
+# every compiled walk: each registered pair on int and Fraction cells, and
+# gcd-gcd in call form
+KERNEL_CASES = ([(p, "int") for p in builtin_pairs()]
+                + [(p, "fraction") for p in builtin_pairs()]
+                + [(GCD_GCD, "int")])
+KERNEL_IDS = [f"{p.name}-{c}" for p, c in KERNEL_CASES]
+
+
+def sample_cell(pair, rng, cells):
+    """An int from the pair's sample range, or a Fraction over 1..4."""
+    v = rng.randint(*pair.sample_range)
+    return Fraction(v, rng.randint(1, 4)) if cells == "fraction" else v
 
 
 def fold(pair, values):

@@ -6,7 +6,7 @@ import pytest
 from uqtrees import (DenseTensor, Grid2D, SegTree1D, WorkloadConfig,
                      get_pair, run_verify)
 from uqtrees.seg1d import node_shape, split
-from conftest import fold
+from conftest import KERNEL_CASES, KERNEL_IDS, fold, sample_cell
 
 
 def grid(dims, data, pair_name):
@@ -86,6 +86,59 @@ class TestBuild:
         want = [o.query(((0, 7), (y, y))) for y in range(m)]
         g.inner[0].validate(DenseTensor((m,), want, pair))
         assert g.inner[0].to_array() == want
+
+
+def unfused_update(g, box, value):
+    """``Grid2D.update`` through public calls only: each node of a covered
+    subtree updates its column tree; each partial node, children first, reads
+    its children's span columns with ``to_array(ylo, yhi)``, folds them with
+    ``map`` and writes them back with ``reinit(cols, ylo)``, and a child
+    rebuilt just before hands its columns over instead of being read."""
+    (xlo, xhi), (ylo, yhi) = box
+    covered, partial = split(g.shape, xlo, xhi)
+    for i in covered:
+        for j in range(i, i + 2 * (g.hi[i] - g.lo[i]) + 1):
+            g.inner[j].update(ylo, yhi, value)
+    held = {}
+    for i in reversed(partial):
+        l, r = g.left[i], g.right[i]
+        cols_l = held.pop(l, None) or g.inner[l].to_array(ylo, yhi)
+        cols_r = held.pop(r, None) or g.inner[r].to_array(ylo, yhi)
+        cols = held[i] = list(map(g.pair.query_op, cols_l, cols_r))
+        g.inner[i].reinit(cols, ylo)
+
+
+class TestFusedRebuild:
+    @pytest.mark.parametrize("pair, cells", KERNEL_CASES, ids=KERNEL_IDS)
+    @pytest.mark.parametrize("n, m", [(9, 7), (6, 13)])
+    def test_every_inner_tree_matches_the_unfused_path(self, pair, cells, n, m):
+        # narrow column updates leave pending values on nodes that a wide
+        # column span's plan splits, so each rebuild has to carry them
+        rng = random.Random(29)
+        data = [sample_cell(pair, rng, cells) for _ in range(n * m)]
+        g, twin = (Grid2D(DenseTensor((n, m), data, pair), pair) for _ in range(2))
+        carried = 0
+        for _ in range(12):
+            rows = tuple(sorted(rng.randrange(n) for _ in range(2)))
+            col = rng.randrange(m)
+            boxes = [(rows, (col, min(col + rng.randrange(2), m - 1))),
+                     ((0, n - 1), (col, col))]
+            # a wide column span on a partial row span
+            xlo = rng.randrange(1, n // 2)
+            boxes.append(((xlo, rng.randrange(xlo, n)), (rng.randrange(2), m - 1)))
+            for box in boxes:
+                (xlo, xhi), (ylo, yhi) = box
+                _, cpartial = split(node_shape(m), ylo, yhi)
+                for i in split(g.shape, xlo, xhi)[1]:
+                    carried += any(g.inner[c].laz[j] != pair.update_identity
+                                   for c in (g.left[i], g.right[i]) for j in cpartial)
+                v = sample_cell(pair, rng, cells)
+                g.update(box, v)
+                unfused_update(twin, box, v)
+                for t, want in zip(g.inner, twin.inner):
+                    assert t.val == want.val
+                    assert t.laz == want.laz
+        assert carried
 
 
 class TestUpdateQuery:
@@ -229,10 +282,10 @@ class TestCounters:
 
     def test_update_rebuild_cost(self):
         # one update costs the outer walk (1, plus 2 per internal node it
-        # reaches), one inner update per covered node, and per rebuild one
-        # walk over the column nodes that meet the span for reinit plus one
-        # per child read with to_array; a child rebuilt just before hands
-        # its columns over and is not read
+        # reaches), one inner update per covered node, and per rebuild the
+        # column nodes that meet the span, counted once for the tree it
+        # resets and once more per child it reads that was not rebuilt in
+        # this update (a child rebuilt just before counts no read)
         cases = [((16, 16), box) for box in (
             ((3, 12), (2, 13)), ((3, 12), (7, 7)), ((1, 14), (0, 15)),
             ((5, 5), (4, 9)), ((0, 15), (2, 13)))]

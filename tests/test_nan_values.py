@@ -72,3 +72,17 @@ def test_nan_update_is_refused_and_changes_nothing(backend_id, pair_name, dims):
     assert [c.visits_total for c, *_ in runs] == visits
     for _, _, query, held in runs:
         assert query(full) == held
+
+
+def test_seg1d_adapter_refuses_a_box_of_another_rank():
+    # the adapter used to answer a 2-D box on its first span
+    pair = get_pair("plus-min")
+    runs = [_box_ops(b, make_backend(b, DenseTensor((5,), list(range(5)), pair)))
+            for b in ("seg1d", "oracle")]
+    (update, query), (oracle_update, oracle_query) = runs
+    for box in (((0, 1), (0, 1)), ((0, 4), (0, 0), (2, 2)), ()):
+        want = refusal(oracle_update, box, 1)
+        assert want[1] == f"box has {len(box)} dimensions, structure has 1"
+        assert refusal(update, box, 1) == want
+        assert (refusal(lambda b, _: query(b), box, None)
+                == refusal(lambda b, _: oracle_query(b), box, None) == want)

@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqtrees import (BACKEND_IDS, DenseTensor, OperatorPair, builtin_pairs,
-                     make_backend)
+from uqtrees import BACKEND_IDS, DenseTensor, builtin_pairs, make_backend
 from uqtrees.workloads import _box_ops
+from conftest import GCD_GCD
 
 SHAPES = {
     1: [(1,), (2,), (3,), (7,), (13,)],
@@ -33,8 +33,6 @@ BACKEND_RANKS = {
     "grid2d-general": (2,),
     "quadtree": (2,),
 }
-GCD_GCD = OperatorPair("gcd-gcd", math.gcd, math.gcd, 0, 0,
-                       lambda a, v, k: math.gcd(a, v), sample_range=(0, 60))
 
 
 @st.composite

@@ -5,14 +5,13 @@ import threading
 import time
 import traceback
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
 from uqtrees import (DenseTensor, OpCounters, OperatorPair, SegTree1D,
-                     ValidationError, WorkloadConfig, builtin_pairs, get_pair,
-                     run_verify)
+                     ValidationError, WorkloadConfig, get_pair, run_verify)
 from uqtrees.seg1d import kernels, node_shape, plan, split
+from conftest import KERNEL_CASES, KERNEL_IDS, sample_cell
 
 
 def make(values, pair_name="plus-min"):
@@ -592,29 +591,19 @@ class TestKernels:
         assert "laz[i] = U(laz[i], value)" in "".join(traceback.format_tb(err.tb))
 
 
-# no inline form covers math.gcd, so its trees run their walks in call form
-GCD_GCD = OperatorPair("gcd-gcd", math.gcd, math.gcd, 0, 0,
-                       lambda a, v, k: math.gcd(a, v), sample_range=(0, 60))
-FOREST_CASES = ([(p, "int") for p in builtin_pairs()]
-                + [(p, "fraction") for p in builtin_pairs()]
-                + [(GCD_GCD, "int")])
-
-
 class TestUpdateMany:
     """A forest update is one :meth:`SegTree1D.update` per tree, node for node.
 
     The forest entry checks nothing; ``Grid2D.update``'s checks guard it
     (``tests/test_grid2d.py::TestForestRefusals``)."""
 
-    @pytest.mark.parametrize("pair, cells", FOREST_CASES,
-                             ids=[f"{p.name}-{c}" for p, c in FOREST_CASES])
+    @pytest.mark.parametrize("pair, cells", KERNEL_CASES, ids=KERNEL_IDS)
     def test_matches_update_on_a_copy(self, pair, cells):
         rng = random.Random(17)
         n = 13
 
         def cell():
-            v = rng.randint(*pair.sample_range)
-            return Fraction(v, rng.randint(1, 4)) if cells == "fraction" else v
+            return sample_cell(pair, rng, cells)
 
         # trees of one extent weigh their slots differently, as in Grid2D
         rows = [[cell() for _ in range(n)] for _ in range(3)]
