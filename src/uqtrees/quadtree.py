@@ -24,7 +24,7 @@ import random
 from typing import List, Optional
 
 from .algebra import OperatorPair
-from .boxes import Box, check_box, check_value, draw_box
+from .boxes import Box, check_box, check_value
 from .counters import OpCounters
 from .dense import DenseTensor
 from .seg1d import node_shape
@@ -155,7 +155,11 @@ class QuadTree:
         boxes: List[Box] = [((x, x), (0, m - 1)) for x in range(n)]
         boxes += [((0, n - 1), (y, y)) for y in range(m)]
         rng = random.Random(seed)
-        return boxes + [draw_box(rng, (n, m)) for _ in range(extra)]
+        for _ in range(extra):
+            a, b = rng.randrange(n), rng.randrange(n)
+            c, d = rng.randrange(m), rng.randrange(m)
+            boxes.append(((min(a, b), max(a, b)), (min(c, d), max(c, d))))
+        return boxes
 
     def max_probe_visits(self, *, extra: int = 200, seed: int = 0) -> int:
         """Max visits for any single update or query over the probe family.

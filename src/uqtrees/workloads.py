@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import get_pair
-from .boxes import check_box, check_extents, draw_box
+from .boxes import check_box, check_extents
 from .dense import DenseTensor
 from .grid2d import Grid2D
 from .ndspecial import NDTree
@@ -116,6 +116,15 @@ def initial_tensor(cfg: WorkloadConfig, rng: random.Random) -> DenseTensor:
     return DenseTensor(cfg.dims, data, get_pair(cfg.pair))
 
 
+def _draw_box(rng: random.Random, dims: Tuple[int, ...]):
+    spans = []
+    for n in dims:
+        a = rng.randrange(n)
+        b = rng.randrange(n)
+        spans.append((a, b) if a <= b else (b, a))
+    return tuple(spans)
+
+
 def actions(cfg: WorkloadConfig, rng: random.Random) -> Iterator[tuple]:
     """The workload's ``cfg.ops`` actions as ``(box, value)`` pairs.
 
@@ -127,7 +136,7 @@ def actions(cfg: WorkloadConfig, rng: random.Random) -> Iterator[tuple]:
     ratio = cfg.update_ratio
     dims = cfg.dims
     for _ in range(cfg.ops):
-        box = draw_box(rng, dims)
+        box = _draw_box(rng, dims)
         yield box, (rng.randint(vlo, vhi) if rng.random() < ratio else None)
 
 

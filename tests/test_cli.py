@@ -55,12 +55,11 @@ class TestWorkloadProtocol:
         # pins the draw order: init values, then per action box indices
         # (two per dimension, sorted), then the coin, then the update value
         import random
-        from uqtrees.boxes import draw_box
-        from uqtrees.workloads import initial_tensor
+        from uqtrees.workloads import _draw_box, initial_tensor
         cfg = WorkloadConfig("seg1d", "plus-plus", (5,), ops=3, seed=123)
         rng = random.Random(123)
         tensor = initial_tensor(cfg, rng)
-        box = draw_box(rng, (5, 3))
+        box = _draw_box(rng, (5, 3))
         ref = random.Random(123)
         assert tensor.data == [ref.randint(-100, 100) for _ in range(5)]
         want = []
