@@ -59,6 +59,11 @@ def check_value(value) -> None:
         raise ValueError("cannot update with nan")
 
 
+def draw_box(rng, dims: Sequence[int]) -> Box:
+    """A random box: per axis, two ``rng.randrange(n)`` draws, sorted."""
+    return tuple(tuple(sorted((rng.randrange(n), rng.randrange(n)))) for n in dims)
+
+
 def box_volume(box: Sequence[Span]) -> int:
     vol = 1
     for lo, hi in box:

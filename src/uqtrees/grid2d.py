@@ -29,8 +29,9 @@ to the element-wise fold of both children's true columns, read straight from
 their trees.  It counts the column nodes that meet the span once, and once
 more per child not rebuilt in this update: ``len(partial) + 1`` children, as
 the partial nodes form a subtree.  ``last_events`` lists the latest update's
-events, derived from its stored split.  A query folds inner-tree column
-queries over the covered nodes of the row span's split and never mutates.
+events, derived from its stored split.  A query checks its box once, folds
+the compiled column ``query`` of each covered node of the row span's split
+into its answer, and never mutates.
 
 The row span is split with the plain :func:`~uqtrees.seg1d.split`, not the
 memoised :func:`~uqtrees.seg1d.plan`: each operation splits its row span
@@ -119,9 +120,13 @@ class Grid2D:
         q = self.pair.query_op
         out = self.pair.query_identity
         covered, partial = split(self.shape, xlo, xhi)
+        kq = inner[0]._k.query  # the box is checked: no per-tree span check
+        visits = 1 + 2 * len(partial)
         for i in covered:
-            out = q(out, inner[i].query(ylo, yhi))
-        c.visits_total += 1 + 2 * len(partial)
+            x, n = kq(inner[i], ylo, yhi)
+            out = q(out, x)
+            visits += n
+        c.visits_total += visits
         if self._own:
             c.note_query(c.visits_total - before)
         return out

@@ -22,9 +22,7 @@ Structure, recursively over axis 0:
     count) times".
 
   With ``d == 2`` both are bare :class:`~uqtrees.seg1d.SegTree1D`\\ s over
-  the last axis, called with the box's last span; with ``d >= 3`` they are
-  (d-1)-dimensional ``NDTree``\\ s, called through the public
-  ``update``/``query``.
+  the last axis; with ``d >= 3`` they are (d-1)-dimensional ``NDTree``\\ s.
 
 A ``row_lazy`` entry is None until an update first stamps it, and None reads
 as all-identity, so a query skips it; that is exact because the pending
@@ -52,13 +50,13 @@ aggregator, counted once per row the node shares with ``X``.  Queries leave
 the trees unchanged (they only bump the shared counters); updates need
 exclusive access.
 
-Each level splits its own axis-0 span with the plain
-:func:`~uqtrees.seg1d.split`, not the memoised :func:`~uqtrees.seg1d.plan`:
-a level splits its span once per call, so a memo would mostly miss, and
-where an axis has the last axis's extent (a cube) the two share one layout,
-so its splits would evict the last axis's span from their one-span memo.
-The last-axis trees plan their span, which every one of them repeats within
-an operation.
+Only the public ``update``/``query`` check the box, once.  Every tree at
+one depth shares that axis's extent, so they split every axis but the last
+once with the plain :func:`~uqtrees.seg1d.split` (a memo would mostly miss,
+and in a cube it would evict the last axis's span); an update also takes
+the last axis's :func:`~uqtrees.seg1d.plan`.  The nested levels take those
+splits through the private, unchecked ``_update``/``_query``, and the bare
+level hands the last span or plan straight to the pair's compiled kernels.
 
 All nested trees share one visit counter, so a top-level operation's visit
 count includes every inner-tree node it touched.
@@ -72,7 +70,7 @@ from .algebra import OperatorPair, check_special
 from .boxes import Box, check_box, check_value
 from .counters import OpCounters
 from .dense import DenseTensor
-from .seg1d import SegTree1D, node_shape, row_folds, split
+from .seg1d import SegTree1D, kernels, node_shape, plan, row_folds, split
 
 
 class NDTree:
@@ -108,7 +106,7 @@ class NDTree:
         self.line: Optional[SegTree1D] = None
         if len(dims) == 1:
             return
-        self.shape = shape = node_shape(dims[0])
+        shape = node_shape(dims[0])
         self.lo, self.hi, self.left, self.right = shape[:4]
         count = len(shape.lo)
         # the last axis is a bare SegTree1D
@@ -139,26 +137,39 @@ class NDTree:
         if self.line is not None:
             self.line.update(box[0][0], box[0][1], value)
         else:
-            self._update(box, value)
+            ylo, yhi = box[-1]
+            last = (ylo, yhi, *plan(node_shape(self.dims[-1]), ylo, yhi))
+            self._update(self._splits(box) + [last], 0, value)
         if self._own:
             c.note_update(c.visits_total - before)
 
-    def _update(self, box: Box, value) -> None:
-        xlo, xhi = box[0]
-        # the arguments of an inner call ahead of the value
-        rest = box[1] if self._bare else (box[1:],)
+    def _splits(self, box: Box) -> list:
+        """``(lo, hi, covered, partial)`` of every axis of ``box`` but the
+        last: every tree at one depth shares that axis's extent."""
+        return [(lo, hi, *split(node_shape(n), lo, hi))
+                for (lo, hi), n in zip(box[:-1], self.dims)]
+
+    def _update(self, splits: list, k: int, value) -> None:
+        """Apply ``value`` over the box whose axes from ``k`` on are given
+        by ``splits[k:]`` (unchecked), counting the visits."""
+        xlo, xhi, covered, partial = splits[k]
         lo, hi = self.lo, self.hi
         folds, lazies = self.row_fold, self.row_lazy
         agg = self.pair.aggregator
         e = self.pair.update_identity
-        covered, partial = split(self.shape, xlo, xhi)
+        visits = 1 + 2 * len(partial)
+        if self._bare:  # the last axis's plan, straight into the kernel
+            inner, args = kernels(self.pair).update, splits[k + 1][2:]
+            visits += (1 + 2 * len(args[1])) * (len(covered) + len(partial))
+        else:
+            inner, args = NDTree._update, (splits, k + 1)
         # each node's own trees are independent of its children's, so the
         # order of the inner updates does not matter
         for i in covered:
             t = lazies[i]
             if t is None:
                 t = lazies[i] = self._allocate()
-            t.update(*rest, value)
+            inner(t, *args, value)
         for i in partial:
             ilo = lo[i]
             ihi = hi[i]
@@ -166,8 +177,8 @@ class NDTree:
             t = folds[i]
             if t is None:
                 t = folds[i] = self._allocate()
-            t.update(*rest, agg(e, value, j))
-        self.counters.visits_total += 1 + 2 * len(partial)
+            inner(t, *args, agg(e, value, j))
+        self.counters.visits_total += visits
 
     def query(self, box: Box):
         check_box(box, self.dims)
@@ -176,34 +187,45 @@ class NDTree:
         if self.line is not None:
             out = self.line.query(box[0][0], box[0][1])
         else:
-            out = self._query(box)
+            out, visits = self._query(self._splits(box) + [box[-1]], 0)
+            c.visits_total += visits
         if self._own:
             c.note_query(c.visits_total - before)
         return out
 
-    def _query(self, box: Box):
-        xlo, xhi = box[0]
-        rest = box[1] if self._bare else (box[1:],)
+    def _query(self, splits: list, k: int):
+        """The fold over the box whose axes from ``k`` on are given by
+        ``splits[k:]`` (unchecked), and the visits it made, uncounted."""
+        xlo, xhi, covered, partial = splits[k]
         lo, hi = self.lo, self.hi
         folds, lazies = self.row_fold, self.row_lazy
         q = self.pair.query_op
         agg = self.pair.aggregator
         out = self.pair.query_identity
-        covered, partial = split(self.shape, xlo, xhi)
+        visits = 1 + 2 * len(partial)
+        if self._bare:  # the last axis's span, straight into the kernel
+            inner, args = kernels(self.pair).query, splits[k + 1][:2]
+        else:
+            inner, args = NDTree._query, (splits, k + 1)
         # a None tree is all-identity and is skipped
         for i in covered:
             t = folds[i]
             if t is not None:
-                out = q(out, t.query(*rest))
+                x, n = inner(t, *args)
+                out = q(out, x)
+                visits += n
             t = lazies[i]
             if t is not None:
-                out = agg(out, t.query(*rest), hi[i] - lo[i] + 1)
+                x, n = inner(t, *args)
+                out = agg(out, x, hi[i] - lo[i] + 1)
+                visits += n
         for i in partial:
             t = lazies[i]
             if t is not None:
                 ilo = lo[i]
                 ihi = hi[i]
                 j = (ihi if ihi < xhi else xhi) - (ilo if ilo > xlo else xlo) + 1
-                out = agg(out, t.query(*rest), j)
-        self.counters.visits_total += 1 + 2 * len(partial)
-        return out
+                x, n = inner(t, *args)
+                out = agg(out, x, j)
+                visits += n
+        return out, visits

@@ -62,9 +62,10 @@ b``, ``min``: ``b if b < a else a``, ``max``: ``b if b > a else a``, a
 registered aggregator: the expression that defines it); any other callable
 stays a call, with the same answers, only slower.  Tracebacks show the
 generated lines (:mod:`linecache`).  The public methods check their spans
-and call the kernels, so a tracer that wraps them sees every single-tree
-call.  The unchecked entries ``_update_many`` and ``_rebuild`` belong to
-``Grid2D.update``, whose checks are the only ones on its inner trees.
+and call the kernels.  Nested callers check their box once and call the
+kernels unchecked: ``Grid2D.query`` calls ``query`` on its row nodes' trees,
+``NDTree``'s bare level calls ``update`` and ``query``, and the unchecked
+entries ``_update_many`` and ``_rebuild`` belong to ``Grid2D.update``.
 ``validate`` and the oracle never use the kernels.
 
 ``cell_weight`` scales every node size: a tree whose slots each stand for

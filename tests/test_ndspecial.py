@@ -277,3 +277,70 @@ class TestLazyPairPlumbing:
         # outer nodes alone are at most 2*8-1 = 15; inner-tree visits must show
         assert spent > 15
         assert t.counters.visits_last_op == spent
+
+
+# (visits_total, update_visits, query_visits) after 1500 seeded ops, recorded
+# when every nested level still checked and split its own box
+DEEP_VISITS = {
+    ((3, 4, 2, 5), "plus-plus"): (183489, 70918, 111481),
+    ((3, 4, 2, 5), "times-times"): (183642, 71755, 110797),
+    ((3, 4, 2, 5), "min-min"): (183489, 70918, 111481),
+    ((3, 4, 2, 5), "max-max"): (183489, 70918, 111481),
+    ((4, 4, 4, 4), "plus-plus"): (336294, 136842, 196652),
+    ((4, 4, 4, 4), "times-times"): (336912, 137866, 196246),
+    ((4, 4, 4, 4), "min-min"): (336294, 136842, 196652),
+    ((4, 4, 4, 4), "max-max"): (336294, 136842, 196652),
+    ((2, 1, 3, 1, 2), "plus-plus"): (40899, 14768, 26050),
+    ((2, 1, 3, 1, 2), "times-times"): (41033, 14677, 26275),
+    ((2, 1, 3, 1, 2), "min-min"): (40899, 14768, 26050),
+    ((2, 1, 3, 1, 2), "max-max"): (40899, 14768, 26050),
+}
+
+
+class TestDeepTrees:
+    # the CLI stops at three axes; the per-axis splits must hold at any
+    # depth, and in the cube every axis shares one node_shape and its memo
+    @pytest.mark.parametrize("dims", [(3, 4, 2, 5), (4, 4, 4, 4), (2, 1, 3, 1, 2)])
+    def test_mixed_ops_match_oracle(self, special_pair, dims):
+        from uqtrees.workloads import actions, initial_tensor
+        cfg = WorkloadConfig("nd-special", special_pair.name, dims, ops=1500, seed=5)
+        rng = random.Random(cfg.seed)
+        tensor = initial_tensor(cfg, rng)
+        oracle = tensor.copy()
+        t = NDTree(tensor, special_pair)
+        for k, (box, value) in enumerate(actions(cfg, rng)):
+            if value is None:
+                assert t.query(box) == oracle.query(box), (k, box)
+            else:
+                t.update(box, value)
+                oracle.update(box, value)
+        c = t.counters
+        got = (c.visits_total, c.update_visits, c.query_visits)
+        assert got == DEEP_VISITS[dims, special_pair.name]
+
+    @pytest.mark.parametrize("dims", [(3, 4, 5), (4, 4, 4, 4)])
+    def test_each_operation_checks_and_splits_once(self, monkeypatch, dims):
+        import uqtrees.ndspecial as nd
+        from uqtrees.boxes import draw_box
+        calls = {"check_box": 0, "split": 0}
+
+        def counted(name):
+            fn = getattr(nd, name)
+
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+        for name in calls:
+            monkeypatch.setattr(nd, name, counted(name))
+        pair = get_pair("plus-plus")
+        t = NDTree(DenseTensor(dims, [1] * math.prod(dims), pair), pair)
+        rng = random.Random(3)
+        for k in range(40):
+            box = draw_box(rng, dims)
+            calls.update(check_box=0, split=0)
+            if k % 2:
+                t.query(box)
+            else:
+                t.update(box, 1)
+            assert calls == {"check_box": 1, "split": len(dims) - 1}, box
