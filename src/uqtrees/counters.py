@@ -8,10 +8,11 @@ currency of every complexity check in the test suite and the ``bench`` /
 ``scaling`` commands.
 
 Nested structures (a 2D tree whose nodes hold 1D trees, and so on) share one
-counter object: inner trees are constructed with the outer tree's counters
-and only ever bump ``visits_total``.  The per-operation bookkeeping
-(``update_ops``, ``visits_last_op``, ...) is done once, by the structure the
-caller actually invoked.
+counter object; building an inner tree adds to its ``visits_total``.  Only
+the structure the caller called counts an operation: it adds the visits and
+records the operation (``note_update``/``note_query``), always, once.  It
+reaches its inner trees through private entries and compiled kernels, which
+return their visits and never touch the counters.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ class OpCounters:
     )
 
     def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
         self.visits_total = 0
         self.visits_last_op = 0
         self.update_ops = 0

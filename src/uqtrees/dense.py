@@ -38,10 +38,9 @@ class DenseTensor:
     answers and may lose counts.
     """
 
-    __slots__ = ("dims", "data", "pair", "counters", "_strides", "_own")
+    __slots__ = ("dims", "data", "pair", "counters", "_strides")
 
-    def __init__(self, dims: Sequence[int], data: Sequence, pair: OperatorPair,
-                 counters: OpCounters | None = None):
+    def __init__(self, dims: Sequence[int], data: Sequence, pair: OperatorPair):
         dims = check_extents(dims)
         data = list(data)
         if len(data) != math.prod(dims):
@@ -49,8 +48,7 @@ class DenseTensor:
         self.dims = dims
         self.data = data
         self.pair = pair
-        self._own = counters is None
-        self.counters = counters if counters is not None else OpCounters()
+        self.counters = OpCounters()
         strides = [1] * len(dims)
         for i in range(len(dims) - 2, -1, -1):
             strides[i] = strides[i + 1] * dims[i + 1]
@@ -90,8 +88,7 @@ class DenseTensor:
         else:
             for s, e in self._runs(box):
                 data[s:e] = [op(x, value) for x in data[s:e]]
-        if self._own:
-            self.counters.note_update(box_volume(box))
+        self.counters.note_update(box_volume(box))
         self.counters.visits_total += box_volume(box)
 
     def query(self, box: Box):
@@ -116,8 +113,7 @@ class DenseTensor:
             for s, e in runs:
                 for x in data[s:e]:
                     out = q(out, x)
-        if self._own:
-            self.counters.note_query(box_volume(box))
+        self.counters.note_query(box_volume(box))
         self.counters.visits_total += box_volume(box)
         return out
 

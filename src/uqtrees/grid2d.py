@@ -39,12 +39,13 @@ once, and consecutive operations rarely repeat it, so a memo would only
 miss and add its copy.  An update's column span is checked once per
 operation, planned once per covered subtree: the unchecked forest entry
 ``SegTree1D._update_many`` stamps it onto all of the subtree's column trees
-in one compiled walk; the rebuilds reuse that plan.
+in one compiled walk; the rebuilds reuse that plan.  The walks return their
+visits; ``update``/``query`` add the sum once and record the operation.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .algebra import OperatorPair
 from .boxes import Box, check_box, check_value
@@ -54,14 +55,12 @@ from .seg1d import SegTree1D, node_shape, plan, row_folds, split
 
 
 class Grid2D:
-    def __init__(self, tensor: DenseTensor, pair: OperatorPair, *,
-                 counters: Optional[OpCounters] = None):
+    def __init__(self, tensor: DenseTensor, pair: OperatorPair):
         if len(tensor.dims) != 2:
             raise ValueError(f"need a 2D tensor, got extents {tensor.dims}")
         self.dims = tensor.dims
         self.pair = pair
-        self._own = counters is None
-        self.counters = counters if counters is not None else OpCounters()
+        self.counters = OpCounters()
         self.shape = shape = node_shape(tensor.dims[0])
         self.lo, self.hi, self.left, self.right = shape[:4]
         self.node_count = count = len(shape.lo)
@@ -84,8 +83,6 @@ class Grid2D:
     def update(self, box: Box, value) -> None:
         check_box(box, self.dims)
         check_value(value)
-        c = self.counters
-        before = c.visits_total
         (xlo, xhi), (ylo, yhi) = box
         lo, hi, left, right = self.lo, self.hi, self.left, self.right
         inner = self.inner
@@ -98,8 +95,7 @@ class Grid2D:
             # subtree, the index run i .. end - 1, updates its column tree,
             # all in one forest walk that plans the span once
             end = i + 2 * (hi[i] - lo[i]) + 1
-            SegTree1D._update_many(inner[i:end], ylo, yhi, value)
-            visits += end - i
+            visits += end - i + SegTree1D._update_many(inner[i:end], ylo, yhi, value)
         if partial:  # the forest walk left the column span's plan in the memo
             ccov, cpar = plan(inner[0].shape, ylo, yhi)
             # the nodes that meet it, per rebuild and per child not rebuilt
@@ -107,14 +103,11 @@ class Grid2D:
                        * (2 * len(partial) + 1))
             for i in reversed(partial):  # children before parents
                 inner[i]._rebuild(inner[left[i]], inner[right[i]], ccov, cpar)
-        c.visits_total += visits
-        if self._own:
-            c.note_update(c.visits_total - before)
+        self.counters.visits_total += visits
+        self.counters.note_update(visits)
 
     def query(self, box: Box):
         check_box(box, self.dims)
-        c = self.counters
-        before = c.visits_total
         (xlo, xhi), (ylo, yhi) = box
         inner = self.inner
         q = self.pair.query_op
@@ -126,7 +119,6 @@ class Grid2D:
             x, n = kq(inner[i], ylo, yhi)
             out = q(out, x)
             visits += n
-        c.visits_total += visits
-        if self._own:
-            c.note_query(c.visits_total - before)
+        self.counters.visits_total += visits
+        self.counters.note_query(visits)
         return out

@@ -58,8 +58,10 @@ the last axis's :func:`~uqtrees.seg1d.plan`.  The nested levels take those
 splits through the private, unchecked ``_update``/``_query``, and the bare
 level hands the last span or plan straight to the pair's compiled kernels.
 
-All nested trees share one visit counter, so a top-level operation's visit
-count includes every inner-tree node it touched.
+All nested trees share one visit counter.  The private entries and the
+kernels return their visits; the public ``update``/``query`` add them once
+and record the operation (an update also counts the pending trees it
+allocates).  A 1-D tree leaves both to its ``line``.
 """
 
 from __future__ import annotations
@@ -82,7 +84,6 @@ class NDTree:
                       if not ok else "must fold with its update operator: "
                       "need update_op is query_op and equal identities")
             raise ValueError(f"pair {pair.name!r} {detail}")
-        self._own = counters is None
         self._blank(tensor.dims, pair, counters if counters is not None else OpCounters())
         c = self.counters
         if len(self.dims) == 1:
@@ -120,7 +121,6 @@ class NDTree:
         if self._bare:
             return SegTree1D.identity(self.dims[1], self.pair, counters=self.counters)
         t = NDTree.__new__(NDTree)
-        t._own = False
         t._blank(self.dims[1:], self.pair, self.counters)
         return t
 
@@ -132,16 +132,15 @@ class NDTree:
     def update(self, box: Box, value) -> None:
         check_box(box, self.dims)
         check_value(value)
-        c = self.counters
-        before = c.visits_total
         if self.line is not None:
-            self.line.update(box[0][0], box[0][1], value)
-        else:
-            ylo, yhi = box[-1]
-            last = (ylo, yhi, *plan(node_shape(self.dims[-1]), ylo, yhi))
-            self._update(self._splits(box) + [last], 0, value)
-        if self._own:
-            c.note_update(c.visits_total - before)
+            return self.line.update(box[0][0], box[0][1], value)
+        ylo, yhi = box[-1]
+        last = (ylo, yhi, *plan(node_shape(self.dims[-1]), ylo, yhi))
+        c = self.counters
+        before = c.visits_total  # and the pending trees the walk allocates
+        visits = self._update(self._splits(box) + [last], 0, value)
+        c.visits_total += visits
+        c.note_update(c.visits_total - before)
 
     def _splits(self, box: Box) -> list:
         """``(lo, hi, covered, partial)`` of every axis of ``box`` but the
@@ -149,9 +148,9 @@ class NDTree:
         return [(lo, hi, *split(node_shape(n), lo, hi))
                 for (lo, hi), n in zip(box[:-1], self.dims)]
 
-    def _update(self, splits: list, k: int, value) -> None:
+    def _update(self, splits: list, k: int, value) -> int:
         """Apply ``value`` over the box whose axes from ``k`` on are given
-        by ``splits[k:]`` (unchecked), counting the visits."""
+        by ``splits[k:]`` (unchecked); the visits it made, uncounted."""
         xlo, xhi, covered, partial = splits[k]
         lo, hi = self.lo, self.hi
         folds, lazies = self.row_fold, self.row_lazy
@@ -160,7 +159,6 @@ class NDTree:
         visits = 1 + 2 * len(partial)
         if self._bare:  # the last axis's plan, straight into the kernel
             inner, args = kernels(self.pair).update, splits[k + 1][2:]
-            visits += (1 + 2 * len(args[1])) * (len(covered) + len(partial))
         else:
             inner, args = NDTree._update, (splits, k + 1)
         # each node's own trees are independent of its children's, so the
@@ -169,7 +167,7 @@ class NDTree:
             t = lazies[i]
             if t is None:
                 t = lazies[i] = self._allocate()
-            inner(t, *args, value)
+            visits += inner(t, *args, value)
         for i in partial:
             ilo = lo[i]
             ihi = hi[i]
@@ -177,20 +175,16 @@ class NDTree:
             t = folds[i]
             if t is None:
                 t = folds[i] = self._allocate()
-            inner(t, *args, agg(e, value, j))
-        self.counters.visits_total += visits
+            visits += inner(t, *args, agg(e, value, j))
+        return visits
 
     def query(self, box: Box):
         check_box(box, self.dims)
-        c = self.counters
-        before = c.visits_total
         if self.line is not None:
-            out = self.line.query(box[0][0], box[0][1])
-        else:
-            out, visits = self._query(self._splits(box) + [box[-1]], 0)
-            c.visits_total += visits
-        if self._own:
-            c.note_query(c.visits_total - before)
+            return self.line.query(box[0][0], box[0][1])
+        out, visits = self._query(self._splits(box) + [box[-1]], 0)
+        self.counters.visits_total += visits
+        self.counters.note_query(visits)
         return out
 
     def _query(self, splits: list, k: int):

@@ -21,7 +21,7 @@ makes observable via the shared visit counters.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from .algebra import OperatorPair
 from .boxes import Box, check_box, check_value, draw_box
@@ -36,14 +36,12 @@ def probe_visit_bound(k: int) -> int:
 
 
 class QuadTree:
-    def __init__(self, tensor: DenseTensor, pair: OperatorPair, *,
-                 counters: Optional[OpCounters] = None):
+    def __init__(self, tensor: DenseTensor, pair: OperatorPair):
         if len(tensor.dims) != 2:
             raise ValueError(f"need a 2D tensor, got extents {tensor.dims}")
         self.dims = tensor.dims
         self.pair = pair
-        self._own = counters is None
-        self.counters = counters if counters is not None else OpCounters()
+        self.counters = OpCounters()
         n, m = tensor.dims
         self.rows = node_shape(n)
         self.cols = node_shape(m)
@@ -113,8 +111,7 @@ class QuadTree:
                             stack.append((x, y))
         self._refold(partial)
         self.counters.visits_total += visits
-        if self._own:
-            self.counters.note_update(visits)
+        self.counters.note_update(visits)
 
     def query(self, box: Box):
         check_box(box, self.dims)
@@ -145,8 +142,7 @@ class QuadTree:
                         if ylo[y] <= by1 and by0 <= yhi[y]:
                             stack.append((x, y, z))
         self.counters.visits_total += visits
-        if self._own:
-            self.counters.note_query(visits)
+        self.counters.note_query(visits)
         return out
 
     def probe_family(self, extra: int = 200, seed: int = 0) -> List[Box]:

@@ -61,11 +61,12 @@ becomes an expression (``operator.add``: ``a + b``, ``operator.mul``: ``a *
 b``, ``min``: ``b if b < a else a``, ``max``: ``b if b > a else a``, a
 registered aggregator: the expression that defines it); any other callable
 stays a call, with the same answers, only slower.  Tracebacks show the
-generated lines (:mod:`linecache`).  The public methods check their spans
-and call the kernels.  Nested callers check their box once and call the
-kernels unchecked: ``Grid2D.query`` calls ``query`` on its row nodes' trees,
-``NDTree``'s bare level calls ``update`` and ``query``, and the unchecked
-entries ``_update_many`` and ``_rebuild`` belong to ``Grid2D.update``.
+generated lines (:mod:`linecache`).  The public methods check their spans,
+call the kernels and count the visits they return.  Nested callers check
+their box once and call the kernels unchecked: ``Grid2D.query`` calls
+``query`` on its row nodes' trees, ``NDTree``'s bare level calls ``update``
+and ``query``, and the unchecked entries ``_update_many`` (which returns its
+visits and counts none) and ``_rebuild`` belong to ``Grid2D.update``.
 ``validate`` and the oracle never use the kernels.
 
 ``cell_weight`` scales every node size: a tree whose slots each stand for
@@ -230,6 +231,7 @@ _UPDATE = """
 _TEMPLATE = """
 def update(t, covered, partial, value):
 """ + _UPDATE + """
+    return 1 + 2 * len(partial)
 def update_many(trees, covered, partial, value):
     for t in trees:
 """ + indent(_UPDATE, "    ") + """
@@ -397,7 +399,6 @@ class SegTree1D:
         self.size = size
         self.pair = pair
         self.cell_weight = cell_weight
-        self._own = counters is None
         self.counters = counters if counters is not None else OpCounters()
         self.shape = shape
         self.lo, self.hi, self.left, self.right = shape[:4]
@@ -434,23 +435,20 @@ class SegTree1D:
     def update(self, qlo: int, qhi: int, value) -> None:
         check_span(qlo, qhi, self.size)
         check_value(value)
-        covered, partial = plan(self.shape, qlo, qhi)
-        self._k.update(self, covered, partial, value)
-        visits = 1 + 2 * len(partial)
+        visits = self._k.update(self, *plan(self.shape, qlo, qhi), value)
         self.counters.visits_total += visits
-        if self._own:
-            self.counters.note_update(visits)
+        self.counters.note_update(visits)
 
     @staticmethod
-    def _update_many(trees: Sequence["SegTree1D"], qlo: int, qhi: int, value) -> None:
-        """:meth:`update` on every tree of ``trees``, which share one extent,
-        pair and counters object: one plan, one compiled walk, no checks (the
-        caller has checked the span and the value).  Counts each tree's
-        visits; the forest's owner notes the operation."""
+    def _update_many(trees: Sequence["SegTree1D"], qlo: int, qhi: int, value) -> int:
+        """:meth:`update` on every tree of ``trees``, which share one extent
+        and pair: one plan, one compiled walk, no checks (the caller has
+        checked the span and the value).  Returns the visits of all trees;
+        counts nothing."""
         t = trees[0]
         covered, partial = plan(t.shape, qlo, qhi)
         t._k.update_many(trees, covered, partial, value)
-        t.counters.visits_total += len(trees) * (1 + 2 * len(partial))
+        return len(trees) * (1 + 2 * len(partial))
 
     def _rebuild(self, a: "SegTree1D", b: "SegTree1D", covered, partial) -> None:
         """Unchecked, uncounted :meth:`reinit` of the plan from ``a`` and ``b``."""
@@ -460,8 +458,7 @@ class SegTree1D:
         check_span(qlo, qhi, self.size)
         out, visits = self._k.query(self, qlo, qhi)
         self.counters.visits_total += visits
-        if self._own:
-            self.counters.note_query(visits)
+        self.counters.note_query(visits)
         return out
 
     def decompose(self, qlo: int, qhi: int) -> List[Tuple[int, int]]:

@@ -131,14 +131,6 @@ def actions(cfg: WorkloadConfig, rng: random.Random) -> Iterator[tuple]:
         yield box, (rng.randint(vlo, vhi) if rng.random() < ratio else None)
 
 
-def _replay(stream, upd, qry) -> None:
-    for box, value in stream:
-        if value is None:
-            qry(box)
-        else:
-            upd(box, value)
-
-
 @dataclass
 class VerifyReport:
     config: WorkloadConfig
@@ -233,8 +225,9 @@ def _mean(visits: int, ops: int) -> Optional[float]:
     return visits / ops if ops else None
 
 
-def run_bench(cfg: WorkloadConfig) -> BenchRow:
-    """Replay the workload on the backend alone and measure visits."""
+def _replay(cfg: WorkloadConfig) -> tuple:
+    """Build the backend and replay the workload on it alone: its counters,
+    the build's visits, and the wall seconds of the build and the replay."""
     cfg.check()
     rng = random.Random(cfg.seed)
     tensor = initial_tensor(cfg, rng)
@@ -245,8 +238,17 @@ def run_bench(cfg: WorkloadConfig) -> BenchRow:
     counters = structure.counters
     init_visits = counters.visits_total
     t0 = time.perf_counter()
-    _replay(actions(cfg, rng), upd, qry)
-    wall_ops = time.perf_counter() - t0
+    for box, value in actions(cfg, rng):
+        if value is None:
+            qry(box)
+        else:
+            upd(box, value)
+    return counters, init_visits, wall_init, time.perf_counter() - t0
+
+
+def run_bench(cfg: WorkloadConfig) -> BenchRow:
+    """Replay the workload on the backend alone and measure visits."""
+    counters, init_visits, wall_init, wall_ops = _replay(cfg)
     return BenchRow(
         backend=cfg.backend,
         pair=cfg.pair,
@@ -291,14 +293,8 @@ def scaling_dims(backend_id: str, n: int) -> Tuple[int, ...]:
 
 def measure_mean_visits(cfg: WorkloadConfig) -> float:
     """Mean visits per op (updates and queries together) for one workload."""
-    cfg.check()
-    rng = random.Random(cfg.seed)
-    structure = make_backend(cfg.backend, initial_tensor(cfg, rng))
-    upd, qry = _box_ops(cfg.backend, structure)
-    counters = structure.counters
-    before = counters.visits_total
-    _replay(actions(cfg, rng), upd, qry)
-    return (counters.visits_total - before) / cfg.ops
+    counters, init_visits, _, _ = _replay(cfg)
+    return (counters.visits_total - init_visits) / cfg.ops
 
 
 def run_scaling(backend_id: str, pair_name: str, sizes: Sequence[int],

@@ -611,18 +611,21 @@ class TestUpdateMany:
         forest = [SegTree1D(r, pair, cell_weight=w, counters=shared)
                   for w, r in enumerate(rows, 1)]
         copies = [SegTree1D(r, pair, cell_weight=w) for w, r in enumerate(rows, 1)]
+        built = shared.visits_total
         for step in range(60):
             lo, hi = sorted(rng.randrange(n) for _ in range(2))
             v = cell()
             k = 1 + step % 3
-            before = shared.visits_total
-            SegTree1D._update_many(forest[:k], lo, hi, v)
+            visits = SegTree1D._update_many(forest[:k], lo, hi, v)
             spent = 0
             for c in copies[:k]:
                 was = c.counters.visits_total
                 c.update(lo, hi, v)
                 spent += c.counters.visits_total - was
-            assert shared.visits_total - before == spent
+            assert visits == spent
+            # a private entry returns its visits and leaves the count to its
+            # caller
+            assert shared.visits_total == built
             for t, c in zip(forest, copies):
                 assert t.val == c.val
                 assert t.laz == c.laz

@@ -1,11 +1,13 @@
-"""The trees leave no cyclic garbage behind, and share their node layout.
+"""The trees leave no cyclic garbage behind, share their node layout, and
+count each operation once.
 
 A walk or a builder written as a self-referencing recursive closure is a
 reference cycle, so every call would leave work for the cyclic garbage
 collector.  With the collector off, building a backend and running a few
 hundred seeded updates and queries must leave nothing for ``gc.collect()``
 to find.  The node layout depends only on the extent, so trees of equal
-extent hold the very same layout lists.
+extent hold the very same layout lists.  The structure the caller called
+records each operation, exactly once, and its visits add up to the total.
 """
 
 import gc
@@ -14,9 +16,10 @@ import random
 
 import pytest
 
-from uqtrees import DenseTensor, Grid2D, NDTree, SegTree1D, get_pair, make_backend
+from uqtrees import (BACKEND_IDS, DenseTensor, Grid2D, NDTree, OpCounters, SegTree1D,
+                     WorkloadConfig, get_pair, make_backend)
 from uqtrees.seg1d import node_shape
-from uqtrees.workloads import _box_ops
+from uqtrees.workloads import _BACKENDS, _box_ops, _replay
 
 CASES = [
     ("seg1d", "plus-min", (64,)),
@@ -123,3 +126,26 @@ def test_grid2d_inner_trees_share_the_layout_across_weights():
     for x in g.inner:
         assert x.sz == [x.cell_weight * k for k in node_shape(3).size]
         assert (x.sz is node_shape(3).size) == (x.cell_weight == 1)
+
+
+EXTENTS = {1: (37,), 2: (9, 7), 3: (5, 4, 3)}
+COUNT_CASES = [(b, dims) for b in BACKEND_IDS for k, dims in EXTENTS.items()
+               if _BACKENDS[b].dims is None or k in _BACKENDS[b].dims]
+
+
+@pytest.mark.parametrize("backend_id,dims", COUNT_CASES,
+                         ids=[f"{b}-{len(d)}d" for b, d in COUNT_CASES])
+def test_each_operation_is_recorded_once(backend_id, dims):
+    c, init, _, _ = _replay(WorkloadConfig(backend_id, "plus-plus", dims, ops=300, seed=4))
+    assert c.update_ops + c.query_ops == 300
+    assert c.visits_total == init + c.update_visits + c.query_visits
+
+
+def test_a_tree_on_shared_counters_records_its_own_operations():
+    shared = OpCounters()
+    t = SegTree1D([3, 1, 4, 1, 5], get_pair("plus-min"), counters=shared)
+    built = shared.visits_total
+    t.update(1, 3, 2)
+    t.query(0, 2)
+    assert (shared.update_ops, shared.query_ops) == (1, 1)
+    assert shared.visits_total == built + shared.update_visits + shared.query_visits
