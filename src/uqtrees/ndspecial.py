@@ -53,10 +53,15 @@ exclusive access.
 Only the public ``update``/``query`` check the box, once.  Every tree at
 one depth shares that axis's extent, so they split every axis but the last
 once with the plain :func:`~uqtrees.seg1d.split` (a memo would mostly miss,
-and in a cube it would evict the last axis's span); an update also takes
-the last axis's :func:`~uqtrees.seg1d.plan`.  The nested levels take those
-splits through the private, unchecked ``_update``/``_query``, and the bare
-level hands the last span or plan straight to the pair's compiled kernels.
+and in a cube it would evict the last axis's span), and take the last
+axis's :func:`~uqtrees.seg1d.plan` with each partial node paired with its
+overlap ``j`` with the span.  The nested levels take those splits through
+the private, unchecked ``_update``/``_query``.  The bare level applies the
+fold-commuting rule on the last axis too, through the pair's compiled
+``update_fc``/``query_fc``: an update stamps ``v`` on the covered nodes and
+lets each partial node's fold absorb ``v`` repeated ``j`` times, reading no
+child; a query folds the covered nodes and absorbs each partial node's
+pending value ``j`` times, carrying nothing down.
 
 All nested trees share one visit counter.  The private entries and the
 kernels return their visits; the public ``update``/``query`` add them once
@@ -134,19 +139,23 @@ class NDTree:
         check_value(value)
         if self.line is not None:
             return self.line.update(box[0][0], box[0][1], value)
-        ylo, yhi = box[-1]
-        last = (ylo, yhi, *plan(node_shape(self.dims[-1]), ylo, yhi))
         c = self.counters
         before = c.visits_total  # and the pending trees the walk allocates
-        visits = self._update(self._splits(box) + [last], 0, value)
+        visits = self._update(self._splits(box), 0, value)
         c.visits_total += visits
         c.note_update(c.visits_total - before)
 
     def _splits(self, box: Box) -> list:
-        """``(lo, hi, covered, partial)`` of every axis of ``box`` but the
-        last: every tree at one depth shares that axis's extent."""
-        return [(lo, hi, *split(node_shape(n), lo, hi))
-                for (lo, hi), n in zip(box[:-1], self.dims)]
+        """``(lo, hi, covered, partial)`` of every axis of ``box`` (every
+        tree at one depth shares that axis's extent); on the last axis,
+        ``partial`` pairs each node with its overlap with the span."""
+        (ylo, yhi), shape = box[-1], node_shape(self.dims[-1])
+        covered, partial = plan(shape, ylo, yhi)
+        slo, shi = shape.lo, shape.hi
+        parts = tuple((i, min(shi[i], yhi) - max(slo[i], ylo) + 1) for i in partial)
+        return ([(lo, hi, *split(node_shape(n), lo, hi))
+                 for (lo, hi), n in zip(box[:-1], self.dims)]
+                + [(ylo, yhi, covered, parts)])
 
     def _update(self, splits: list, k: int, value) -> int:
         """Apply ``value`` over the box whose axes from ``k`` on are given
@@ -157,8 +166,8 @@ class NDTree:
         agg = self.pair.aggregator
         e = self.pair.update_identity
         visits = 1 + 2 * len(partial)
-        if self._bare:  # the last axis's plan, straight into the kernel
-            inner, args = kernels(self.pair).update, splits[k + 1][2:]
+        if self._bare:  # the last axis's plan, stamped and absorbed
+            inner, args = kernels(self.pair).update_fc, splits[k + 1][2:]
         else:
             inner, args = NDTree._update, (splits, k + 1)
         # each node's own trees are independent of its children's, so the
@@ -182,7 +191,7 @@ class NDTree:
         check_box(box, self.dims)
         if self.line is not None:
             return self.line.query(box[0][0], box[0][1])
-        out, visits = self._query(self._splits(box) + [box[-1]], 0)
+        out, visits = self._query(self._splits(box), 0)
         self.counters.visits_total += visits
         self.counters.note_query(visits)
         return out
@@ -197,8 +206,8 @@ class NDTree:
         agg = self.pair.aggregator
         out = self.pair.query_identity
         visits = 1 + 2 * len(partial)
-        if self._bare:  # the last axis's span, straight into the kernel
-            inner, args = kernels(self.pair).query, splits[k + 1][:2]
+        if self._bare:  # the last axis's plan, folded and absorbed
+            inner, args = kernels(self.pair).query_fc, splits[k + 1][2:]
         else:
             inner, args = NDTree._query, (splits, k + 1)
         # a None tree is all-identity and is skipped

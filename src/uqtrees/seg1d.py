@@ -19,8 +19,8 @@ Each node ``n`` caches two things:
   descendant ``m`` must be read as ``aggregator(val[m], laz[n], size[m])``.
 
 :func:`split` breaks a span into the maximal nodes inside it and the
-partially covered nodes above them.  ``update``, ``decompose``, ``to_array``
-and a ranged ``reinit`` consume that one split through :func:`plan`; the
+partially covered nodes above them.  ``update``, ``decompose`` and
+``to_array`` consume that one split through :func:`plan`; the
 outer arenas of the 2D and d-dimensional trees call :func:`split` directly;
 ``query`` and ``validate`` carry pending values down their own walks.
 ``update`` stamps the pending value onto the covered nodes (the same nodes
@@ -54,19 +54,24 @@ that only a run of the cyclic garbage collector can free.
 :func:`kernels` compiles one template per walk with the pair's operators
 written in, once per :class:`OperatorPair` object; a tree holds them as
 ``_k``: ``update`` (stamp and repair), ``update_many`` (that text looped
-over a forest), ``reinit``, ``rebuild`` (reinit from two trees), ``fill`` (a
-whole-array reinit), ``query`` and ``to_array``.  A callable with an exact
-inline form, found by identity as :class:`DenseTensor` finds its fast paths,
-becomes an expression (``operator.add``: ``a + b``, ``operator.mul``: ``a *
-b``, ``min``: ``b if b < a else a``, ``max``: ``b if b > a else a``, a
+over a forest), ``rebuild`` (reset a span from two trees), ``fill`` (the
+constructor's whole-array build), ``query``, ``to_array``, and
+``update_fc``/``query_fc``, exact only for a fold-commuting pair
+(:mod:`uqtrees.ndspecial`): given the plan's partial nodes paired with
+their overlap ``j`` with the span, a partial node absorbs the update value
+(or, in a query, its own pending value) ``j`` times through the aggregator,
+and no child is read.  A callable with an exact inline form, found by
+identity as :class:`DenseTensor` finds its fast paths, becomes an
+expression (``operator.add``: ``a + b``, ``operator.mul``: ``a * b``,
+``min``: ``b if b < a else a``, ``max``: ``b if b > a else a``, a
 registered aggregator: the expression that defines it); any other callable
-stays a call, with the same answers, only slower.  Tracebacks show the
-generated lines (:mod:`linecache`).  The public methods check their spans,
-call the kernels and count the visits they return.  Nested callers check
-their box once and call the kernels unchecked: ``Grid2D.query`` calls
-``query`` on its row nodes' trees, ``NDTree``'s bare level calls ``update``
-and ``query``, and the unchecked entries ``_update_many`` (which returns its
-visits and counts none) and ``_rebuild`` belong to ``Grid2D.update``.
+stays a call, with the same answers, only slower.  Tracebacks show the generated lines
+(:mod:`linecache`).  The public methods check their spans, call the kernels
+and count the visits they return.  Nested callers check their box once and
+call the kernels unchecked: ``Grid2D.query`` calls ``query`` on its row
+nodes' trees, ``NDTree``'s bare level calls ``update_fc`` and ``query_fc``,
+and the unchecked entries ``_update_many`` (which returns its visits and
+counts none) and ``_rebuild`` belong to ``Grid2D.update``.
 ``validate`` and the oracle never use the kernels.
 
 ``cell_weight`` scales every node size: a tree whose slots each stand for
@@ -197,7 +202,7 @@ def row_folds(shape: NodeShape, row, q):
             fold = row(lo[i])
         else:
             r = right[i]
-            fold = [q(a, b) for a, b in zip(held[l], held[r])]
+            fold = list(map(q, held[l], held[r]))
             held[l] = held[r] = None
         held[i] = fold
         yield i, fold
@@ -214,18 +219,12 @@ _REPAIR = """
         y = AGG(val[r], laz[r], sz[r])
         val[i] = Q(x, y)
 """
-_PUSH = """
-    for i in partial:
-        l, r, z = left[i], right[i], laz[i]
-        laz[l] = U(laz[l], z)
-        laz[r] = U(laz[r], z)
-        laz[i] = UID
-"""
-_UPDATE = """
+_STAMP = """
     laz = t.laz
     for i in covered:
         laz[i] = U(laz[i], value)
-""" + _REPAIR + """
+"""
+_UPDATE = _STAMP + _REPAIR + """
     t._stamped = covered
 """
 _TEMPLATE = """
@@ -236,33 +235,28 @@ def update_many(trees, covered, partial, value):
     for t in trees:
 """ + indent(_UPDATE, "    ") + """
 
-def reinit(t, values, qlo, covered, partial):
-    lo, hi, left, right, val, laz = t.lo, t.hi, t.left, t.right, t.val, t.laz
-""" + _PUSH + """
-    visits = len(partial)
-    for i in covered:
-        # pre-order: the subtree of i is the index run i .. end - 1
-        end = i + 2 * (hi[i] - lo[i]) + 1
-        for j in range(end - 1, i - 1, -1):
-            l = left[j]
-            if l < 0:
-                val[j] = values[lo[j] - qlo]
-            else:
-                val[j] = Q(val[l], val[right[j]])
-            laz[j] = UID
-        visits += end - i
-""" + _REPAIR + """
-    return visits
+def update_fc(t, covered, parts, value):
+""" + _STAMP + """
+    val = t.val
+    for i, j in parts:
+        val[i] = AGG(val[i], value, j)
+    t._stamped = covered
+    return 1 + 2 * len(parts)
 
 def rebuild(t, a, b, covered, partial):
     lo, hi, left, right, val, laz = t.lo, t.hi, t.left, t.right, t.val, t.laz
-""" + _PUSH + """
+    for i in partial:
+        l, r, z = left[i], right[i], laz[i]
+        laz[l] = U(laz[l], z)
+        laz[r] = U(laz[r], z)
+        laz[i] = UID
     av, al, asz, bv, bl, bsz = a.val, a.laz, a.sz, b.val, b.laz, b.sz
     ca, cb = [UID] * len(lo), [UID] * len(lo)
     for i in partial:
         ca[left[i]] = ca[right[i]] = U(ca[i], al[i])
         cb[left[i]] = cb[right[i]] = U(cb[i], bl[i])
     for i in covered:
+        # pre-order: the subtree of i is the index run i .. end - 1
         end = i + 2 * (hi[i] - lo[i]) + 1
         for j in range(i, end):
             za = U(ca[j], al[j])
@@ -313,6 +307,16 @@ def query(t, qlo, qhi):
             if hi[l] >= qlo:
                 stack.append((l, z))
     return out, visits
+
+def query_fc(t, covered, parts):
+    sz, val, laz = t.sz, t.val, t.laz
+    out = QID
+    for i in covered:
+        x = AGG(val[i], laz[i], sz[i])
+        out = Q(out, x)
+    for i, j in parts:
+        out = AGG(out, laz[i], j)
+    return out, 1 + 2 * len(parts)
 
 def to_array(t, covered, partial):
     lo, hi, left, right, sz, val, laz = t.lo, t.hi, t.left, t.right, t.sz, t.val, t.laz
@@ -375,7 +379,8 @@ class SegTree1D:
         self._bind(len(values), pair, cell_weight, counters)
         self.val: list = [None] * self.node_count
         self.laz: list = [None] * self.node_count
-        self.reinit(values)
+        self._k.fill(self, values)
+        self.counters.visits_total += self.node_count
 
     @classmethod
     def identity(cls, size: int, pair: OperatorPair, *,
@@ -414,24 +419,6 @@ class SegTree1D:
         """The spans the latest update stamped its value onto, left to right."""
         return [(self.lo[i], self.hi[i]) for i in self._stamped]
 
-    def reinit(self, values: Sequence, qlo: int = 0) -> None:
-        """Reset elements ``qlo .. qlo + len(values) - 1`` to fresh ``values``.
-
-        Walks and counts the nodes that meet the span: the partial nodes of
-        the :func:`plan` push their pending values down, parents first, so
-        elements outside the span keep their true values; each covered
-        subtree is reset children first; the partial nodes are repaired last,
-        as in :meth:`update`.  The whole array needs no span check or plan.
-        """
-        if qlo == 0 and len(values) == self.size:
-            self._k.fill(self, values)
-            self.counters.visits_total += self.node_count
-            return
-        qhi = qlo + len(values) - 1
-        check_span(qlo, qhi, self.size)
-        covered, partial = plan(self.shape, qlo, qhi)
-        self.counters.visits_total += self._k.reinit(self, values, qlo, covered, partial)
-
     def update(self, qlo: int, qhi: int, value) -> None:
         check_span(qlo, qhi, self.size)
         check_value(value)
@@ -451,7 +438,10 @@ class SegTree1D:
         return len(trees) * (1 + 2 * len(partial))
 
     def _rebuild(self, a: "SegTree1D", b: "SegTree1D", covered, partial) -> None:
-        """Unchecked, uncounted :meth:`reinit` of the plan from ``a`` and ``b``."""
+        """Reset the plan's span to the element-wise fold of ``a``'s and
+        ``b``'s true values, unchecked and uncounted: the partial nodes push
+        their pending values down, each covered subtree is rebuilt, and the
+        partial nodes are repaired, as in :meth:`update`."""
         self._k.rebuild(self, a, b, covered, partial)
 
     def query(self, qlo: int, qhi: int):

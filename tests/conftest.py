@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from uqtrees import OperatorPair, builtin_pairs, get_pair
+from uqtrees.seg1d import split
 
 # no inline form covers math.gcd, so its trees run their walks in call form
 GCD_GCD = OperatorPair("gcd-gcd", math.gcd, math.gcd, 0, 0,
@@ -40,6 +41,30 @@ def fold_updated(pair, values, value, hit_indices=None):
         hits = set(hit_indices)
         updated = [u(x, value) if i in hits else x for i, x in enumerate(values)]
     return fold(pair, updated)
+
+
+def reinit_span(t, values, qlo):
+    """Reset elements ``qlo .. qlo + len(values) - 1`` of the SegTree1D ``t``
+    to ``values``, in plain Python over its pair's callables: the partial
+    nodes of the span's split push their pending values down, parents
+    first; each covered subtree is reset, children first; the partial nodes
+    are repaired, children first, as an update repairs them."""
+    pair = t.pair
+    u, q, agg, e = pair.update_op, pair.query_op, pair.aggregator, pair.update_identity
+    lo, hi, left, right, sz, val, laz = t.lo, t.hi, t.left, t.right, t.sz, t.val, t.laz
+    covered, partial = split(t.shape, qlo, qlo + len(values) - 1)
+    for i in partial:
+        for c in (left[i], right[i]):
+            laz[c] = u(laz[c], laz[i])
+        laz[i] = e
+    for i in covered:
+        for j in reversed(range(i, i + 2 * (hi[i] - lo[i]) + 1)):
+            l = left[j]
+            val[j] = values[lo[j] - qlo] if l < 0 else q(val[l], val[right[j]])
+            laz[j] = e
+    for i in reversed(partial):
+        l, r = left[i], right[i]
+        val[i] = q(agg(val[l], laz[l], sz[l]), agg(val[r], laz[r], sz[r]))
 
 
 def sample_values(pair, rng, n):

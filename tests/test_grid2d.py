@@ -6,7 +6,7 @@ import pytest
 from uqtrees import (DenseTensor, Grid2D, SegTree1D, WorkloadConfig,
                      get_pair, run_verify)
 from uqtrees.seg1d import node_shape, split
-from conftest import KERNEL_CASES, KERNEL_IDS, fold, sample_cell
+from conftest import KERNEL_CASES, KERNEL_IDS, fold, reinit_span, sample_cell
 
 
 def grid(dims, data, pair_name):
@@ -88,24 +88,34 @@ class TestBuild:
         assert g.inner[0].to_array() == want
 
 
+def true_value(t, y):
+    """Element ``y`` of the SegTree1D ``t``, in plain Python: its leaf's
+    fold absorbs the pending values on the path down to it."""
+    u, agg = t.pair.update_op, t.pair.aggregator
+    i, z = 0, t.pair.update_identity
+    while True:
+        z = u(z, t.laz[i])
+        l = t.left[i]
+        if l < 0:
+            return agg(t.val[i], z, t.sz[i])
+        i = l if y <= t.hi[l] else t.right[i]
+
+
 def unfused_update(g, box, value):
-    """``Grid2D.update`` through public calls only: each node of a covered
+    """``Grid2D.update`` without its fused rebuild: each node of a covered
     subtree updates its column tree; each partial node, children first, reads
-    its children's span columns with ``to_array(ylo, yhi)``, folds them with
-    ``map`` and writes them back with ``reinit(cols, ylo)``, and a child
-    rebuilt just before hands its columns over instead of being read."""
+    its children's true span columns, folds them with ``query_op`` and
+    writes them back with the plain-Python ``reinit_span``."""
     (xlo, xhi), (ylo, yhi) = box
     covered, partial = split(g.shape, xlo, xhi)
     for i in covered:
         for j in range(i, i + 2 * (g.hi[i] - g.lo[i]) + 1):
             g.inner[j].update(ylo, yhi, value)
-    held = {}
     for i in reversed(partial):
-        l, r = g.left[i], g.right[i]
-        cols_l = held.pop(l, None) or g.inner[l].to_array(ylo, yhi)
-        cols_r = held.pop(r, None) or g.inner[r].to_array(ylo, yhi)
-        cols = held[i] = list(map(g.pair.query_op, cols_l, cols_r))
-        g.inner[i].reinit(cols, ylo)
+        l, r = (g.inner[c] for c in (g.left[i], g.right[i]))
+        cols = [g.pair.query_op(true_value(l, y), true_value(r, y))
+                for y in range(ylo, yhi + 1)]
+        reinit_span(g.inner[i], cols, ylo)
 
 
 class TestFusedRebuild:

@@ -6,6 +6,9 @@ import pytest
 
 from uqtrees import (DenseTensor, NDTree, OperatorPair, SegTree1D, WorkloadConfig,
                      builtin_pairs, get_pair, run_verify)
+from uqtrees.boxes import draw_box
+from uqtrees.seg1d import kernels
+from conftest import KERNEL_CASES, sample_cell
 
 
 def tensor(dims, data, pair_name):
@@ -344,3 +347,61 @@ class TestDeepTrees:
             else:
                 t.update(box, 1)
             assert calls == {"check_box": 1, "split": len(dims) - 1}, box
+
+
+def bare_trees(t):
+    """Every last-axis entry of the NDTree ``t``, None where no tree is
+    allocated, in one fixed order."""
+    if t._bare:
+        return t.row_fold + t.row_lazy
+    return [x for sub in t.row_fold + t.row_lazy
+            for x in ([None] if sub is None else bare_trees(sub))]
+
+
+SPECIAL_CASES = [(p, c) for p, c in KERNEL_CASES if p.is_special]
+
+
+class TestFoldCommutingKernels:
+    # a twin tree whose bare levels run the generic update and query
+    # kernels; a prime last axis splits into many partial nodes
+    @pytest.mark.parametrize("pair, cells", SPECIAL_CASES,
+                             ids=[f"{p.name}-{c}" for p, c in SPECIAL_CASES])
+    @pytest.mark.parametrize("dims", [(6, 13), (3, 4, 11)], ids=["6x13", "3x4x11"])
+    def test_every_bare_tree_matches_the_generic_walks(self, monkeypatch, pair, cells,
+                                                        dims):
+        k = kernels(pair)
+        generic = []
+
+        def update_fc(t, covered, parts, value):
+            generic.append(t)
+            return k.update(t, covered, tuple(i for i, _ in parts), value)
+
+        def query_fc(t, covered, parts):
+            generic.append(t)
+            return k.query(t, t.lo[covered[0]], t.hi[covered[-1]])
+
+        rng = random.Random(41)
+        data = [sample_cell(pair, rng, cells) for _ in range(math.prod(dims))]
+        t, twin = (NDTree(DenseTensor(dims, data, pair), pair) for _ in range(2))
+        o = DenseTensor(dims, data, pair)
+        for step in range(120):
+            box = draw_box(rng, dims)
+            v = sample_cell(pair, rng, cells) if step % 2 == 0 else None
+            if v is None:
+                got = t.query(box)
+            else:
+                t.update(box, v)
+                o.update(box, v)
+            with monkeypatch.context() as m:
+                m.setattr(k, "update_fc", update_fc)
+                m.setattr(k, "query_fc", query_fc)
+                want = twin.query(box) if v is None else twin.update(box, v)
+            if v is None:
+                assert got == want == o.query(box), (step, box)
+            for a, b in zip(bare_trees(t), bare_trees(twin), strict=True):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a.val == b.val and a.laz == b.laz, (step, box)
+            assert t.counters.visits_last_op == twin.counters.visits_last_op
+            assert t.counters.visits_total == twin.counters.visits_total
+        assert generic

