@@ -26,6 +26,7 @@ class OpCounters:
         "update_visits",
         "query_ops",
         "query_visits",
+        "max_update_visits", "max_query_visits",
     )
 
     def __init__(self) -> None:
@@ -35,16 +36,21 @@ class OpCounters:
         self.update_visits = 0
         self.query_ops = 0
         self.query_visits = 0
+        self.max_update_visits = self.max_query_visits = 0
 
     def note_update(self, visits: int) -> None:
         self.visits_last_op = visits
         self.update_ops += 1
         self.update_visits += visits
+        if visits > self.max_update_visits:
+            self.max_update_visits = visits
 
     def note_query(self, visits: int) -> None:
         self.visits_last_op = visits
         self.query_ops += 1
         self.query_visits += visits
+        if visits > self.max_query_visits:
+            self.max_query_visits = visits
 
     def __repr__(self) -> str:
         return (

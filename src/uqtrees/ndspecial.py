@@ -55,13 +55,12 @@ one depth shares that axis's extent, so they split every axis but the last
 once with the plain :func:`~uqtrees.seg1d.split` (a memo would mostly miss,
 and in a cube it would evict the last axis's span), and take the last
 axis's :func:`~uqtrees.seg1d.plan` with each partial node paired with its
-overlap ``j`` with the span.  The nested levels take those splits through
-the private, unchecked ``_update``/``_query``.  The bare level applies the
-fold-commuting rule on the last axis too, through the pair's compiled
-``update_fc``/``query_fc``: an update stamps ``v`` on the covered nodes and
-lets each partial node's fold absorb ``v`` repeated ``j`` times, reading no
-child; a query folds the covered nodes and absorbs each partial node's
-pending value ``j`` times, carrying nothing down.
+overlap ``j`` with the span.  The nested levels walk those splits through
+the private, unchecked ``_update``/``_query``; a 2-D level is one call of
+the pair's compiled ``update_level``/``query_level``, which apply the rule
+above to the last axis too, reading no child: covered nodes stamp ``v`` (a
+query folds them), and each partial node absorbs ``v`` (a query, its
+pending value) ``j`` times.
 
 All nested trees share one visit counter.  The private entries and the
 kernels return their visits; the public ``update``/``query`` add them once
@@ -115,8 +114,9 @@ class NDTree:
         shape = node_shape(dims[0])
         self.lo, self.hi, self.left, self.right = shape[:4]
         count = len(shape.lo)
-        # the last axis is a bare SegTree1D
+        # the last axis is a bare SegTree1D, walked by the pair's kernels
         self._bare = len(dims) == 2
+        self._k = kernels(pair)
         self.row_fold: List = [None] * count
         self.row_lazy: List = [None] * count
         counters.visits_total += count
@@ -161,22 +161,21 @@ class NDTree:
         """Apply ``value`` over the box whose axes from ``k`` on are given
         by ``splits[k:]`` (unchecked); the visits it made, uncounted."""
         xlo, xhi, covered, partial = splits[k]
+        if self._bare:  # the whole level, last axis included, in one walk
+            return self._k.update_level(self, covered, partial, xlo, xhi,
+                                        *splits[k + 1][2:], value)
         lo, hi = self.lo, self.hi
         folds, lazies = self.row_fold, self.row_lazy
         agg = self.pair.aggregator
         e = self.pair.update_identity
         visits = 1 + 2 * len(partial)
-        if self._bare:  # the last axis's plan, stamped and absorbed
-            inner, args = kernels(self.pair).update_fc, splits[k + 1][2:]
-        else:
-            inner, args = NDTree._update, (splits, k + 1)
         # each node's own trees are independent of its children's, so the
         # order of the inner updates does not matter
         for i in covered:
             t = lazies[i]
             if t is None:
                 t = lazies[i] = self._allocate()
-            visits += inner(t, *args, value)
+            visits += t._update(splits, k + 1, value)
         for i in partial:
             ilo = lo[i]
             ihi = hi[i]
@@ -184,7 +183,7 @@ class NDTree:
             t = folds[i]
             if t is None:
                 t = folds[i] = self._allocate()
-            visits += inner(t, *args, agg(e, value, j))
+            visits += t._update(splits, k + 1, agg(e, value, j))
         return visits
 
     def query(self, box: Box):
@@ -200,26 +199,24 @@ class NDTree:
         """The fold over the box whose axes from ``k`` on are given by
         ``splits[k:]`` (unchecked), and the visits it made, uncounted."""
         xlo, xhi, covered, partial = splits[k]
+        if self._bare:  # the whole level, last axis included, in one walk
+            return self._k.query_level(self, covered, partial, xlo, xhi, *splits[k + 1][2:])
         lo, hi = self.lo, self.hi
         folds, lazies = self.row_fold, self.row_lazy
         q = self.pair.query_op
         agg = self.pair.aggregator
         out = self.pair.query_identity
         visits = 1 + 2 * len(partial)
-        if self._bare:  # the last axis's plan, folded and absorbed
-            inner, args = kernels(self.pair).query_fc, splits[k + 1][2:]
-        else:
-            inner, args = NDTree._query, (splits, k + 1)
         # a None tree is all-identity and is skipped
         for i in covered:
             t = folds[i]
             if t is not None:
-                x, n = inner(t, *args)
+                x, n = t._query(splits, k + 1)
                 out = q(out, x)
                 visits += n
             t = lazies[i]
             if t is not None:
-                x, n = inner(t, *args)
+                x, n = t._query(splits, k + 1)
                 out = agg(out, x, hi[i] - lo[i] + 1)
                 visits += n
         for i in partial:
@@ -228,7 +225,7 @@ class NDTree:
                 ilo = lo[i]
                 ihi = hi[i]
                 j = (ihi if ihi < xhi else xhi) - (ilo if ilo > xlo else xlo) + 1
-                x, n = inner(t, *args)
+                x, n = t._query(splits, k + 1)
                 out = agg(out, x, j)
                 visits += n
         return out, visits

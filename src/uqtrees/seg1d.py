@@ -56,23 +56,23 @@ written in, once per :class:`OperatorPair` object; a tree holds them as
 ``_k``: ``update`` (stamp and repair), ``update_many`` (that text looped
 over a forest), ``rebuild`` (reset a span from two trees), ``fill`` (the
 constructor's whole-array build), ``query``, ``to_array``, and
-``update_fc``/``query_fc``, exact only for a fold-commuting pair
-(:mod:`uqtrees.ndspecial`): given the plan's partial nodes paired with
-their overlap ``j`` with the span, a partial node absorbs the update value
-(or, in a query, its own pending value) ``j`` times through the aggregator,
-and no child is read.  A callable with an exact inline form, found by
-identity as :class:`DenseTensor` finds its fast paths, becomes an
-expression (``operator.add``: ``a + b``, ``operator.mul``: ``a * b``,
-``min``: ``b if b < a else a``, ``max``: ``b if b > a else a``, a
+``update_level``/``query_level``, which walk a whole 2-D level of
+:mod:`uqtrees.ndspecial` (a fold-commuting pair) in one call: a partial
+last-axis node absorbs the update value (a query, its own pending value) as
+often as it overlaps the span, and no child is read.  A callable with an
+exact inline form, found by identity as :class:`DenseTensor` finds its fast
+paths, becomes an expression (``operator.add``: ``a + b``, ``operator.mul``:
+``a * b``, ``min``: ``b if b < a else a``, ``max``: ``b if b > a else a``, a
 registered aggregator: the expression that defines it); any other callable
-stays a call, with the same answers, only slower.  Tracebacks show the generated lines
-(:mod:`linecache`).  The public methods check their spans, call the kernels
-and count the visits they return.  Nested callers check their box once and
-call the kernels unchecked: ``Grid2D.query`` calls ``query`` on its row
-nodes' trees, ``NDTree``'s bare level calls ``update_fc`` and ``query_fc``,
-and the unchecked entries ``_update_many`` (which returns its visits and
-counts none) and ``_rebuild`` belong to ``Grid2D.update``.
-``validate`` and the oracle never use the kernels.
+stays a call, with the same answers, only slower.  Tracebacks show the
+generated lines (:mod:`linecache`).  The public methods check their spans,
+call the kernels and count the visits they return.  Nested callers check
+their box once and call the kernels unchecked: ``Grid2D.query`` calls
+``query`` on its row nodes' trees, ``NDTree``'s 2-D levels call
+``update_level`` and ``query_level``, and the unchecked entries
+``_update_many`` (which returns its visits and counts none) and ``_rebuild``
+belong to ``Grid2D.update``.  ``validate`` and the oracle never use the
+kernels.
 
 ``cell_weight`` scales every node size: a tree whose slots each stand for
 ``w`` real cells (the 2D structure in :mod:`uqtrees.grid2d` uses this) gets
@@ -227,6 +227,27 @@ _STAMP = """
 _UPDATE = _STAMP + _REPAIR + """
     t._stamped = covered
 """
+# The fold-commuting rule on one last-axis tree ``t`` of a 2-D nd-special
+# level ``n``, given the last axis's covered nodes ``ycov`` and its partial
+# nodes paired with their overlaps, ``yparts``; no child is read.
+_ABSORB = """
+        t = trees[i]
+        if t is None:
+            t = trees[i] = n._allocate()
+        laz, val = t.laz, t.val
+        for c in ycov:
+            laz[c] = U(laz[c], w)
+        for c, m in yparts:
+            val[c] = AGG(val[c], w, m)"""
+_FOLD = """
+        if t is not None:
+            sz, val, laz, x = t.sz, t.val, t.laz, QID
+            for c in ycov:
+                y = AGG(val[c], laz[c], sz[c])
+                x = Q(x, y)
+            for c, m in yparts:
+                x = AGG(x, laz[c], m)
+            held += 1"""
 _TEMPLATE = """
 def update(t, covered, partial, value):
 """ + _UPDATE + """
@@ -235,13 +256,14 @@ def update_many(trees, covered, partial, value):
     for t in trees:
 """ + indent(_UPDATE, "    ") + """
 
-def update_fc(t, covered, parts, value):
-""" + _STAMP + """
-    val = t.val
-    for i, j in parts:
-        val[i] = AGG(val[i], value, j)
-    t._stamped = covered
-    return 1 + 2 * len(parts)
+def update_level(n, covered, partial, xlo, xhi, ycov, yparts, value):
+    lo, hi, trees, w = n.lo, n.hi, n.row_lazy, value
+    for i in covered:""" + _ABSORB + """
+    trees = n.row_fold
+    for i in partial:
+        j = (hi[i] if hi[i] < xhi else xhi) - (lo[i] if lo[i] > xlo else xlo) + 1
+        w = AGG(UID, value, j)""" + _ABSORB + """
+    return 1 + 2 * len(partial) + (len(covered) + len(partial)) * (1 + 2 * len(yparts))
 
 def rebuild(t, a, b, covered, partial):
     lo, hi, left, right, val, laz = t.lo, t.hi, t.left, t.right, t.val, t.laz
@@ -308,15 +330,20 @@ def query(t, qlo, qhi):
                 stack.append((l, z))
     return out, visits
 
-def query_fc(t, covered, parts):
-    sz, val, laz = t.sz, t.val, t.laz
-    out = QID
+def query_level(n, covered, partial, xlo, xhi, ycov, yparts):
+    lo, hi, folds, lazies = n.lo, n.hi, n.row_fold, n.row_lazy
+    out, held = QID, 0
     for i in covered:
-        x = AGG(val[i], laz[i], sz[i])
-        out = Q(out, x)
-    for i, j in parts:
-        out = AGG(out, laz[i], j)
-    return out, 1 + 2 * len(parts)
+        t = folds[i]""" + _FOLD + """
+            out = Q(out, x)
+        t = lazies[i]""" + _FOLD + """
+            j = hi[i] - lo[i] + 1
+            out = AGG(out, x, j)
+    for i in partial:
+        t = lazies[i]""" + _FOLD + """
+            j = (hi[i] if hi[i] < xhi else xhi) - (lo[i] if lo[i] > xlo else xlo) + 1
+            out = AGG(out, x, j)
+    return out, 1 + 2 * len(partial) + held * (1 + 2 * len(yparts))
 
 def to_array(t, covered, partial):
     lo, hi, left, right, sz, val, laz = t.lo, t.hi, t.left, t.right, t.sz, t.val, t.laz

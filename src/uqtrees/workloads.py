@@ -194,18 +194,21 @@ class BenchRow:
     mean_visits_per_query: Optional[float]
     wall_init_seconds: float
     wall_ops_seconds: float
+    # the costliest single operation of each kind; JSON only, the CSV keeps its columns
+    max_visits_per_update: Optional[int] = field(default=None, metadata={"csv": False})
+    max_visits_per_query: Optional[int] = field(default=None, metadata={"csv": False})
 
     def as_dict(self) -> dict:
         """The fields in order, with ``dims`` written as ``--dims`` takes it."""
         return {**asdict(self), "dims": format_dims(self.dims)}
 
     def csv_values(self) -> List[str]:
-        """The fields as CSV cells; an absent mean is an empty cell."""
+        """The CSV fields as cells; an absent mean is an empty cell."""
         return ["" if v is None else f"{v:.6f}" if isinstance(v, float) else str(v)
-                for v in self.as_dict().values()]
+                for v in map(self.as_dict().get, self.CSV_FIELDS)]
 
 
-BenchRow.CSV_FIELDS = tuple(f.name for f in fields(BenchRow))
+BenchRow.CSV_FIELDS = tuple(f.name for f in fields(BenchRow) if f.metadata.get("csv", True))
 
 
 def format_dims(dims: Sequence[int]) -> str:
@@ -258,6 +261,8 @@ def run_bench(cfg: WorkloadConfig) -> BenchRow:
         mean_visits_per_query=_mean(counters.query_visits, counters.query_ops),
         wall_init_seconds=wall_init,
         wall_ops_seconds=wall_ops,
+        max_visits_per_update=counters.max_update_visits if counters.update_ops else None,
+        max_visits_per_query=counters.max_query_visits if counters.query_ops else None,
     )
 
 

@@ -191,7 +191,9 @@ class TestCliBench:
                 "--dims", "32,64", "--ops", "300", "--seed", "7")
         out1, out2 = cli(*args).stdout, cli(*args).stdout
         lines = out1.strip().splitlines()
-        assert lines[0] == ",".join(BenchRow.CSV_FIELDS)
+        assert lines[0] == ",".join(BenchRow.CSV_FIELDS) == (  # the maxima are JSON only
+            "backend,pair,dims,init_visits,mean_visits_per_update,"
+            "mean_visits_per_query,wall_init_seconds,wall_ops_seconds")
         assert len(lines) == 3
         strip_wall = lambda text: [",".join(l.split(",")[:6]) for l in text.strip().splitlines()]
         assert strip_wall(out1) == strip_wall(out2)
@@ -204,7 +206,9 @@ class TestCliBench:
         assert payload["config"]["backend"] == "quadtree"
         assert len(payload["rows"]) == 1
         assert payload["rows"][0]["dims"] == "8x8"
-        assert "mean_visits_per_update" in payload["rows"][0]
+        row = payload["rows"][0]
+        for kind in ("update", "query"):
+            assert row[f"max_visits_per_{kind}"] >= row[f"mean_visits_per_{kind}"] > 0
 
     @pytest.mark.parametrize("ratio, absent, present", [
         ("0", "mean_visits_per_update", "mean_visits_per_query"),
@@ -223,6 +227,9 @@ class TestCliBench:
         p = cli(*args, "--format", "json")
         assert p.returncode == 0
         fields = json.loads(p.stdout)["rows"][0]
+        assert fields[absent] is None
+        assert fields[present] > 0
+        absent, present = (f.replace("mean", "max") for f in (absent, present))
         assert fields[absent] is None
         assert fields[present] > 0
 

@@ -186,6 +186,28 @@ class TestPendingAllocation:
         t.update(box, 2)
         assert first - t.counters.visits_last_op == 2 * m - 1
 
+    def test_max_update_visits_shows_the_allocation_spike(self):
+        # the first update allocates every pending tree it stamps, so it
+        # costs more than a late update, when most of them exist; the mean
+        # hides that spike and the maximum keeps it
+        pair = get_pair("plus-plus")
+        t = NDTree(DenseTensor((32, 32), [1] * 1024, pair), pair)
+        c = t.counters
+        rng = random.Random(4)
+        updates, queries = [], []
+        for k in range(2000):
+            box = draw_box(rng, (32, 32))
+            if k % 4:
+                t.update(box, 1)
+                updates.append(c.visits_last_op)
+            else:
+                t.query(box)
+                queries.append(c.visits_last_op)
+            assert c.max_update_visits == max(updates, default=0)
+            assert c.max_query_visits == max(queries)
+        late = updates[-1000:]
+        assert updates[0] > sum(late) / len(late)
+
     def test_leaf_stamps_and_partly_allocated_pending_trees(self, special_pair):
         dims = (5, 3, 4)
         rng = random.Random(8)
@@ -362,23 +384,47 @@ SPECIAL_CASES = [(p, c) for p, c in KERNEL_CASES if p.is_special]
 
 
 class TestFoldCommutingKernels:
-    # a twin tree whose bare levels run the generic update and query
-    # kernels; a prime last axis splits into many partial nodes
+    # a twin tree whose 2-D levels loop in plain Python over the generic
+    # update and query kernels of each last-axis tree; a prime last axis
+    # splits into many partial nodes
     @pytest.mark.parametrize("pair, cells", SPECIAL_CASES,
                              ids=[f"{p.name}-{c}" for p, c in SPECIAL_CASES])
-    @pytest.mark.parametrize("dims", [(6, 13), (3, 4, 11)], ids=["6x13", "3x4x11"])
+    @pytest.mark.parametrize("dims", [(6, 13), (3, 4, 11), (2, 3, 4, 7)],
+                             ids=["6x13", "3x4x11", "2x3x4x7"])
     def test_every_bare_tree_matches_the_generic_walks(self, monkeypatch, pair, cells,
                                                         dims):
         k = kernels(pair)
         generic = []
 
-        def update_fc(t, covered, parts, value):
-            generic.append(t)
-            return k.update(t, covered, tuple(i for i, _ in parts), value)
+        def overlap(n, i, xlo, xhi):
+            return min(n.hi[i], xhi) - max(n.lo[i], xlo) + 1
 
-        def query_fc(t, covered, parts):
-            generic.append(t)
-            return k.query(t, t.lo[covered[0]], t.hi[covered[-1]])
+        def update_level(n, covered, partial, xlo, xhi, ycov, yparts, value):
+            generic.append(n)
+            ypartial = tuple(i for i, _ in yparts)
+            stamps = [(n.row_lazy, i, value) for i in covered]
+            stamps += [(n.row_fold, i, pair.aggregator(
+                pair.update_identity, value, overlap(n, i, xlo, xhi))) for i in partial]
+            visits = 1 + 2 * len(partial)
+            for trees, i, v in stamps:
+                if trees[i] is None:
+                    trees[i] = n._allocate()
+                visits += k.update(trees[i], ycov, ypartial, v)
+            return visits
+
+        def query_level(n, covered, partial, xlo, xhi, ycov, yparts):
+            generic.append(n)
+            out, visits = pair.query_identity, 1 + 2 * len(partial)
+            held = [(n.row_fold[i], None) for i in covered]
+            held += [(n.row_lazy[i], n.hi[i] - n.lo[i] + 1) for i in covered]
+            held += [(n.row_lazy[i], overlap(n, i, xlo, xhi)) for i in partial]
+            for t, rows in held:
+                if t is not None:
+                    x, m = k.query(t, t.lo[ycov[0]], t.hi[ycov[-1]])
+                    out = (pair.query_op(out, x) if rows is None
+                           else pair.aggregator(out, x, rows))
+                    visits += m
+            return out, visits
 
         rng = random.Random(41)
         data = [sample_cell(pair, rng, cells) for _ in range(math.prod(dims))]
@@ -393,8 +439,8 @@ class TestFoldCommutingKernels:
                 t.update(box, v)
                 o.update(box, v)
             with monkeypatch.context() as m:
-                m.setattr(k, "update_fc", update_fc)
-                m.setattr(k, "query_fc", query_fc)
+                m.setattr(k, "update_level", update_level)
+                m.setattr(k, "query_level", query_level)
                 want = twin.query(box) if v is None else twin.update(box, v)
             if v is None:
                 assert got == want == o.query(box), (step, box)
