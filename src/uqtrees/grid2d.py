@@ -23,12 +23,13 @@ outer nodes cannot be patched in place (how their column folds change
 depends on which rows were hit), so they rebuild.  The row span's
 :func:`~uqtrees.seg1d.split` names both kinds: every node of a covered
 subtree updates, then every partial node rebuilds, children first.  Only the
-columns of the update's span can have changed, so a rebuild
-(``SegTree1D._rebuild``, one compiled walk) resets that span of its own tree
-to the element-wise fold of both children's true columns, read straight from
-their trees.  It counts the column nodes that meet the span once, and once
-more per child not rebuilt in this update: ``len(partial) + 1`` children, as
-the partial nodes form a subtree.  ``last_events`` lists the latest update's
+columns of the update's span can have changed, so a rebuild resets that span
+of its own tree to the element-wise fold of both children's true columns:
+one call of the compiled ``rebuild`` kernel sets every span node of every
+partial node in one top-down pass from its children's true folds.  Each
+rebuild counts the column nodes that meet the span once, and once more per
+child not rebuilt in this update: ``len(partial) + 1`` children, as the
+partial nodes form a subtree.  ``last_events`` lists the latest update's
 events, derived from its stored split.  A query checks its box once, folds
 the compiled column ``query`` of each covered node of the row span's split
 into its answer, and never mutates.
@@ -101,8 +102,8 @@ class Grid2D:
             # the nodes that meet it, per rebuild and per child not rebuilt
             visits += ((len(cpar) + 2 * (yhi - ylo + 1) - len(ccov))
                        * (2 * len(partial) + 1))
-            for i in reversed(partial):  # children before parents
-                inner[i]._rebuild(inner[left[i]], inner[right[i]], ccov, cpar)
+            # every partial node, children first, in one compiled walk
+            inner[0]._k.rebuild(inner, partial, left, right, ccov, cpar)
         self.counters.visits_total += visits
         self.counters.note_update(visits)
 

@@ -54,25 +54,26 @@ that only a run of the cyclic garbage collector can free.
 :func:`kernels` compiles one template per walk with the pair's operators
 written in, once per :class:`OperatorPair` object; a tree holds them as
 ``_k``: ``update`` (stamp and repair), ``update_many`` (that text looped
-over a forest), ``rebuild`` (reset a span from two trees), ``fill`` (the
-constructor's whole-array build), ``query``, ``to_array``, and
+over a forest), ``rebuild`` (every partial row node of a
+:mod:`uqtrees.grid2d` forest resets a span from its two children, in one
+call), ``fill`` (the constructor's whole-array build), ``query``,
+``to_array`` and, for a fold-commuting pair only,
 ``update_level``/``query_level``, which walk a whole 2-D level of
-:mod:`uqtrees.ndspecial` (a fold-commuting pair) in one call: a partial
-last-axis node absorbs the update value (a query, its own pending value) as
-often as it overlaps the span, and no child is read.  A callable with an
-exact inline form, found by identity as :class:`DenseTensor` finds its fast
-paths, becomes an expression (``operator.add``: ``a + b``, ``operator.mul``:
-``a * b``, ``min``: ``b if b < a else a``, ``max``: ``b if b > a else a``, a
-registered aggregator: the expression that defines it); any other callable
-stays a call, with the same answers, only slower.  Tracebacks show the
-generated lines (:mod:`linecache`).  The public methods check their spans,
-call the kernels and count the visits they return.  Nested callers check
-their box once and call the kernels unchecked: ``Grid2D.query`` calls
-``query`` on its row nodes' trees, ``NDTree``'s 2-D levels call
-``update_level`` and ``query_level``, and the unchecked entries
-``_update_many`` (which returns its visits and counts none) and ``_rebuild``
-belong to ``Grid2D.update``.  ``validate`` and the oracle never use the
-kernels.
+:mod:`uqtrees.ndspecial` in one call: a partial last-axis node absorbs the
+update value (a query, its own pending value) as often as it overlaps the
+span, and no child is read.  A callable with an exact inline form, found by
+identity as :class:`DenseTensor` finds its fast paths, becomes an expression
+(``operator.add``: ``a + b``, ``operator.mul``: ``a * b``, ``min``:
+``b if b < a else a``, ``max``: ``b if b > a else a``, a registered
+aggregator: the expression that defines it); any other callable stays a
+call, with the same answers, only slower.  Tracebacks show the generated
+lines (:mod:`linecache`).  The public methods check their spans, call the
+kernels and count the visits they return.  Nested callers check their box
+once and call the kernels unchecked: ``Grid2D`` calls ``query`` on its row
+nodes' trees and ``rebuild`` on its forest, ``NDTree``'s 2-D levels call
+``update_level`` and ``query_level``, and the unchecked entry
+``_update_many`` (which returns its visits and counts none) belongs to
+``Grid2D.update``.  ``validate`` and the oracle never use the kernels.
 
 ``cell_weight`` scales every node size: a tree whose slots each stand for
 ``w`` real cells (the 2D structure in :mod:`uqtrees.grid2d` uses this) gets
@@ -227,27 +228,6 @@ _STAMP = """
 _UPDATE = _STAMP + _REPAIR + """
     t._stamped = covered
 """
-# The fold-commuting rule on one last-axis tree ``t`` of a 2-D nd-special
-# level ``n``, given the last axis's covered nodes ``ycov`` and its partial
-# nodes paired with their overlaps, ``yparts``; no child is read.
-_ABSORB = """
-        t = trees[i]
-        if t is None:
-            t = trees[i] = n._allocate()
-        laz, val = t.laz, t.val
-        for c in ycov:
-            laz[c] = U(laz[c], w)
-        for c, m in yparts:
-            val[c] = AGG(val[c], w, m)"""
-_FOLD = """
-        if t is not None:
-            sz, val, laz, x = t.sz, t.val, t.laz, QID
-            for c in ycov:
-                y = AGG(val[c], laz[c], sz[c])
-                x = Q(x, y)
-            for c, m in yparts:
-                x = AGG(x, laz[c], m)
-            held += 1"""
 _TEMPLATE = """
 def update(t, covered, partial, value):
 """ + _UPDATE + """
@@ -256,47 +236,39 @@ def update_many(trees, covered, partial, value):
     for t in trees:
 """ + indent(_UPDATE, "    ") + """
 
-def update_level(n, covered, partial, xlo, xhi, ycov, yparts, value):
-    lo, hi, trees, w = n.lo, n.hi, n.row_lazy, value
-    for i in covered:""" + _ABSORB + """
-    trees = n.row_fold
-    for i in partial:
-        j = (hi[i] if hi[i] < xhi else xhi) - (lo[i] if lo[i] > xlo else xlo) + 1
-        w = AGG(UID, value, j)""" + _ABSORB + """
-    return 1 + 2 * len(partial) + (len(covered) + len(partial)) * (1 + 2 * len(yparts))
-
-def rebuild(t, a, b, covered, partial):
-    lo, hi, left, right, val, laz = t.lo, t.hi, t.left, t.right, t.val, t.laz
-    for i in partial:
-        l, r, z = left[i], right[i], laz[i]
-        laz[l] = U(laz[l], z)
-        laz[r] = U(laz[r], z)
-        laz[i] = UID
-    av, al, asz, bv, bl, bsz = a.val, a.laz, a.sz, b.val, b.laz, b.sz
+def rebuild(trees, rows, rleft, rright, covered, partial):
+    lo, hi, left, right = trees[0].shape[:4]
+    # every entry a tree reads is written earlier in its own pre-order
+    # pass, except ca[0]/cb[0], which nothing writes: one pair serves all
     ca, cb = [UID] * len(lo), [UID] * len(lo)
-    for i in partial:
-        ca[left[i]] = ca[right[i]] = U(ca[i], al[i])
-        cb[left[i]] = cb[right[i]] = U(cb[i], bl[i])
-    for i in covered:
-        # pre-order: the subtree of i is the index run i .. end - 1
-        end = i + 2 * (hi[i] - lo[i]) + 1
-        for j in range(i, end):
-            za = U(ca[j], al[j])
-            zb = U(cb[j], bl[j])
-            l, r = left[j], right[j]
-            laz[j] = UID
-            if l < 0:
+    for k in reversed(rows):
+        t, a, b = trees[k], trees[rleft[k]], trees[rright[k]]
+        laz = t.laz
+        for i in partial:
+            l, r, z = left[i], right[i], laz[i]
+            laz[l] = U(laz[l], z)
+            laz[r] = U(laz[r], z)
+            laz[i] = UID
+        av, al, asz, bv, bl, bsz, val = a.val, a.laz, a.sz, b.val, b.laz, b.sz, t.val
+        for i in partial:
+            ca[left[i]] = ca[right[i]] = U(ca[i], al[i])
+            cb[left[i]] = cb[right[i]] = U(cb[i], bl[i])
+        for i in covered:
+            # pre-order: the subtree of i is the index run i .. end - 1; Q
+            # commutes with the column fold, so a node is Q of a's and b's
+            end = i + 2 * (hi[i] - lo[i]) + 1
+            for j in range(i, end):
+                za = U(ca[j], al[j])
+                zb = U(cb[j], bl[j])
                 x = AGG(av[j], za, asz[j])
                 y = AGG(bv[j], zb, bsz[j])
                 val[j] = Q(x, y)
-            else:
-                ca[l] = ca[r] = za
-                cb[l] = cb[r] = zb
-        for j in range(end - 1, i - 1, -1):
-            l, r = left[j], right[j]
-            if l >= 0:
-                val[j] = Q(val[l], val[r])
-""" + _REPAIR + """
+                laz[j] = UID
+                l = left[j]
+                if l >= 0:
+                    ca[l] = ca[right[j]] = za
+                    cb[l] = cb[right[j]] = zb
+""" + indent(_REPAIR, "    ") + """
 def fill(t, values):
     lo, left, right, val, laz = t.lo, t.left, t.right, t.val, t.laz
     for i in range(len(lo) - 1, -1, -1):
@@ -330,21 +302,6 @@ def query(t, qlo, qhi):
                 stack.append((l, z))
     return out, visits
 
-def query_level(n, covered, partial, xlo, xhi, ycov, yparts):
-    lo, hi, folds, lazies = n.lo, n.hi, n.row_fold, n.row_lazy
-    out, held = QID, 0
-    for i in covered:
-        t = folds[i]""" + _FOLD + """
-            out = Q(out, x)
-        t = lazies[i]""" + _FOLD + """
-            j = hi[i] - lo[i] + 1
-            out = AGG(out, x, j)
-    for i in partial:
-        t = lazies[i]""" + _FOLD + """
-            j = (hi[i] if hi[i] < xhi else xhi) - (lo[i] if lo[i] > xlo else xlo) + 1
-            out = AGG(out, x, j)
-    return out, 1 + 2 * len(partial) + held * (1 + 2 * len(yparts))
-
 def to_array(t, covered, partial):
     lo, hi, left, right, sz, val, laz = t.lo, t.hi, t.left, t.right, t.sz, t.val, t.laz
     carried = [UID] * len(lo)
@@ -366,19 +323,66 @@ def to_array(t, covered, partial):
         visits += end - i
     return out, visits
 """
+# The fold-commuting rule on one last-axis tree ``t`` of a 2-D nd-special
+# level ``n``, given the last axis's covered nodes ``ycov`` and its partial
+# nodes paired with their overlaps, ``yparts``; no child is read.
+_ABSORB = """
+        t = trees[i]
+        if t is None:
+            t = trees[i] = n._allocate()
+        laz, val = t.laz, t.val
+        for c in ycov:
+            laz[c] = U(laz[c], w)
+        for c, m in yparts:
+            val[c] = AGG(val[c], w, m)"""
+_FOLD = """
+        if t is not None:
+            sz, val, laz, x = t.sz, t.val, t.laz, QID
+            for c in ycov:
+                y = AGG(val[c], laz[c], sz[c])
+                x = Q(x, y)
+            for c, m in yparts:
+                x = AGG(x, laz[c], m)
+            held += 1"""
+# The 2-D level walks of nd-special, rendered only for a fold-commuting pair
+_LEVELS = """
+def update_level(n, covered, partial, xlo, xhi, ycov, yparts, value):
+    lo, hi, trees, w = n.lo, n.hi, n.row_lazy, value
+    for i in covered:""" + _ABSORB + """
+    trees = n.row_fold
+    for i in partial:
+        j = (hi[i] if hi[i] < xhi else xhi) - (lo[i] if lo[i] > xlo else xlo) + 1
+        w = AGG(UID, value, j)""" + _ABSORB + """
+    return 1 + 2 * len(partial) + (len(covered) + len(partial)) * (1 + 2 * len(yparts))
+
+def query_level(n, covered, partial, xlo, xhi, ycov, yparts):
+    lo, hi, folds, lazies = n.lo, n.hi, n.row_fold, n.row_lazy
+    out, held = QID, 0
+    for i in covered:
+        t = folds[i]""" + _FOLD + """
+            out = Q(out, x)
+        t = lazies[i]""" + _FOLD + """
+            j = hi[i] - lo[i] + 1
+            out = AGG(out, x, j)
+    for i in partial:
+        t = lazies[i]""" + _FOLD + """
+            j = (hi[i] if hi[i] < xhi else xhi) - (lo[i] if lo[i] > xlo else xlo) + 1
+            out = AGG(out, x, j)
+    return out, 1 + 2 * len(partial) + held * (1 + 2 * len(yparts))
+"""
 _OP_LINE = re.compile(r"^( *)(.+) = (U|Q|AGG)\((.*)\)$", re.M)
 
 
-def _render(forms: dict) -> str:
-    """The walks, each op line inline where ``forms`` has a form.  Operands
-    are names or subscripts, so a form may read one twice."""
+def _render(template: str, forms: dict) -> str:
+    """``template``'s walks, each op line inline where ``forms`` has a form.
+    Operands are names or subscripts, so a form may read one twice."""
     def line(m):
         pad, target, op, args = m.groups()
         if forms[op] is None:
             return m.group()
         names = dict(zip("avk" if op == "AGG" else "ab", args.split(", ")))
         return f"{pad}{target} = " + re.sub(r"\b[abvk]\b", lambda n: names[n[0]], forms[op])
-    return _OP_LINE.sub(line, _TEMPLATE)
+    return _OP_LINE.sub(line, template)
 
 
 _compiled: dict = {}  # id(pair) -> (pair, its walks)
@@ -390,7 +394,8 @@ def kernels(pair: OperatorPair) -> SimpleNamespace:
     hit = _compiled.get(id(pair))
     if hit is None:
         ops = {"U": pair.update_op, "Q": pair.query_op, "AGG": pair.aggregator}
-        src = _render({k: inline_form(fn) for k, fn in ops.items()})
+        template = _TEMPLATE + _LEVELS if pair.is_special else _TEMPLATE
+        src = _render(template, {k: inline_form(fn) for k, fn in ops.items()})
         filename = f"<seg1d kernels {pair.name} {id(pair):#x}>"
         linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
         ns = dict(ops, UID=pair.update_identity, QID=pair.query_identity)
@@ -463,13 +468,6 @@ class SegTree1D:
         covered, partial = plan(t.shape, qlo, qhi)
         t._k.update_many(trees, covered, partial, value)
         return len(trees) * (1 + 2 * len(partial))
-
-    def _rebuild(self, a: "SegTree1D", b: "SegTree1D", covered, partial) -> None:
-        """Reset the plan's span to the element-wise fold of ``a``'s and
-        ``b``'s true values, unchecked and uncounted: the partial nodes push
-        their pending values down, each covered subtree is rebuilt, and the
-        partial nodes are repaired, as in :meth:`update`."""
-        self._k.rebuild(self, a, b, covered, partial)
 
     def query(self, qlo: int, qhi: int):
         check_span(qlo, qhi, self.size)

@@ -120,7 +120,7 @@ def unfused_update(g, box, value):
 
 class TestFusedRebuild:
     @pytest.mark.parametrize("pair, cells", KERNEL_CASES, ids=KERNEL_IDS)
-    @pytest.mark.parametrize("n, m", [(9, 7), (6, 13)])
+    @pytest.mark.parametrize("n, m", [(9, 7), (6, 13), (33, 17)])
     def test_every_inner_tree_matches_the_unfused_path(self, pair, cells, n, m):
         # narrow column updates leave pending values on nodes that a wide
         # column span's plan splits, so each rebuild has to carry them
@@ -283,6 +283,24 @@ class TestScaledPair:
         assert t.laz == [pair.update_identity] * t.node_count
 
 
+def clog2(n):
+    return (n - 1).bit_length()
+
+
+def update_visit_bound(n, m):
+    """Worst-case visits of one update on an ``n`` x ``m`` grid: the row
+    split, every tree of the covered subtrees stamping the column span, and
+    per rebuild (and per child read) the column nodes meeting the span."""
+    return (1 + 4 * clog2(n) + (2 * n - 1) * (2 + 4 * clog2(m))
+            + (2 * m + 2 * clog2(m)) * (4 * clog2(n) + 1))
+
+
+def query_visit_bound(n, m):
+    """Worst-case visits of one query: the row split, then a column query on
+    each covered row node."""
+    return 1 + 4 * clog2(n) + 2 * max(clog2(n), 1) * (1 + 4 * clog2(m))
+
+
 class TestCounters:
     def test_query_cost_stays_polylog(self):
         g = grid((64, 64), [0] * 4096, "plus-min")
@@ -321,6 +339,29 @@ class TestCounters:
             assert spent == (outer + inner_update * (len(kind) - len(rebuilt))
                              + meets * (len(rebuilt) + reads))
             assert (len(rebuilt) > 0) == ((xlo, xhi) != (0, n - 1))
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 13), (13, 1), (2, 3), (7, 11),
+                                      (31, 5), (17, 33), (64, 64)])
+    def test_every_op_stays_under_its_worst_case_bound(self, n, m):
+        # seeded boxes, then adversarial ones: the full box, single rows and
+        # columns, and spans one short of both edges
+        rng = random.Random(n * 1000 + m)
+        g = grid((n, m), [rng.randint(-9, 9) for _ in range(n * m)], "plus-min")
+        boxes = [(tuple(sorted(rng.randrange(n) for _ in range(2))),
+                  tuple(sorted(rng.randrange(m) for _ in range(2))))
+                 for _ in range(150)]
+        def spans(k):
+            inner = min(1, k - 1)
+            return [(0, k - 1), (k // 2, k // 2), (0, 0), (k - 1, k - 1),
+                    (inner, max(k - 2, inner))]
+        boxes += [(r, c) for r in spans(n) for c in spans(m)]
+        for box in boxes:
+            g.update(box, rng.randint(-9, 9))
+            g.query(box)
+        c = g.counters
+        assert c.update_ops == c.query_ops == len(boxes)
+        assert 0 < c.max_update_visits <= update_visit_bound(n, m)
+        assert 0 < c.max_query_visits <= query_visit_bound(n, m)
 
     def test_one_column_rebuild_is_cheaper_than_full_width(self):
         costs = []

@@ -570,6 +570,14 @@ class TestKernels:
         assert a._k is b._k is kernels(pair)
         assert kernels(replace(pair)) is not a._k
 
+    def test_level_walks_only_for_fold_commuting_pairs(self, pair):
+        # NDTree refuses any other pair, so only these compile its 2-D walks
+        k = kernels(pair)
+        for walk in ("update_level", "query_level"):
+            assert hasattr(k, walk) == pair.is_special, (pair.name, walk)
+        assert all(hasattr(k, w) for w in ("update", "update_many", "rebuild",
+                                           "fill", "query", "to_array"))
+
     def test_traceback_shows_the_generated_line(self):
         def refuse(a, b):
             raise ArithmeticError("refused")
