@@ -13,8 +13,10 @@ value means ``aggregator(slot, v, w)``, and the inner tree's aggregator
 calls see cell counts, not slot counts.
 
 The outer arena's layout is :func:`~uqtrees.seg1d.node_shape` of the row
-count, and every inner tree uses the one layout of the column count, so
-each tree owns only its ``val``/``laz`` (plus its weighted node sizes).
+count, and every inner tree uses the one layout of the column count.  Inner
+trees of equal row count share one list of weighted node sizes
+(:func:`~uqtrees.seg1d.node_sizes`; a 64-row grid has 7 such weights for
+its 127 row nodes), so each tree owns only its ``val``/``laz``.
 
 There are no pending values at the outer level.  An update splits its box
 into the row span and the column span; outer nodes inside the row span

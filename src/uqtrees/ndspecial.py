@@ -37,7 +37,8 @@ constructor allocates no pending tree, so building ``(a, b, c)`` costs
 
 The axis-0 arena's layout is :func:`~uqtrees.seg1d.node_shape` of the
 extent, shared with every other tree of that extent; nested trees of equal
-extent likewise share one layout and each owns only its ``val``/``laz``.
+extent likewise share one layout and its unweighted node sizes, and each
+owns only its ``val``/``laz``.
 
 An update splits its box into the axis-0 span ``X`` and the remainder ``C``,
 and ``X`` by :func:`~uqtrees.seg1d.split` into covered and partial nodes:

@@ -7,8 +7,9 @@ at ``m = (l + r) // 2`` into ``[l, m]`` and ``[m+1, r]``, which gives exactly
 (``lo``/``hi``/``left``/``right`` and node sizes) depends only on N, so
 :func:`node_shape` builds it once per extent and every tree of that extent
 shares it -- the outer arenas of :mod:`uqtrees.ndspecial` and
-:mod:`uqtrees.grid2d` included.  A tree owns only ``val`` and ``laz`` (and
-``sz`` when its cells are weighted).
+:mod:`uqtrees.grid2d` included.  Node sizes scaled by a cell weight are
+shared the same way, one list per ``(extent, weight)`` from
+:func:`node_sizes`, so a tree owns only ``val`` and ``laz``.
 
 Each node ``n`` caches two things:
 
@@ -56,7 +57,9 @@ written in, once per :class:`OperatorPair` object; a tree holds them as
 ``_k``: ``update`` (stamp and repair), ``update_many`` (that text looped
 over a forest), ``rebuild`` (every partial row node of a
 :mod:`uqtrees.grid2d` forest resets a span from its two children, in one
-call), ``fill`` (the constructor's whole-array build), ``query``,
+call), ``fill`` (the constructor's whole-array build: one loop copies the
+cells onto the layout's ``leaves``, one folds its ``joins``, children
+first; ``laz`` starts as one list of ``update_identity``), ``query``,
 ``to_array`` and, for a fold-commuting pair only,
 ``update_level``/``query_level``, which walk a whole 2-D level of
 :mod:`uqtrees.ndspecial` in one call: a partial last-axis node absorbs the
@@ -77,7 +80,8 @@ nodes' trees and ``rebuild`` on its forest, ``NDTree``'s 2-D levels call
 
 ``cell_weight`` scales every node size: a tree whose slots each stand for
 ``w`` real cells (the 2D structure in :mod:`uqtrees.grid2d` uses this) gets
-correct aggregator calls simply by building with ``cell_weight=w``.
+correct aggregator calls simply by building with ``cell_weight=w``.  Its
+``sz`` is the shared ``node_sizes(N, w)``, which no walk writes.
 """
 
 from __future__ import annotations
@@ -103,7 +107,10 @@ class NodeShape(NamedTuple):
     """The mid-split pre-order layout over ``[0, n-1]``, one entry per node.
 
     ``left``/``right`` are -1 at leaves; ``size`` counts covered slots,
-    unscaled.  ``memo`` is :func:`plan`'s one slot.
+    unscaled.  Two tables drive the compiled ``fill``: ``leaves`` lists the
+    leaf nodes in position order (``lo[leaves[k]] == k``), and ``joins`` lists
+    ``(i, left[i], right[i])`` for every internal node, children first
+    (descending index).  ``memo`` is :func:`plan`'s one slot.
     """
 
     lo: List[int]
@@ -111,6 +118,8 @@ class NodeShape(NamedTuple):
     left: List[int]
     right: List[int]
     size: List[int]
+    leaves: List[int]
+    joins: List[Tuple[int, int, int]]
     memo: list
 
 
@@ -141,7 +150,18 @@ def node_shape(n: int) -> NodeShape:
             right[i] = i + 2 * (m - a + 1)
             stack.append((right[i], m + 1, b))
             stack.append((i + 1, a, m))
-    return NodeShape(lo, hi, left, right, size, [(-1, -1, (), ())])
+    # pre-order meets the leaves left to right
+    leaves = [i for i in range(count) if left[i] < 0]
+    joins = [(i, left[i], right[i]) for i in range(count - 1, -1, -1) if left[i] >= 0]
+    return NodeShape(lo, hi, left, right, size, leaves, joins, [(-1, -1, (), ())])
+
+
+@cache
+def node_sizes(n: int, weight: int) -> List[int]:
+    """``node_shape(n).size`` scaled by ``weight``, shared like the layout:
+    every tree of extent ``n`` and cell weight ``weight`` reads this list."""
+    size = node_shape(n).size
+    return size if weight == 1 else [k * weight for k in size]
 
 
 def split(shape: NodeShape, lo: int, hi: int) -> Tuple[List[int], List[int]]:
@@ -270,14 +290,11 @@ def rebuild(trees, rows, rleft, rright, covered, partial):
                     cb[l] = cb[right[j]] = zb
 """ + indent(_REPAIR, "    ") + """
 def fill(t, values):
-    lo, left, right, val, laz = t.lo, t.left, t.right, t.val, t.laz
-    for i in range(len(lo) - 1, -1, -1):
-        l = left[i]
-        if l < 0:
-            val[i] = values[lo[i]]
-        else:
-            val[i] = Q(val[l], val[right[i]])
-        laz[i] = UID
+    shape, val = t.shape, t.val
+    for i, x in zip(shape.leaves, values):
+        val[i] = x
+    for i, l, r in shape.joins:
+        val[i] = Q(val[l], val[r])
 
 def query(t, qlo, qhi):
     lo, hi, left, right, sz, val, laz = t.lo, t.hi, t.left, t.right, t.sz, t.val, t.laz
@@ -410,7 +427,7 @@ class SegTree1D:
                  cell_weight: int = 1, counters: Optional[OpCounters] = None):
         self._bind(len(values), pair, cell_weight, counters)
         self.val: list = [None] * self.node_count
-        self.laz: list = [None] * self.node_count
+        self.laz: list = [pair.update_identity] * self.node_count
         self._k.fill(self, values)
         self.counters.visits_total += self.node_count
 
@@ -440,9 +457,8 @@ class SegTree1D:
         self.shape = shape
         self.lo, self.hi, self.left, self.right = shape[:4]
         self.node_count = len(shape.lo)
-        # covered cells per node, pre-scaled by cell_weight
-        self.sz = (shape.size if cell_weight == 1
-                   else [k * cell_weight for k in shape.size])
+        # covered cells per node, pre-scaled by cell_weight; shared, read-only
+        self.sz = node_sizes(size, cell_weight)
         self._stamped: Sequence[int] = ()
         self._k = kernels(pair)
 

@@ -11,7 +11,8 @@ byte-for-byte.
 ``run_verify`` replays the workload on a chosen backend and on the dense
 oracle in lockstep and compares every query result exactly.  ``run_bench``
 replays it on the backend alone and reports visit statistics (wall-clock
-times ride along for human interest only; no gate ever reads them).
+times and the traced memory peak of a build ride along for human interest
+only; no gate ever reads them).
 ``run_scaling`` sweeps sizes and checks visit growth against each backend's
 declared envelope.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 import time
+import tracemalloc
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -194,9 +196,11 @@ class BenchRow:
     mean_visits_per_query: Optional[float]
     wall_init_seconds: float
     wall_ops_seconds: float
-    # the costliest single operation of each kind; JSON only, the CSV keeps its columns
+    # the costliest single operation of each kind, and the traced memory peak
+    # of one build per cell; JSON only, the CSV keeps its columns
     max_visits_per_update: Optional[int] = field(default=None, metadata={"csv": False})
     max_visits_per_query: Optional[int] = field(default=None, metadata={"csv": False})
+    build_peak_bytes_per_cell: Optional[float] = field(default=None, metadata={"csv": False})
 
     def as_dict(self) -> dict:
         """The fields in order, with ``dims`` written as ``--dims`` takes it."""
@@ -249,8 +253,28 @@ def _replay(cfg: WorkloadConfig) -> tuple:
     return counters, init_visits, wall_init, time.perf_counter() - t0
 
 
+def _build_peak_bytes(cfg: WorkloadConfig) -> int:
+    """The :mod:`tracemalloc` peak of one more, untimed build of the backend
+    over the workload's tensor, less what was traced before it.  A caller's
+    tracing keeps running, but its peak restarts here."""
+    tensor = initial_tensor(cfg, random.Random(cfg.seed))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        make_backend(cfg.backend, tensor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peak - before
+
+
 def run_bench(cfg: WorkloadConfig) -> BenchRow:
-    """Replay the workload on the backend alone and measure visits."""
+    """Replay the workload on the backend alone and measure visits; then
+    build it once more, untimed, to measure its memory."""
     counters, init_visits, wall_init, wall_ops = _replay(cfg)
     return BenchRow(
         backend=cfg.backend,
@@ -263,6 +287,7 @@ def run_bench(cfg: WorkloadConfig) -> BenchRow:
         wall_ops_seconds=wall_ops,
         max_visits_per_update=counters.max_update_visits if counters.update_ops else None,
         max_visits_per_query=counters.max_query_visits if counters.query_ops else None,
+        build_peak_bytes_per_cell=_build_peak_bytes(cfg) / math.prod(cfg.dims),
     )
 
 

@@ -67,6 +67,14 @@ def reinit_span(t, values, qlo):
         val[i] = q(agg(val[l], laz[l], sz[l]), agg(val[r], laz[r], sz[r]))
 
 
+def edge_spans(k):
+    """Adversarial spans over an axis of extent ``k``: the whole axis, the
+    middle slot, both end slots and the span one short of both edges."""
+    inner = min(1, k - 1)
+    return [(0, k - 1), (k // 2, k // 2), (0, 0), (k - 1, k - 1),
+            (inner, max(k - 2, inner))]
+
+
 def sample_values(pair, rng, n):
     lo, hi = pair.sample_range
     return [rng.randint(lo, hi) for _ in range(n)]

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,19 @@ class TestRunners:
 
 
 class TestBenchProtocol:
+    @pytest.mark.parametrize("backend, dims", [("seg1d", (16,)), ("oracle", (3, 5)),
+                                               ("grid2d-general", (8, 8))])
+    def test_build_peak_per_cell_keeps_a_callers_trace_running(self, backend, dims):
+        cfg = WorkloadConfig(backend, "plus-min", dims, ops=50, seed=1)
+        assert run_bench(cfg).build_peak_bytes_per_cell > 0
+        tracemalloc.start()
+        try:
+            row = run_bench(cfg)
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
+        assert row.build_peak_bytes_per_cell > 0
+
     def test_mean_visits_monotone_in_size(self):
         rows = [run_bench(WorkloadConfig("nd-special", "plus-plus", (n, n), ops=400, seed=2))
                 for n in (8, 16, 32)]
@@ -209,6 +223,7 @@ class TestCliBench:
         row = payload["rows"][0]
         for kind in ("update", "query"):
             assert row[f"max_visits_per_{kind}"] >= row[f"mean_visits_per_{kind}"] > 0
+        assert row["build_peak_bytes_per_cell"] > 0
 
     @pytest.mark.parametrize("ratio, absent, present", [
         ("0", "mean_visits_per_update", "mean_visits_per_query"),

@@ -6,7 +6,7 @@ import pytest
 from uqtrees import (DenseTensor, Grid2D, SegTree1D, WorkloadConfig,
                      get_pair, run_verify)
 from uqtrees.seg1d import node_shape, split
-from conftest import KERNEL_CASES, KERNEL_IDS, fold, reinit_span, sample_cell
+from conftest import KERNEL_CASES, KERNEL_IDS, edge_spans, fold, reinit_span, sample_cell
 
 
 def grid(dims, data, pair_name):
@@ -350,11 +350,7 @@ class TestCounters:
         boxes = [(tuple(sorted(rng.randrange(n) for _ in range(2))),
                   tuple(sorted(rng.randrange(m) for _ in range(2))))
                  for _ in range(150)]
-        def spans(k):
-            inner = min(1, k - 1)
-            return [(0, k - 1), (k // 2, k // 2), (0, 0), (k - 1, k - 1),
-                    (inner, max(k - 2, inner))]
-        boxes += [(r, c) for r in spans(n) for c in spans(m)]
+        boxes += [(r, c) for r in edge_spans(n) for c in edge_spans(m)]
         for box in boxes:
             g.update(box, rng.randint(-9, 9))
             g.query(box)

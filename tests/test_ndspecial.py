@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import random
@@ -8,7 +9,7 @@ from uqtrees import (DenseTensor, NDTree, OperatorPair, SegTree1D, WorkloadConfi
                      builtin_pairs, get_pair, run_verify)
 from uqtrees.boxes import draw_box
 from uqtrees.seg1d import kernels
-from conftest import KERNEL_CASES, sample_cell
+from conftest import KERNEL_CASES, edge_spans, sample_cell
 
 
 def tensor(dims, data, pair_name):
@@ -246,6 +247,88 @@ class TestCounterGrowth:
         for a, b in ((64, 128), (128, 256)):
             bound = (math.log2(2 * a) / math.log2(a)) ** 2 + 0.5
             assert means[b] / means[a] <= bound
+
+
+def split_bound(n):
+    """At most ``(covered, partial)`` nodes in the split of any span of
+    extent ``n``: the mid-split tree has depth ``D = ceil(log2 n)``, and a
+    depth holds at most two nodes of each kind (the root alone at depth 0),
+    partial nodes only above the leaves."""
+    d = (n - 1).bit_length()
+    return max(2 * d, 1), max(2 * d - 1, 0)
+
+
+def level_bound(dims, reads):
+    """Visits of one walk over ``dims``: the last axis walks ``1 + 2P``
+    nodes; a level walks ``1 + 2P`` nodes of its own and ``reads(C, P)``
+    trees of the level below."""
+    covered, partial = split_bound(dims[-1])
+    bound = 1 + 2 * partial
+    for n in reversed(dims[:-1]):
+        covered, partial = split_bound(n)
+        bound = 1 + 2 * partial + reads(covered, partial) * bound
+    return bound
+
+
+def query_visit_bound(dims):
+    """Worst case of one query: a covered node reads its ``row_fold`` and
+    its ``row_lazy``, a partial node its ``row_lazy`` alone."""
+    return level_bound(dims, lambda c, p: 2 * c + p)
+
+
+def update_visit_bound(dims):
+    """Worst case of one update, pending-tree allocation left out: a covered
+    node stamps its ``row_lazy``, a partial node repairs its ``row_fold``."""
+    return level_bound(dims, lambda c, p: c + p)
+
+
+BOUND_SHAPES = [(1, 1), (1, 13), (13, 1), (7, 11), (32, 32),
+                (1, 1, 1), (1, 5, 1), (5, 7, 3), (13, 1, 11), (32, 32, 32)]
+
+
+def bound_boxes(dims, rng):
+    """150 seeded boxes, then every box of adversarial spans."""
+    boxes = [draw_box(rng, dims) for _ in range(150)]
+    return boxes + list(itertools.product(*map(edge_spans, dims)))
+
+
+class TestWorstCaseBounds:
+    """The per-operation visit bounds of the fold-commuting case, checked on
+    the costliest single operation (``max_query_visits``/``max_update_visits``)."""
+
+    def test_bounds_in_closed_form(self):
+        assert query_visit_bound((1,)) == update_visit_bound((1,)) == 1
+        # 32 x 32: D = 5, so C <= 10 and P <= 9 on each axis
+        assert query_visit_bound((32, 32)) == 1 + 18 + 29 * 19
+        assert update_visit_bound((32, 32)) == 1 + 18 + 19 * 19
+
+    @pytest.mark.parametrize("dims", BOUND_SHAPES, ids=lambda d: "x".join(map(str, d)))
+    def test_every_query_stays_under_its_worst_case_bound(self, dims):
+        pair = get_pair("plus-plus")
+        rng = random.Random(math.prod(dims) + len(dims))
+        data = [rng.randint(-9, 9) for _ in range(math.prod(dims))]
+        t = NDTree(DenseTensor(dims, data, pair), pair)
+        boxes = bound_boxes(dims, rng)
+        for box in boxes:
+            t.update(box, rng.randint(-9, 9))
+            t.query(box)
+        assert t.counters.query_ops == len(boxes)
+        assert 0 < t.counters.max_query_visits <= query_visit_bound(dims)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3 step 2: the first update "
+                       "that reaches a node allocates its pending tree, 2m - 1 "
+                       "visits per last-axis tree, beyond the polylog bound")
+    def test_every_update_stays_under_its_worst_case_bound(self):
+        pair = get_pair("plus-plus")
+        over = []
+        for dims in BOUND_SHAPES:
+            rng = random.Random(math.prod(dims) + len(dims))
+            t = NDTree(DenseTensor(dims, [0] * math.prod(dims), pair), pair)
+            for box in bound_boxes(dims, rng):
+                t.update(box, rng.randint(-9, 9))
+            if t.counters.max_update_visits > update_visit_bound(dims):
+                over.append((dims, t.counters.max_update_visits, update_visit_bound(dims)))
+        assert not over
 
 
 class TestLazyPairPlumbing:

@@ -56,15 +56,45 @@ class TestBuild:
         with pytest.raises(ValueError):
             SegTree1D([], pair)
 
-    def test_all_lazies_start_identity(self, pair):
-        t = SegTree1D([1, 2, 3, 4, 5, 6, 7], pair)
-        assert all(z == pair.update_identity for z in t.laz)
-
     def test_depth_bound(self):
         pair = get_pair("plus-plus")
         for n in [*range(1, 130), 613, 1000, 2048, 4095, 4096]:
             t = SegTree1D([0] * n, pair)
             assert max(node_depths(t)) <= math.ceil(math.log2(n)) if n > 1 else True
+
+    @pytest.mark.parametrize("pair, cells", KERNEL_CASES, ids=KERNEL_IDS)
+    def test_all_lazies_start_identity(self, pair, cells):
+        # and every node's fold is the oracle's
+        rng = random.Random(3)
+        for n in (1, 2, 7, 13):
+            vals = [sample_cell(pair, rng, cells) for _ in range(n)]
+            t = SegTree1D(vals, pair)
+            assert t.laz == [pair.update_identity] * t.node_count
+            t.validate(DenseTensor((n,), vals, pair))
+
+
+class TestFillTables:
+    """``node_shape``'s ``leaves`` and ``joins``, which the ``fill`` kernel walks."""
+
+    EXTENTS = [*range(1, 71), 1000]
+
+    @pytest.mark.parametrize("n", EXTENTS)
+    def test_leaves_list_every_leaf_once_in_position_order(self, n):
+        shape = node_shape(n)
+        assert len(shape.leaves) == n
+        assert [shape.lo[i] for i in shape.leaves] == list(range(n))
+        assert sorted(shape.leaves) == [i for i in range(2 * n - 1) if shape.left[i] < 0]
+
+    @pytest.mark.parametrize("n", EXTENTS)
+    def test_joins_list_every_internal_node_once_after_its_children(self, n):
+        shape = node_shape(n)
+        internal = [i for i in range(2 * n - 1) if shape.left[i] >= 0]
+        assert sorted(i for i, _, _ in shape.joins) == internal
+        seen = set(shape.leaves)
+        for i, l, r in shape.joins:
+            assert (l, r) == (shape.left[i], shape.right[i])
+            assert l in seen and r in seen
+            seen.add(i)
 
 
 class TestUpdateQuery:

@@ -6,7 +6,8 @@ reference cycle, so every call would leave work for the cyclic garbage
 collector.  With the collector off, building a backend and running a few
 hundred seeded updates and queries must leave nothing for ``gc.collect()``
 to find.  The node layout depends only on the extent, so trees of equal
-extent hold the very same layout lists.  The structure the caller called
+extent hold the very same layout lists, and trees of equal extent and cell
+weight the very same node sizes.  The structure the caller called
 records each operation, exactly once, and its visits add up to the total.
 """
 
@@ -18,7 +19,7 @@ import pytest
 
 from uqtrees import (BACKEND_IDS, DenseTensor, Grid2D, NDTree, OpCounters, SegTree1D,
                      WorkloadConfig, get_pair, make_backend)
-from uqtrees.seg1d import node_shape
+from uqtrees.seg1d import node_shape, node_sizes
 from uqtrees.workloads import _BACKENDS, _box_ops, _replay
 
 CASES = [
@@ -122,10 +123,31 @@ def test_grid2d_inner_trees_share_the_layout_across_weights():
     assert weights == {1, 2, 3, 5}
     assert all(x.lo is node_shape(3).lo for x in g.inner)
     assert g.lo is node_shape(5).lo
-    # a weighted tree owns its scaled sizes; an unweighted one shares them
+    # the scaled sizes are shared per (extent, weight); weight 1 reads the
+    # layout's own sizes
     for x in g.inner:
         assert x.sz == [x.cell_weight * k for k in node_shape(3).size]
+        assert x.sz is node_sizes(3, x.cell_weight)
         assert (x.sz is node_shape(3).size) == (x.cell_weight == 1)
+
+
+@pytest.mark.parametrize("n, m", [(33, 17), (64, 64)])
+def test_grid2d_shares_one_size_list_per_weight_and_no_walk_writes_it(n, m):
+    pair = get_pair("plus-min")
+    rng = random.Random(n * m)
+    g = Grid2D(DenseTensor((n, m), [rng.randint(-9, 9) for _ in range(n * m)], pair), pair)
+    by_weight = {}
+    for x in g.inner:
+        assert by_weight.setdefault(x.cell_weight, x.sz) is x.sz
+    assert len({id(x.sz) for x in g.inner}) == len(by_weight)
+    for _ in range(500):
+        box = tuple(tuple(sorted(rng.randrange(k) for _ in range(2))) for k in (n, m))
+        if rng.random() < 0.5:
+            g.update(box, rng.randint(-9, 9))
+        else:
+            g.query(box)
+    for w, sz in by_weight.items():
+        assert sz == [w * k for k in node_shape(m).size]
 
 
 EXTENTS = {1: (37,), 2: (9, 7), 3: (5, 4, 3)}
