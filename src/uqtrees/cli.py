@@ -4,7 +4,7 @@ Subcommands::
 
     uqtrees verify   --backend seg1d --pair plus-min --dims 16 --ops 1000 --seed 42
     uqtrees bench    --backend nd-special --pair plus-plus --dims 10x10,30x30 --format csv
-    uqtrees matmul   A.txt B.txt --pair plus-min --backend grid2d-general --check
+    uqtrees matmul   A.txt B.txt --pair plus-min --backend grid2d-general --check --stats
     uqtrees scaling  --backend seg1d --pair plus-plus --sizes 128,256 --format json
 
 Exit codes: 0 = all gates passed, 1 = mismatch or gate failure, 2 = usage or
@@ -72,6 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", default="grid2d-general", choices=PRODUCT_BACKENDS)
     p.add_argument("--check", action="store_true",
                    help="also run the schoolbook product and report the cells that differ")
+    p.add_argument("--stats", action="store_true",
+                   help="after the product, print its visit counts as one JSON line on stderr")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("scaling", help="visit growth across sizes vs the declared envelope")
@@ -144,10 +146,19 @@ def _cmd_matmul(args) -> int:
         mats.append([t.data[i * m:(i + 1) * m] for i in range(n)])
     a, b = mats
     backend = seed_backend(args.backend, a, domain)
+    k = backend.counters
+    init_visits = k.visits_total
     c = product_via_backend(a, b, domain, backend)
     n = len(c)
     out = DenseTensor((n, n), [v for row in c for v in row], domain.pair)
     _emit(format_tensor(out), args.out)
+    if args.stats:
+        print(json.dumps({
+            "backend": args.backend, "pair": args.pair, "n": n, "init_visits": init_visits,
+            "update_ops": k.update_ops, "query_ops": k.query_ops,
+            "update_visits": k.update_visits, "query_visits": k.query_visits,
+            "max_visits_per_update": k.max_update_visits,
+            "max_visits_per_query": k.max_query_visits}), file=sys.stderr)
     if args.check:
         # compare with ==: equal infinities are equal, but their difference
         # is nan

@@ -41,8 +41,9 @@ memoised :func:`~uqtrees.seg1d.plan`: each operation splits its row span
 once, and consecutive operations rarely repeat it, so a memo would only
 miss and add its copy.  An update's column span is checked once per
 operation, planned once per covered subtree: the unchecked forest entry
-``SegTree1D._update_many`` stamps it onto all of the subtree's column trees
-in one compiled walk; the rebuilds reuse that plan.  The walks return their
+``SegTree1D._update_many`` updates all of the subtree's column trees in one
+compiled walk, each column node once across the forest, with each tree's
+own weighted sizes; the rebuilds reuse that plan.  The walks return their
 visits; ``update``/``query`` add the sum once and record the operation.
 """
 

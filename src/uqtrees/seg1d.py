@@ -54,8 +54,9 @@ that only a run of the cyclic garbage collector can free.
 
 :func:`kernels` compiles one template per walk with the pair's operators
 written in, once per :class:`OperatorPair` object; a tree holds them as
-``_k``: ``update`` (stamp and repair), ``update_many`` (that text looped
-over a forest), ``rebuild`` (every partial row node of a
+``_k``: ``update`` (stamp and repair), ``update_many`` (the same over a
+forest, node outer and tree inner, each tree with its own weighted
+sizes), ``rebuild`` (every partial row node of a
 :mod:`uqtrees.grid2d` forest resets a span from its two children, in one
 call), ``fill`` (the constructor's whole-array build: one loop copies the
 cells onto the layout's ``leaves``, one folds its ``joins``, children
@@ -240,21 +241,30 @@ _REPAIR = """
         y = AGG(val[r], laz[r], sz[r])
         val[i] = Q(x, y)
 """
-_STAMP = """
+_TEMPLATE = """
+def update(t, covered, partial, value):
     laz = t.laz
     for i in covered:
         laz[i] = U(laz[i], value)
-"""
-_UPDATE = _STAMP + _REPAIR + """
+""" + _REPAIR + """
     t._stamped = covered
-"""
-_TEMPLATE = """
-def update(t, covered, partial, value):
-""" + _UPDATE + """
     return 1 + 2 * len(partial)
 def update_many(trees, covered, partial, value):
+    # every stamp before any repair: exact, as no tree reads a list another
+    # writes, and each is still repaired children first
+    left, right = trees[0].left, trees[0].right
+    held = [(t.laz, t.val, t.sz) for t in trees]
+    for i in covered:
+        for laz, val, sz in held:
+            laz[i] = U(laz[i], value)
+    for i in reversed(partial):
+        l, r = left[i], right[i]
+        for laz, val, sz in held:
+            x = AGG(val[l], laz[l], sz[l])
+            y = AGG(val[r], laz[r], sz[r])
+            val[i] = Q(x, y)
     for t in trees:
-""" + indent(_UPDATE, "    ") + """
+        t._stamped = covered
 
 def rebuild(trees, rows, rleft, rright, covered, partial):
     lo, hi, left, right = trees[0].shape[:4]

@@ -9,6 +9,8 @@ import pytest
 from uqtrees import (BenchRow, WorkloadConfig, make_backend, DenseTensor,
                      get_pair, parse_tensor, run_bench, run_scaling,
                      run_verify)
+from uqtrees.dense import format_tensor
+from uqtrees.matmul import PRODUCT_PAIRS, product_via_backend, schoolbook, seed_backend
 from uqtrees.workloads import format_dims, parse_dims
 
 
@@ -373,6 +375,59 @@ class TestCliMatmul:
         p = cli("matmul", str(tmp_path / "none.txt"), str(tmp_path / "none.txt"),
                 "--pair", "plus-min")
         assert p.returncode == 2
+
+    # entries from random.Random(6) in -9..9, as in CI's smoke step
+    A6 = ("2 6 6\n9 -7 6 -1 -8 -9\n-5 9 6 2 1 -9\n-1 6 -3 4 8 8\n-6 -3 9 8 -1 -7\n"
+          "4 1 -7 2 4 -1\n5 -6 -3 0 -6 -8\n")
+    B6 = ("2 6 6\n9 -3 2 6 -3 7\n9 7 -9 2 -2 4\n0 2 9 -6 -7 7\n7 -3 -6 -1 0 -3\n"
+          "3 6 -2 -5 -3 7\n-9 -3 -4 -9 1 8\n")
+
+    def _write6(self, tmp_path):
+        fa, fb = tmp_path / "a6.txt", tmp_path / "b6.txt"
+        fa.write_text(self.A6)
+        fb.write_text(self.B6)
+        return str(fa), str(fb)
+
+    @pytest.mark.parametrize("backend", ["grid2d-general", "oracle"])
+    def test_stats_line_reports_the_backend_counters(self, tmp_path, backend):
+        fa, fb = self._write6(tmp_path)
+        p = cli("matmul", fa, fb, "--pair", "plus-min", "--backend", backend,
+                "--check", "--stats")
+        assert p.returncode == 0, p.stderr
+        line, check = p.stderr.splitlines()
+        stats = json.loads(line)
+        assert check == "max deviation vs schoolbook: 0 (all 36 cells equal)"
+        # the same product in process, on a fresh backend
+        domain = PRODUCT_PAIRS["plus-min"]
+        a, b = ([list(map(int, row.split())) for row in text.splitlines()[1:]]
+                for text in (self.A6, self.B6))
+        structure = seed_backend(backend, a, domain)
+        k = structure.counters
+        init = k.visits_total
+        product_via_backend(a, b, domain, structure)
+        assert stats == {
+            "backend": backend, "pair": "plus-min", "n": 6, "init_visits": init,
+            "update_ops": 72, "query_ops": 36,
+            "update_visits": k.update_visits, "query_visits": k.query_visits,
+            "max_visits_per_update": k.max_update_visits,
+            "max_visits_per_query": k.max_query_visits}
+        assert k.update_ops == 72 and k.query_ops == 36
+
+    @pytest.mark.parametrize("backend", ["grid2d-general", "oracle"])
+    def test_output_without_stats_is_unchanged(self, tmp_path, backend):
+        fa, fb = self._write6(tmp_path)
+        domain = PRODUCT_PAIRS["plus-min"]
+        a, b = ([list(map(int, row.split())) for row in text.splitlines()[1:]]
+                for text in (self.A6, self.B6))
+        want = format_tensor(DenseTensor((6, 6), sum(schoolbook(a, b, domain), []),
+                                         domain.pair))
+        p = cli("matmul", fa, fb, "--pair", "plus-min", "--backend", backend, "--check")
+        assert (p.returncode, p.stdout) == (0, want)
+        assert p.stderr == "max deviation vs schoolbook: 0 (all 36 cells equal)\n"
+        q = cli("matmul", fa, fb, "--pair", "plus-min", "--backend", backend,
+                "--check", "--stats")
+        assert q.stdout == p.stdout
+        assert q.stderr.endswith(p.stderr) and q.stderr.count("\n") == 2
 
 
 class TestCliScaling:

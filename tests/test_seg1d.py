@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import sys
@@ -8,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from uqtrees import (DenseTensor, OpCounters, OperatorPair, SegTree1D,
+from uqtrees import (DenseTensor, Grid2D, OpCounters, OperatorPair, SegTree1D,
                      ValidationError, WorkloadConfig, get_pair, run_verify)
 from uqtrees.seg1d import kernels, node_shape, plan, split
 from conftest import KERNEL_CASES, KERNEL_IDS, reinit_span, sample_cell
@@ -657,3 +658,45 @@ class TestUpdateMany:
                 assert t.val == c.val
                 assert t.laz == c.laz
                 assert t.last_lazy_spans == c.last_lazy_spans
+
+    @pytest.mark.parametrize("m", [1, 2, 13, 32])
+    @pytest.mark.parametrize("pair, cells", KERNEL_CASES, ids=KERNEL_IDS)
+    def test_forests_of_a_grid_match_update_on_copies(self, pair, cells, m):
+        # the column trees of a 32-row Grid2D, with its real cell weights and
+        # the pending values of earlier updates; a covered subtree of w rows
+        # is a forest of 2w - 1 trees whose weights all differ from its root's
+        rng = random.Random(m)
+
+        def cell():
+            return sample_cell(pair, rng, cells)
+
+        n = 32
+        g = Grid2D(DenseTensor((n, m), [cell() for _ in range(n * m)], pair), pair)
+        for _ in range(20):
+            box = tuple(sorted(rng.randrange(d) for _ in range(2)) for d in (n, m))
+            g.update(box, cell())
+        inner = g.inner
+        for w in (1, 2, 4, 32):
+            starts = [i for i in range(g.node_count) if g.hi[i] - g.lo[i] + 1 == w]
+            for lo, hi in ((0, m - 1), (rng.randrange(m),) * 2,
+                           sorted(rng.randrange(m) for _ in range(2))):
+                i = rng.choice(starts)
+                end = i + 2 * w - 1
+                before = [(list(t.val), list(t.laz), t._stamped) for t in inner]
+                copies = []
+                for t in inner[i:end]:
+                    c = copy.copy(t)
+                    c.val, c.laz, c.counters = list(t.val), list(t.laz), OpCounters()
+                    copies.append(c)
+                v = cell()
+                visits = SegTree1D._update_many(inner[i:end], lo, hi, v)
+                for c in copies:
+                    c.update(lo, hi, v)
+                assert visits == sum(c.counters.visits_total for c in copies)
+                for t, c in zip(inner[i:end], copies):
+                    assert t.val == c.val
+                    assert t.laz == c.laz
+                    assert t.last_lazy_spans == c.last_lazy_spans
+                for k in (*range(i), *range(end, g.node_count)):
+                    t = inner[k]
+                    assert (t.val, t.laz, t._stamped) == before[k], k
