@@ -36,15 +36,13 @@ events, derived from its stored split.  A query checks its box once, folds
 the compiled column ``query`` of each covered node of the row span's split
 into its answer, and never mutates.
 
-The row span is split with the plain :func:`~uqtrees.seg1d.split`, not the
-memoised :func:`~uqtrees.seg1d.plan`: each operation splits its row span
-once, and consecutive operations rarely repeat it, so a memo would only
-miss and add its copy.  An update's column span is checked once per
-operation, planned once per covered subtree: the unchecked forest entry
-``SegTree1D._update_many`` updates all of the subtree's column trees in one
-compiled walk, each column node once across the forest, with each tree's
-own weighted sizes; the rebuilds reuse that plan.  The walks return their
-visits; ``update``/``query`` add the sum once and record the operation.
+Each operation checks its box once and splits each axis once with
+:func:`~uqtrees.seg1d.split`, and every walk below takes those splits as
+given.  An update's covered subtrees form one forest of column trees,
+updated by one call of the compiled ``update_many`` walk, each column node
+once across the forest, with each tree's own weighted sizes; the rebuilds
+take the same column split.  ``update``/``query`` add up the visits of
+every walk, count the sum once and record the operation.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from .algebra import OperatorPair
 from .boxes import Box, check_box, check_value
 from .counters import OpCounters
 from .dense import DenseTensor
-from .seg1d import SegTree1D, node_shape, plan, row_folds, split
+from .seg1d import SegTree1D, node_shape, row_folds, split
 
 
 class Grid2D:
@@ -88,25 +86,26 @@ class Grid2D:
         check_box(box, self.dims)
         check_value(value)
         (xlo, xhi), (ylo, yhi) = box
-        lo, hi, left, right = self.lo, self.hi, self.left, self.right
-        inner = self.inner
+        lo, hi, inner = self.lo, self.hi, self.inner
         self._split = covered, partial = split(self.shape, xlo, xhi)
-        # the split's walk, plus both children of every internal node of a
-        # covered subtree: its node count less its root
-        visits = 1 + 2 * len(partial) - len(covered)
+        ccov, cpar = split(inner[0].shape, ylo, yhi)
+        # no pending values at the outer level: every node of a covered
+        # subtree, the index run i .. i + 2*(hi[i]-lo[i]), updates its column
+        # tree, all in one forest walk
+        forest: List[SegTree1D] = []
         for i in covered:
-            # no pending values at the outer level: every node of a covered
-            # subtree, the index run i .. end - 1, updates its column tree,
-            # all in one forest walk that plans the span once
-            end = i + 2 * (hi[i] - lo[i]) + 1
-            visits += end - i + SegTree1D._update_many(inner[i:end], ylo, yhi, value)
-        if partial:  # the forest walk left the column span's plan in the memo
-            ccov, cpar = plan(inner[0].shape, ylo, yhi)
-            # the nodes that meet it, per rebuild and per child not rebuilt
+            forest += inner[i:i + 2 * (hi[i] - lo[i]) + 1]
+        inner[0]._k.update_many(forest, ccov, cpar, value)
+        # the row split's walk, both children of every internal node of a
+        # covered subtree (its node count less its root), and each column walk
+        visits = 1 + 2 * len(partial) - len(covered) + len(forest) * (2 + 2 * len(cpar))
+        if partial:
+            # the nodes that meet the column span, per rebuild and per child
+            # not rebuilt
             visits += ((len(cpar) + 2 * (yhi - ylo + 1) - len(ccov))
                        * (2 * len(partial) + 1))
             # every partial node, children first, in one compiled walk
-            inner[0]._k.rebuild(inner, partial, left, right, ccov, cpar)
+            inner[0]._k.rebuild(inner, partial, self.left, self.right, ccov, cpar)
         self.counters.visits_total += visits
         self.counters.note_update(visits)
 

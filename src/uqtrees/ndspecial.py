@@ -51,11 +51,9 @@ aggregator, counted once per row the node shares with ``X``.  Queries leave
 the trees unchanged (they only bump the shared counters); updates need
 exclusive access.
 
-Only the public ``update``/``query`` check the box, once.  Every tree at
-one depth shares that axis's extent, so they split every axis but the last
-once with the plain :func:`~uqtrees.seg1d.split` (a memo would mostly miss,
-and in a cube it would evict the last axis's span), and take the last
-axis's :func:`~uqtrees.seg1d.plan` with each partial node paired with its
+Only the public ``update``/``query`` check the box, once, and split each
+axis once with :func:`~uqtrees.seg1d.split` (every tree at one depth shares
+that axis's extent); on the last axis each partial node is paired with its
 overlap ``j`` with the span.  The nested levels walk those splits through
 the private, unchecked ``_update``/``_query``; a 2-D level is one call of
 the pair's compiled ``update_level``/``query_level``, which apply the rule
@@ -77,7 +75,7 @@ from .algebra import OperatorPair, check_special
 from .boxes import Box, check_box, check_value
 from .counters import OpCounters
 from .dense import DenseTensor
-from .seg1d import SegTree1D, kernels, node_shape, plan, row_folds, split
+from .seg1d import SegTree1D, kernels, node_shape, row_folds, split
 
 
 class NDTree:
@@ -151,7 +149,7 @@ class NDTree:
         tree at one depth shares that axis's extent); on the last axis,
         ``partial`` pairs each node with its overlap with the span."""
         (ylo, yhi), shape = box[-1], node_shape(self.dims[-1])
-        covered, partial = plan(shape, ylo, yhi)
+        covered, partial = split(shape, ylo, yhi)
         slo, shi = shape.lo, shape.hi
         parts = tuple((i, min(shi[i], yhi) - max(slo[i], ylo) + 1) for i in partial)
         return ([(lo, hi, *split(node_shape(n), lo, hi))

@@ -20,9 +20,11 @@ Each node ``n`` caches two things:
   descendant ``m`` must be read as ``aggregator(val[m], laz[n], size[m])``.
 
 :func:`split` breaks a span into the maximal nodes inside it and the
-partially covered nodes above them.  ``update``, ``decompose`` and
-``to_array`` consume that one split through :func:`plan`; the
-outer arenas of the 2D and d-dimensional trees call :func:`split` directly;
+partially covered nodes above them.  One rule holds for every structure: a
+public operation checks its span or box once and splits each axis once,
+and the walks below it take that split as given.  ``update``, ``decompose``
+and ``to_array`` each split their span once; the outer arenas of the 2D and
+d-dimensional trees split theirs and hand the inner axes' splits down;
 ``query`` and ``validate`` carry pending values down their own walks.
 ``update`` stamps the pending value onto the covered nodes (the same nodes
 :meth:`decompose` returns) and repairs ``val`` on the partial nodes,
@@ -30,17 +32,6 @@ children first::
 
     val[n] = query_op(aggregator(val[l], laz[l], size[l]),
                       aggregator(val[r], laz[r], size[r]))
-
-:func:`plan` remembers the latest split of each extent, one span deep: the
-inner trees of a nested structure share one layout and are called one after
-another with the same span, so only the first of them walks it.  The memo is
-one slot on the shared :class:`NodeShape` holding one immutable tuple
-``(lo, hi, covered, partial)``; it is read once, compared, and replaced
-whole on a miss.  Two threads updating two different trees of one extent
-therefore never pair a span with another span's nodes -- at worst each
-walks its own span -- and concurrent readers of a plan get right answers.
-A span that never repeats costs a tuple copy of its split and nothing more,
-and the memo holds one split per extent, however long the workload runs.
 
 ``query`` never pushes pending values down -- it carries the combined
 pending value of a node's ancestors down to it -- so queries leave the tree
@@ -74,10 +65,9 @@ call, with the same answers, only slower.  Tracebacks show the generated
 lines (:mod:`linecache`).  The public methods check their spans, call the
 kernels and count the visits they return.  Nested callers check their box
 once and call the kernels unchecked: ``Grid2D`` calls ``query`` on its row
-nodes' trees and ``rebuild`` on its forest, ``NDTree``'s 2-D levels call
-``update_level`` and ``query_level``, and the unchecked entry
-``_update_many`` (which returns its visits and counts none) belongs to
-``Grid2D.update``.  ``validate`` and the oracle never use the kernels.
+nodes' trees and ``update_many`` and ``rebuild`` on its forest, and
+``NDTree``'s 2-D levels call ``update_level`` and ``query_level``.
+``validate`` and the oracle never use the kernels.
 
 ``cell_weight`` scales every node size: a tree whose slots each stand for
 ``w`` real cells (the 2D structure in :mod:`uqtrees.grid2d` uses this) gets
@@ -111,7 +101,8 @@ class NodeShape(NamedTuple):
     unscaled.  Two tables drive the compiled ``fill``: ``leaves`` lists the
     leaf nodes in position order (``lo[leaves[k]] == k``), and ``joins`` lists
     ``(i, left[i], right[i])`` for every internal node, children first
-    (descending index).  ``memo`` is :func:`plan`'s one slot.
+    (descending index).  Every tree of the extent shares one instance, so
+    no field is ever written after :func:`node_shape` builds it.
     """
 
     lo: List[int]
@@ -121,7 +112,6 @@ class NodeShape(NamedTuple):
     size: List[int]
     leaves: List[int]
     joins: List[Tuple[int, int, int]]
-    memo: list
 
 
 @cache
@@ -154,7 +144,7 @@ def node_shape(n: int) -> NodeShape:
     # pre-order meets the leaves left to right
     leaves = [i for i in range(count) if left[i] < 0]
     joins = [(i, left[i], right[i]) for i in range(count - 1, -1, -1) if left[i] >= 0]
-    return NodeShape(lo, hi, left, right, size, leaves, joins, [(-1, -1, (), ())])
+    return NodeShape(lo, hi, left, right, size, leaves, joins)
 
 
 @cache
@@ -191,21 +181,6 @@ def split(shape: NodeShape, lo: int, hi: int) -> Tuple[List[int], List[int]]:
             if shi[l] >= lo:
                 stack.append(l)
     return covered, partial
-
-
-def plan(shape: NodeShape, lo: int, hi: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """:func:`split` as tuples, walked only when ``shape``'s last span differs.
-
-    Callers share the tuples.  ``lo``/``hi`` must be checked ints: a float
-    equal to a remembered bound would hit.
-    """
-    memo = shape.memo
-    m = memo[0]
-    if m[0] == lo and m[1] == hi:
-        return m[2], m[3]
-    covered, partial = split(shape, lo, hi)
-    m = memo[0] = (lo, hi, tuple(covered), tuple(partial))
-    return m[2], m[3]
 
 
 def row_folds(shape: NodeShape, row, q):
@@ -480,20 +455,9 @@ class SegTree1D:
     def update(self, qlo: int, qhi: int, value) -> None:
         check_span(qlo, qhi, self.size)
         check_value(value)
-        visits = self._k.update(self, *plan(self.shape, qlo, qhi), value)
+        visits = self._k.update(self, *split(self.shape, qlo, qhi), value)
         self.counters.visits_total += visits
         self.counters.note_update(visits)
-
-    @staticmethod
-    def _update_many(trees: Sequence["SegTree1D"], qlo: int, qhi: int, value) -> int:
-        """:meth:`update` on every tree of ``trees``, which share one extent
-        and pair: one plan, one compiled walk, no checks (the caller has
-        checked the span and the value).  Returns the visits of all trees;
-        counts nothing."""
-        t = trees[0]
-        covered, partial = plan(t.shape, qlo, qhi)
-        t._k.update_many(trees, covered, partial, value)
-        return len(trees) * (1 + 2 * len(partial))
 
     def query(self, qlo: int, qhi: int):
         check_span(qlo, qhi, self.size)
@@ -510,14 +474,14 @@ class SegTree1D:
         value onto.
         """
         check_span(qlo, qhi, self.size)
-        covered, partial = plan(self.shape, qlo, qhi)
+        covered, partial = split(self.shape, qlo, qhi)
         self.counters.visits_total += 1 + 2 * len(partial)
         return [(self.lo[i], self.hi[i]) for i in covered]
 
     def to_array(self, qlo: int = 0, qhi: Optional[int] = None) -> list:
         """True values of elements ``qlo .. qhi`` (default: the whole array).
 
-        Walks the :func:`plan` of the span, parents first: each node passes
+        Walks the :func:`split` of the span, parents first: each node passes
         the combined pending values of its ancestors and itself on to its
         children, and each leaf emits ``aggregator(val, carried, leaf
         size)``.  The whole array costs exactly ``node_count`` visits.
@@ -525,7 +489,7 @@ class SegTree1D:
         if qhi is None:
             qhi = self.size - 1
         check_span(qlo, qhi, self.size)
-        out, visits = self._k.to_array(self, *plan(self.shape, qlo, qhi))
+        out, visits = self._k.to_array(self, *split(self.shape, qlo, qhi))
         self.counters.visits_total += visits
         return out
 

@@ -123,7 +123,7 @@ class TestFusedRebuild:
     @pytest.mark.parametrize("n, m", [(9, 7), (6, 13), (33, 17)])
     def test_every_inner_tree_matches_the_unfused_path(self, pair, cells, n, m):
         # narrow column updates leave pending values on nodes that a wide
-        # column span's plan splits, so each rebuild has to carry them
+        # column span's split names partial, so each rebuild has to carry them
         rng = random.Random(29)
         data = [sample_cell(pair, rng, cells) for _ in range(n * m)]
         g, twin = (Grid2D(DenseTensor((n, m), data, pair), pair) for _ in range(2))
@@ -367,6 +367,35 @@ class TestCounters:
             costs.append(g.counters.visits_last_op)
         one, full = costs
         assert one < full
+
+    def test_each_operation_checks_once_and_splits_each_axis_once(self, monkeypatch):
+        import uqtrees.grid2d as g2
+        n, m = 33, 17
+        g = grid((n, m), list(range(n * m)), "plus-min")
+        calls = {"check_box": 0, "split": 0, "update_many": 0}
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(owner, name, call)
+        counted(g2, "check_box")
+        counted(g2, "split")
+        counted(g.inner[0]._k, "update_many")
+        rng = random.Random(8)
+        boxes = [(r, c) for r in edge_spans(n) for c in edge_spans(m)]
+        boxes += [tuple(tuple(sorted(rng.randrange(d) for _ in range(2))) for d in (n, m))
+                  for _ in range(20)]
+        for box in boxes:
+            calls.update(check_box=0, split=0, update_many=0)
+            g.update(box, 1)
+            # every row span covers a subtree: one forest walk per update
+            assert calls == {"check_box": 1, "split": 2, "update_many": 1}, box
+            calls.update(check_box=0, split=0, update_many=0)
+            g.query(box)
+            assert calls == {"check_box": 1, "split": 1, "update_many": 0}, box
 
 
 class TestForestRefusals:

@@ -407,7 +407,7 @@ DEEP_VISITS = {
 
 class TestDeepTrees:
     # the CLI stops at three axes; the per-axis splits must hold at any
-    # depth, and in the cube every axis shares one node_shape and its memo
+    # depth, and in the cube every axis shares one node_shape
     @pytest.mark.parametrize("dims", [(3, 4, 2, 5), (4, 4, 4, 4), (2, 1, 3, 1, 2)])
     def test_mixed_ops_match_oracle(self, special_pair, dims):
         from uqtrees.workloads import actions, initial_tensor
@@ -451,7 +451,7 @@ class TestDeepTrees:
                 t.query(box)
             else:
                 t.update(box, 1)
-            assert calls == {"check_box": 1, "split": len(dims) - 1}, box
+            assert calls == {"check_box": 1, "split": len(dims)}, box
 
 
 def bare_trees(t):

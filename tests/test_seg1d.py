@@ -11,7 +11,7 @@ import pytest
 
 from uqtrees import (DenseTensor, Grid2D, OpCounters, OperatorPair, SegTree1D,
                      ValidationError, WorkloadConfig, get_pair, run_verify)
-from uqtrees.seg1d import kernels, node_shape, plan, split
+from uqtrees.seg1d import kernels, node_shape, split
 from conftest import KERNEL_CASES, KERNEL_IDS, reinit_span, sample_cell
 
 
@@ -234,45 +234,26 @@ class TestSplit:
                     assert t.counters.visits_last_op == visits
                     assert t.last_lazy_spans == t.decompose(lo, hi)
 
+    def test_each_public_method_splits_once(self, monkeypatch):
+        import uqtrees.seg1d as seg1d
+        calls = []
+        monkeypatch.setattr(seg1d, "split", lambda *a: calls.append(a) or split(*a))
+        t = SegTree1D(list(range(13)), get_pair("plus-min"))
+        for method, want in (("update", 1), ("decompose", 1), ("to_array", 1),
+                             ("query", 0)):
+            for lo, hi in ((0, 12), (3, 9), (7, 7)):
+                calls.clear()
+                args = (lo, hi, 5) if method == "update" else (lo, hi)
+                getattr(t, method)(*args)
+                assert len(calls) == want, (method, lo, hi)
 
-class TestPlan:
-    """``plan``: ``split`` as tuples, remembered one span deep per extent."""
 
-    def test_equals_split_when_spans_and_extents_interleave(self):
-        calls = [(n, lo, hi) for n in range(1, 34)
-                 for lo in range(n) for hi in range(lo, n)] * 2
-        random.Random(5).shuffle(calls)
-        for n, lo, hi in calls:
-            shape = node_shape(n)
-            covered, partial = split(shape, lo, hi)
-            got = plan(shape, lo, hi)
-            assert got == (tuple(covered), tuple(partial))
-            # a repeat is served from the memo, the same tuples again
-            again = plan(shape, lo, hi)
-            assert again[0] is got[0] and again[1] is got[1]
-
-    def test_a_hit_never_crosses_extents(self):
-        for first, second, hi in ((32, 33, 31), (33, 32, 31), (5, 64, 4)):
-            a, b = node_shape(first), node_shape(second)
-            plan(a, 0, hi)
-            assert plan(b, 0, hi) == tuple(map(tuple, split(b, 0, hi)))
-            assert plan(a, 0, hi) == tuple(map(tuple, split(a, 0, hi)))
-
-    def test_a_float_equal_to_the_remembered_span_is_still_refused(self):
-        t = SegTree1D(list(range(8)), get_pair("plus-min"))
-        t.update(3, 5, 1)
-        for bad in ((3.0, 5), (3, 5.0)):
-            with pytest.raises(TypeError):
-                t.update(*bad, 1)
-            with pytest.raises(TypeError):
-                t.decompose(*bad)
-            with pytest.raises(TypeError):
-                t.to_array(*bad)
-        assert t.to_array() == [0, 1, 2, 4, 5, 6, 6, 7]
+class TestSharedLayout:
+    """Trees of one extent share one :class:`NodeShape`."""
 
     def test_trees_sharing_a_layout_match_the_oracle(self, pair):
         # several trees of one extent, each span repeated across them as a
-        # nested caller does, so most calls hit another tree's plan
+        # nested caller does
         rng = random.Random(11)
         n = 13
         shape = node_shape(n)
@@ -296,18 +277,17 @@ class TestPlan:
             t.validate(o)
 
     def test_two_threads_on_trees_of_one_extent(self):
-        # each thread repeats its own spans on its own tree, so a memo whose
-        # span and nodes could come from different writers would hand one
-        # thread the other's nodes.  CPython rarely switches threads inside
-        # the memo's few bytecodes, so the bounds yield while they compare:
-        # the other thread may then replace the memo between this thread's
-        # reading the span and its reading the nodes
+        # each thread repeats its own spans on its own tree; the trees share
+        # one layout, which no walk may write.  The bounds yield while they
+        # compare, so the threads switch in the middle of their splits
         class Bound(int):
-            def __eq__(self, other):
+            def __le__(self, other):
                 time.sleep(0)
-                return int.__eq__(self, other)
+                return int.__le__(self, other)
 
-            __hash__ = int.__hash__
+            def __ge__(self, other):
+                time.sleep(0)
+                return int.__ge__(self, other)
 
         pair = get_pair("plus-plus")
         n = 32
@@ -513,6 +493,18 @@ class TestRangedArgs:
             call()
             assert t.counters.visits_total - before == t.node_count
 
+    def test_float_bounds_are_refused(self):
+        t = SegTree1D(list(range(8)), get_pair("plus-min"))
+        t.update(3, 5, 1)  # the same span in ints passes
+        for bad in ((3.0, 5), (3, 5.0)):
+            with pytest.raises(TypeError):
+                t.update(*bad, 1)
+            with pytest.raises(TypeError):
+                t.decompose(*bad)
+            with pytest.raises(TypeError):
+                t.to_array(*bad)
+        assert t.to_array() == [0, 1, 2, 4, 5, 6, 6, 7]
+
 
 class TestValidate:
     def test_fresh_build_passes(self, pair):
@@ -620,10 +612,30 @@ class TestKernels:
 
 
 class TestUpdateMany:
-    """A forest update is one :meth:`SegTree1D.update` per tree, node for node.
+    """The forest kernel is one :meth:`SegTree1D.update` per tree, node for node.
 
-    The forest entry checks nothing; ``Grid2D.update``'s checks guard it
+    ``update_many(trees, covered, partial, value)`` takes the caller's split
+    of the span, checks nothing and counts nothing: each tree's walk visits
+    ``1 + 2 * len(partial)`` nodes, as ``update`` counts it.
+    ``Grid2D.update``'s checks guard it
     (``tests/test_grid2d.py::TestForestRefusals``)."""
+
+    @staticmethod
+    def forest_update(forest, lo, hi, v):
+        """``update_many`` over ``forest``; the visits ``update`` would count."""
+        covered, partial = split(forest[0].shape, lo, hi)
+        forest[0]._k.update_many(forest, covered, partial, v)
+        return len(forest) * (1 + 2 * len(partial))
+
+    @staticmethod
+    def copies_of(trees):
+        """Private copies of ``trees``, sharing only their layout and sizes."""
+        out = []
+        for t in trees:
+            c = copy.copy(t)
+            c.val, c.laz, c.counters = list(t.val), list(t.laz), OpCounters()
+            out.append(c)
+        return out
 
     @pytest.mark.parametrize("pair, cells", KERNEL_CASES, ids=KERNEL_IDS)
     def test_matches_update_on_a_copy(self, pair, cells):
@@ -644,15 +656,14 @@ class TestUpdateMany:
             lo, hi = sorted(rng.randrange(n) for _ in range(2))
             v = cell()
             k = 1 + step % 3
-            visits = SegTree1D._update_many(forest[:k], lo, hi, v)
+            visits = self.forest_update(forest[:k], lo, hi, v)
             spent = 0
             for c in copies[:k]:
                 was = c.counters.visits_total
                 c.update(lo, hi, v)
                 spent += c.counters.visits_total - was
             assert visits == spent
-            # a private entry returns its visits and leaves the count to its
-            # caller
+            # the kernel leaves the count to its caller
             assert shared.visits_total == built
             for t, c in zip(forest, copies):
                 assert t.val == c.val
@@ -683,13 +694,9 @@ class TestUpdateMany:
                 i = rng.choice(starts)
                 end = i + 2 * w - 1
                 before = [(list(t.val), list(t.laz), t._stamped) for t in inner]
-                copies = []
-                for t in inner[i:end]:
-                    c = copy.copy(t)
-                    c.val, c.laz, c.counters = list(t.val), list(t.laz), OpCounters()
-                    copies.append(c)
+                copies = self.copies_of(inner[i:end])
                 v = cell()
-                visits = SegTree1D._update_many(inner[i:end], lo, hi, v)
+                visits = self.forest_update(inner[i:end], lo, hi, v)
                 for c in copies:
                     c.update(lo, hi, v)
                 assert visits == sum(c.counters.visits_total for c in copies)
@@ -700,3 +707,35 @@ class TestUpdateMany:
                 for k in (*range(i), *range(end, g.node_count)):
                     t = inner[k]
                     assert (t.val, t.laz, t._stamped) == before[k], k
+
+    @pytest.mark.parametrize("pair, cells", KERNEL_CASES, ids=KERNEL_IDS)
+    def test_one_update_mixes_subtrees_of_several_widths(self, pair, cells):
+        # rows 3..28 of 32 cover subtrees of 1, 4 and 8 rows, whose column
+        # trees Grid2D.update sends through one forest call
+        rng = random.Random(41)
+
+        def cell():
+            return sample_cell(pair, rng, cells)
+
+        n, m = 32, 13
+        g = Grid2D(DenseTensor((n, m), [cell() for _ in range(n * m)], pair), pair)
+        for _ in range(20):
+            box = tuple(sorted(rng.randrange(d) for _ in range(2)) for d in (n, m))
+            g.update(box, cell())
+        inner, xlo, xhi = g.inner, 3, 28
+        covered, partial = split(g.shape, xlo, xhi)
+        assert sorted({g.hi[i] - g.lo[i] + 1 for i in covered}) == [1, 4, 8]
+        # the column trees of the covered subtrees: every row node inside the span
+        forest = [j for j in range(g.node_count) if xlo <= g.lo[j] and g.hi[j] <= xhi]
+        for ylo, yhi in ((0, m - 1), (5, 5), (2, 10)):
+            copies = self.copies_of(inner[j] for j in forest)
+            v = cell()
+            g.update(((xlo, xhi), (ylo, yhi)), v)
+            for j, c in zip(forest, copies):
+                c.update(ylo, yhi, v)
+                assert inner[j].val == c.val, j
+                assert inner[j].laz == c.laz, j
+                assert inner[j].last_lazy_spans == c.last_lazy_spans, j
+            events = g.last_events
+            assert events[:len(forest)] == [("inner-update", j) for j in forest]
+            assert events[len(forest):] == [("rebuild", i) for i in reversed(partial)]
