@@ -12,11 +12,12 @@ Each inner slot therefore represents ``w`` real cells, which is exactly what
 value means ``aggregator(slot, v, w)``, and the inner tree's aggregator
 calls see cell counts, not slot counts.
 
-The outer arena's layout is :func:`~uqtrees.seg1d.node_shape` of the row
-count, and every inner tree uses the one layout of the column count.  Inner
-trees of equal row count share one list of weighted node sizes
-(:func:`~uqtrees.seg1d.node_sizes`; a 64-row grid has 7 such weights for
-its 127 row nodes), so each tree owns only its ``val``/``laz``.
+The outer arena reads its layout from ``shape``, the row count's
+:func:`~uqtrees.seg1d.node_shape`; every inner tree reads it from the one
+``node_shape`` of the column count.  Inner trees of equal row count share
+one list of weighted node sizes (:func:`~uqtrees.seg1d.node_sizes`; a
+64-row grid has 7 such weights for its 127 row nodes), so each tree's own
+per-node lists are only ``val``/``laz``.
 
 There are no pending values at the outer level.  An update splits its box
 into the row span and the column span; outer nodes inside the row span
@@ -64,7 +65,6 @@ class Grid2D:
         self.pair = pair
         self.counters = OpCounters()
         self.shape = shape = node_shape(tensor.dims[0])
-        self.lo, self.hi, self.left, self.right = shape[:4]
         self.node_count = count = len(shape.lo)
         self.inner: List[SegTree1D] = [None] * count  # type: ignore[list-item]
         self._split: Tuple[Sequence[int], Sequence[int]] = ((), ())
@@ -77,7 +77,7 @@ class Grid2D:
     def last_events(self) -> List[Tuple[str, int]]:
         """The latest update's inner updates and rebuilds, in the order done."""
         covered, partial = self._split
-        hi, lo = self.hi, self.lo
+        lo, hi = self.shape[:2]
         events = [("inner-update", j) for i in covered
                   for j in range(i, i + 2 * (hi[i] - lo[i]) + 1)]
         return events + [("rebuild", i) for i in reversed(partial)]
@@ -86,7 +86,7 @@ class Grid2D:
         check_box(box, self.dims)
         check_value(value)
         (xlo, xhi), (ylo, yhi) = box
-        lo, hi, inner = self.lo, self.hi, self.inner
+        (lo, hi, left, right), inner = self.shape[:4], self.inner
         self._split = covered, partial = split(self.shape, xlo, xhi)
         ccov, cpar = split(inner[0].shape, ylo, yhi)
         # no pending values at the outer level: every node of a covered
@@ -105,7 +105,7 @@ class Grid2D:
             visits += ((len(cpar) + 2 * (yhi - ylo + 1) - len(ccov))
                        * (2 * len(partial) + 1))
             # every partial node, children first, in one compiled walk
-            inner[0]._k.rebuild(inner, partial, self.left, self.right, ccov, cpar)
+            inner[0]._k.rebuild(inner, partial, left, right, ccov, cpar)
         self.counters.visits_total += visits
         self.counters.note_update(visits)
 

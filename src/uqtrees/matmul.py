@@ -56,16 +56,13 @@ class ProductPair:
 
     ``lift`` turns a plain matrix entry into the element/update-value
     representation the backend works in; ``lower`` turns a query result back
-    into a plain number; ``inv`` inverts a lifted update value.
+    into a plain number.
     """
 
     name: str
     pair: OperatorPair
     lift: Callable = _identity
     lower: Callable = _identity
-
-    def inv(self, value):
-        return self.pair.invert(value)
 
 
 MIN_PLUS_PRODUCT = ProductPair("min-plus", PLUS_MIN)
@@ -151,7 +148,7 @@ def product_via_backend(a: Matrix, b: Matrix, domain: ProductPair, backend) -> M
         raise ValueError(f"pair {domain.pair.name!r} has no inverse")
     update = backend.update
     query = backend.query
-    inv = domain.inv
+    inv = domain.pair.invert
     lift = domain.lift
     lower = domain.lower
     full = (0, n - 1)
@@ -178,7 +175,7 @@ def multi_product_via_backend(pairs_of_matrices: Sequence[tuple], domain: Produc
     sizes = [_check_operands(a, b) for a, b in pairs_of_matrices]
     out = []
     u = domain.pair.update_op
-    inv = domain.inv
+    inv = domain.pair.invert
     lift = domain.lift
     update = backend.update
     query = backend.query

@@ -35,10 +35,10 @@ one visit per node of the list it allocates, as a constructor does; a
 constructor allocates no pending tree, so building ``(a, b, c)`` costs
 ``(2a-1) * (1 + (2b-1) * 2c)`` visits.
 
-The axis-0 arena's layout is :func:`~uqtrees.seg1d.node_shape` of the
-extent, shared with every other tree of that extent; nested trees of equal
-extent likewise share one layout and its unweighted node sizes, and each
-owns only its ``val``/``laz``.
+Every tree reads its axis-0 layout from ``shape``, the one
+:func:`~uqtrees.seg1d.node_shape` that all trees of that extent hold; a
+last-axis tree also shares the unweighted node sizes, so its own per-node
+lists are only ``val``/``laz``.
 
 An update splits its box into the axis-0 span ``X`` and the remainder ``C``,
 and ``X`` by :func:`~uqtrees.seg1d.split` into covered and partial nodes:
@@ -110,8 +110,7 @@ class NDTree:
         self.line: Optional[SegTree1D] = None
         if len(dims) == 1:
             return
-        shape = node_shape(dims[0])
-        self.lo, self.hi, self.left, self.right = shape[:4]
+        self.shape = shape = node_shape(dims[0])
         count = len(shape.lo)
         # the last axis is a bare SegTree1D, walked by the pair's kernels
         self._bare = len(dims) == 2
@@ -131,7 +130,7 @@ class NDTree:
     @property
     def node_count(self) -> int:
         """Outer nodes on axis 0 (the wrapped tree's nodes for d == 1)."""
-        return self.line.node_count if self.line is not None else len(self.lo)
+        return self.line.node_count if self.line is not None else len(self.shape.lo)
 
     def update(self, box: Box, value) -> None:
         check_box(box, self.dims)
@@ -163,7 +162,7 @@ class NDTree:
         if self._bare:  # the whole level, last axis included, in one walk
             return self._k.update_level(self, covered, partial, xlo, xhi,
                                         *splits[k + 1][2:], value)
-        lo, hi = self.lo, self.hi
+        lo, hi = self.shape[:2]
         folds, lazies = self.row_fold, self.row_lazy
         agg = self.pair.aggregator
         e = self.pair.update_identity
@@ -200,7 +199,7 @@ class NDTree:
         xlo, xhi, covered, partial = splits[k]
         if self._bare:  # the whole level, last axis included, in one walk
             return self._k.query_level(self, covered, partial, xlo, xhi, *splits[k + 1][2:])
-        lo, hi = self.lo, self.hi
+        lo, hi = self.shape[:2]
         folds, lazies = self.row_fold, self.row_lazy
         q = self.pair.query_op
         agg = self.pair.aggregator

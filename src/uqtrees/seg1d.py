@@ -3,13 +3,13 @@
 Nodes live in an index-addressed arena of parallel lists; node 0 is the
 root and covers ``[0, N-1]``.  A node over ``[l, r]`` with ``l < r`` splits
 at ``m = (l + r) // 2`` into ``[l, m]`` and ``[m+1, r]``, which gives exactly
-``2N - 1`` nodes for any N, power of two or not.  That layout
-(``lo``/``hi``/``left``/``right`` and node sizes) depends only on N, so
-:func:`node_shape` builds it once per extent and every tree of that extent
-shares it -- the outer arenas of :mod:`uqtrees.ndspecial` and
-:mod:`uqtrees.grid2d` included.  Node sizes scaled by a cell weight are
-shared the same way, one list per ``(extent, weight)`` from
-:func:`node_sizes`, so a tree owns only ``val`` and ``laz``.
+``2N - 1`` nodes for any N, power of two or not.  That layout depends only
+on N, so :func:`node_shape` builds one :class:`NodeShape` per extent; every
+tree of that extent (the arenas of :mod:`uqtrees.ndspecial` and
+:mod:`uqtrees.grid2d` too) holds it as ``shape`` and every walk reads
+``lo``/``hi``/``left``/``right`` from it.  Node sizes scaled by a cell
+weight are one shared list per ``(extent, weight)`` from :func:`node_sizes`,
+so a tree's own per-node lists are only ``val`` and ``laz``.
 
 Each node ``n`` caches two things:
 
@@ -71,8 +71,8 @@ nodes' trees and ``update_many`` and ``rebuild`` on its forest, and
 
 ``cell_weight`` scales every node size: a tree whose slots each stand for
 ``w`` real cells (the 2D structure in :mod:`uqtrees.grid2d` uses this) gets
-correct aggregator calls simply by building with ``cell_weight=w``.  Its
-``sz`` is the shared ``node_sizes(N, w)``, which no walk writes.
+correct aggregator calls simply by building with ``cell_weight=w``, kept
+only in ``sz``: the shared ``node_sizes(N, w)``, which no walk writes.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ class NodeShape(NamedTuple):
     unscaled.  Two tables drive the compiled ``fill``: ``leaves`` lists the
     leaf nodes in position order (``lo[leaves[k]] == k``), and ``joins`` lists
     ``(i, left[i], right[i])`` for every internal node, children first
-    (descending index).  Every tree of the extent shares one instance, so
-    no field is ever written after :func:`node_shape` builds it.
+    (descending index).  Every tree of the extent reads its layout from this
+    one instance, its ``shape``; nothing writes a field after it is built.
     """
 
     lo: List[int]
@@ -207,9 +207,9 @@ def row_folds(shape: NodeShape, row, q):
 
 # One template per walk; each line ``target = OP(args)``, OP one of U, Q, AGG
 # (update_op, query_op, aggregator), is rendered per pair; UID/QID, the
-# identities, are bound as objects.
+# identities, are bound as objects.  The repair's caller binds t, laz, left, right.
 _REPAIR = """
-    left, right, sz, val = t.left, t.right, t.sz, t.val
+    sz, val = t.sz, t.val
     for i in reversed(partial):
         l, r = left[i], right[i]
         x = AGG(val[l], laz[l], sz[l])
@@ -218,7 +218,7 @@ _REPAIR = """
 """
 _TEMPLATE = """
 def update(t, covered, partial, value):
-    laz = t.laz
+    laz, left, right = t.laz, t.shape.left, t.shape.right
     for i in covered:
         laz[i] = U(laz[i], value)
 """ + _REPAIR + """
@@ -227,7 +227,7 @@ def update(t, covered, partial, value):
 def update_many(trees, covered, partial, value):
     # every stamp before any repair: exact, as no tree reads a list another
     # writes, and each is still repaired children first
-    left, right = trees[0].left, trees[0].right
+    left, right = trees[0].shape.left, trees[0].shape.right
     held = [(t.laz, t.val, t.sz) for t in trees]
     for i in covered:
         for laz, val, sz in held:
@@ -282,7 +282,8 @@ def fill(t, values):
         val[i] = Q(val[l], val[r])
 
 def query(t, qlo, qhi):
-    lo, hi, left, right, sz, val, laz = t.lo, t.hi, t.left, t.right, t.sz, t.val, t.laz
+    lo, hi, left, right = t.shape[:4]
+    sz, val, laz = t.sz, t.val, t.laz
     out = QID
     visits = 1
     # (node, combined pending value of its strict ancestors); a covered node
@@ -305,7 +306,8 @@ def query(t, qlo, qhi):
     return out, visits
 
 def to_array(t, covered, partial):
-    lo, hi, left, right, sz, val, laz = t.lo, t.hi, t.left, t.right, t.sz, t.val, t.laz
+    lo, hi, left, right = t.shape[:4]
+    sz, val, laz = t.sz, t.val, t.laz
     carried = [UID] * len(lo)
     for i in partial:
         z = U(carried[i], laz[i])
@@ -349,7 +351,7 @@ _FOLD = """
 # The 2-D level walks of nd-special, rendered only for a fold-commuting pair
 _LEVELS = """
 def update_level(n, covered, partial, xlo, xhi, ycov, yparts, value):
-    lo, hi, trees, w = n.lo, n.hi, n.row_lazy, value
+    (lo, hi), trees, w = n.shape[:2], n.row_lazy, value
     for i in covered:""" + _ABSORB + """
     trees = n.row_fold
     for i in partial:
@@ -358,7 +360,7 @@ def update_level(n, covered, partial, xlo, xhi, ycov, yparts, value):
     return 1 + 2 * len(partial) + (len(covered) + len(partial)) * (1 + 2 * len(yparts))
 
 def query_level(n, covered, partial, xlo, xhi, ycov, yparts):
-    lo, hi, folds, lazies = n.lo, n.hi, n.row_fold, n.row_lazy
+    (lo, hi), folds, lazies = n.shape[:2], n.row_fold, n.row_lazy
     out, held = QID, 0
     for i in covered:
         t = folds[i]""" + _FOLD + """
@@ -411,46 +413,46 @@ class SegTree1D:
     def __init__(self, values: Sequence, pair: OperatorPair, *,
                  cell_weight: int = 1, counters: Optional[OpCounters] = None):
         self._bind(len(values), pair, cell_weight, counters)
-        self.val: list = [None] * self.node_count
-        self.laz: list = [pair.update_identity] * self.node_count
         self._k.fill(self, values)
-        self.counters.visits_total += self.node_count
 
     @classmethod
     def identity(cls, size: int, pair: OperatorPair, *,
                  counters: Optional[OpCounters] = None) -> "SegTree1D":
         """A tree over ``size`` copies of ``query_identity``, filled without a walk.
 
-        Every fold is ``query_identity`` and every pending value
-        ``update_identity``, which is what the constructor would compute;
+        A tree before ``fill`` holds every fold ``query_identity`` and every
+        pending value ``update_identity``, as the constructor would compute;
         like the constructor it counts ``node_count`` visits.
         """
         t = cls.__new__(cls)
         t._bind(size, pair, 1, counters)
-        t.val = [pair.query_identity] * t.node_count
-        t.laz = [pair.update_identity] * t.node_count
-        t.counters.visits_total += t.node_count
         return t
 
     def _bind(self, size: int, pair: OperatorPair, cell_weight: int,
               counters: Optional[OpCounters]) -> None:
         shape = node_shape(size)
+        count = len(shape.lo)
         self.size = size
         self.pair = pair
-        self.cell_weight = cell_weight
         self.counters = counters if counters is not None else OpCounters()
         self.shape = shape
-        self.lo, self.hi, self.left, self.right = shape[:4]
-        self.node_count = len(shape.lo)
         # covered cells per node, pre-scaled by cell_weight; shared, read-only
         self.sz = node_sizes(size, cell_weight)
+        self.val: list = [pair.query_identity] * count
+        self.laz: list = [pair.update_identity] * count
         self._stamped: Sequence[int] = ()
         self._k = kernels(pair)
+        self.counters.visits_total += count
+
+    @property
+    def node_count(self) -> int:
+        """``2 * size - 1``: the nodes of the shared layout."""
+        return len(self.shape.lo)
 
     @property
     def last_lazy_spans(self) -> List[Tuple[int, int]]:
         """The spans the latest update stamped its value onto, left to right."""
-        return [(self.lo[i], self.hi[i]) for i in self._stamped]
+        return [(self.shape.lo[i], self.shape.hi[i]) for i in self._stamped]
 
     def update(self, qlo: int, qhi: int, value) -> None:
         check_span(qlo, qhi, self.size)
@@ -476,7 +478,7 @@ class SegTree1D:
         check_span(qlo, qhi, self.size)
         covered, partial = split(self.shape, qlo, qhi)
         self.counters.visits_total += 1 + 2 * len(partial)
-        return [(self.lo[i], self.hi[i]) for i in covered]
+        return [(self.shape.lo[i], self.shape.hi[i]) for i in covered]
 
     def to_array(self, qlo: int = 0, qhi: Optional[int] = None) -> list:
         """True values of elements ``qlo .. qhi`` (default: the whole array).
@@ -506,16 +508,17 @@ class SegTree1D:
             raise ValueError("reference shape mismatch")
         agg = self.pair.aggregator
         u = self.pair.update_op
+        lo, hi, left, right = self.shape[:4]
         stack = [(0, self.pair.update_identity)]
         while stack:
             i, z = stack.pop()
             z = u(z, self.laz[i])
             got = agg(self.val[i], z, self.sz[i])
-            want = reference.query(((self.lo[i], self.hi[i]),))
+            want = reference.query(((lo[i], hi[i]),))
             if got != want:
                 raise ValidationError(
-                    f"node {i} over [{self.lo[i]}, {self.hi[i]}]: "
+                    f"node {i} over [{lo[i]}, {hi[i]}]: "
                     f"effective fold {got!r} != oracle {want!r}")
-            if self.left[i] >= 0:
-                stack.append((self.left[i], z))
-                stack.append((self.right[i], z))
+            if left[i] >= 0:
+                stack.append((left[i], z))
+                stack.append((right[i], z))

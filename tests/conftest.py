@@ -51,7 +51,8 @@ def reinit_span(t, values, qlo):
     are repaired, children first, as an update repairs them."""
     pair = t.pair
     u, q, agg, e = pair.update_op, pair.query_op, pair.aggregator, pair.update_identity
-    lo, hi, left, right, sz, val, laz = t.lo, t.hi, t.left, t.right, t.sz, t.val, t.laz
+    lo, hi, left, right = t.shape[:4]
+    sz, val, laz = t.sz, t.val, t.laz
     covered, partial = split(t.shape, qlo, qlo + len(values) - 1)
     for i in partial:
         for c in (left[i], right[i]):

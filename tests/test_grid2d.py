@@ -46,10 +46,10 @@ class TestBuild:
                     rows, (ylo, yhi) = box
                     stamped = g.inner[0].decompose(ylo, yhi)
                     for i in split(g.shape, *rows)[0]:
-                        for j in range(i, i + 2 * (g.hi[i] - g.lo[i]) + 1):
+                        for j in range(i, i + 2 * (g.shape.hi[i] - g.shape.lo[i]) + 1):
                             assert g.inner[j].last_lazy_spans == stamped
                 for i in range(g.node_count):
-                    want = [o.query(((g.lo[i], g.hi[i]), (y, y))) for y in range(m)]
+                    want = [o.query(((g.shape.lo[i], g.shape.hi[i]), (y, y))) for y in range(m)]
                     assert g.inner[i].to_array() == want
                     g.inner[i].validate(DenseTensor((m,), want, pair))
 
@@ -95,10 +95,10 @@ def true_value(t, y):
     i, z = 0, t.pair.update_identity
     while True:
         z = u(z, t.laz[i])
-        l = t.left[i]
+        l = t.shape.left[i]
         if l < 0:
             return agg(t.val[i], z, t.sz[i])
-        i = l if y <= t.hi[l] else t.right[i]
+        i = l if y <= t.shape.hi[l] else t.shape.right[i]
 
 
 def unfused_update(g, box, value):
@@ -109,10 +109,10 @@ def unfused_update(g, box, value):
     (xlo, xhi), (ylo, yhi) = box
     covered, partial = split(g.shape, xlo, xhi)
     for i in covered:
-        for j in range(i, i + 2 * (g.hi[i] - g.lo[i]) + 1):
+        for j in range(i, i + 2 * (g.shape.hi[i] - g.shape.lo[i]) + 1):
             g.inner[j].update(ylo, yhi, value)
     for i in reversed(partial):
-        l, r = (g.inner[c] for c in (g.left[i], g.right[i]))
+        l, r = (g.inner[c] for c in (g.shape.left[i], g.shape.right[i]))
         cols = [g.pair.query_op(true_value(l, y), true_value(r, y))
                 for y in range(ylo, yhi + 1)]
         reinit_span(g.inner[i], cols, ylo)
@@ -141,7 +141,7 @@ class TestFusedRebuild:
                 _, cpartial = split(node_shape(m), ylo, yhi)
                 for i in split(g.shape, xlo, xhi)[1]:
                     carried += any(g.inner[c].laz[j] != pair.update_identity
-                                   for c in (g.left[i], g.right[i]) for j in cpartial)
+                                   for c in (g.shape.left[i], g.shape.right[i]) for j in cpartial)
                 v = sample_cell(pair, rng, cells)
                 g.update(box, v)
                 unfused_update(twin, box, v)
@@ -211,7 +211,7 @@ class TestNodeColumnLemma:
                 for i in range(g.node_count):
                     for c0 in range(m):
                         for c1 in range(c0, m):
-                            want = o.query(((g.lo[i], g.hi[i]), (c0, c1)))
+                            want = o.query(((g.shape.lo[i], g.shape.hi[i]), (c0, c1)))
                             assert g.inner[i].query(c0, c1) == want
 
 
@@ -224,7 +224,7 @@ class TestRebuildOrdering:
             seen[node] = stamp
         for kind, node in g.last_events:
             if kind == "rebuild":
-                for child in (g.left[node], g.right[node]):
+                for child in (g.shape.left[node], g.shape.right[node]):
                     if child in seen:
                         assert seen[child] < seen[node]
 
@@ -333,8 +333,8 @@ class TestCounters:
             inner_update = 1 + 2 * (meets - inside)
             kind = {i: k for k, i in g.last_events}
             rebuilt = [i for i, k in kind.items() if k == "rebuild"]
-            outer = 1 + 2 * sum(1 for i in kind if g.left[i] >= 0)
-            reads = sum(1 for i in rebuilt for c in (g.left[i], g.right[i])
+            outer = 1 + 2 * sum(1 for i in kind if g.shape.left[i] >= 0)
+            reads = sum(1 for i in rebuilt for c in (g.shape.left[i], g.shape.right[i])
                         if kind.get(c) != "rebuild")
             assert spent == (outer + inner_update * (len(kind) - len(rebuilt))
                              + meets * (len(rebuilt) + reads))

@@ -6,6 +6,7 @@ from uqtrees import (MAX_PLUS_PRODUCT, MIN_PLUS_PRODUCT, STANDARD_PRODUCT,
                      MIN_MIN, DenseTensor, NDTree, ProductPair,
                      ZeroTrackedSum, get_pair, multi_product_via_backend,
                      product_via_backend, schoolbook, seed_backend)
+from uqtrees.seg1d import node_shape, split
 
 BACKENDS = ("oracle", "grid2d-general")
 
@@ -260,6 +261,37 @@ class TestZeroTrackedPlumbing:
 
     def test_inv_of_zero_update_is_total(self):
         z = STANDARD_PRODUCT.lift(0)
-        inv = STANDARD_PRODUCT.inv(z)
+        inv = STANDARD_PRODUCT.pair.invert(z)
         assert isinstance(inv, ZeroTrackedSum)
         assert (z * inv) == 1
+
+
+def leaf_depth_sum(n):
+    """``D(N)``: the partial nodes of every one-slot span, summed, which is
+    the sum of the leaf depths of ``node_shape(n)``."""
+    return sum(len(split(node_shape(n), i, i)[1]) for i in range(n))
+
+
+class TestReductionCost:
+    """One product costs a closed form in N: Theta(N^3 log N) update visits
+    against Theta(N^2 log N) query visits on ``grid2d-general``, the
+    trade-off that the (+, min) lower bound predicts; the oracle pays N per
+    row or column operation."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_visit_totals_of_one_product(self, backend):
+        rng = random.Random(9)
+        for n in range(1, 34):
+            a, b = rand_matrix(rng, n), rand_matrix(rng, n)
+            be = seed_backend(backend, a, MIN_PLUS_PRODUCT)
+            c = be.counters
+            init = c.visits_total
+            product_via_backend(a, b, MIN_PLUS_PRODUCT, be)
+            assert (c.update_ops, c.query_ops) == (2 * n * n, n * n)
+            if backend == "oracle":
+                want = (2 * n ** 3, n ** 3)
+            else:
+                d = n + leaf_depth_sum(n)
+                want = (4 * n * (2 * n - 1) * d, 2 * n * d)
+            assert (c.update_visits, c.query_visits) == want, n
+            assert c.visits_total == init + sum(want)

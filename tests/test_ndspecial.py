@@ -115,12 +115,13 @@ def effective_fold(t, node, span):
     """
     pair = t.pair
     base = t.row_fold[node].query(*span)
-    rows = t.hi[node] - t.lo[node] + 1
+    lo, hi, left, right = t.shape[:4]
+    rows = hi[node] - lo[node] + 1
     acc = base
     path = [0]
     while path[-1] != node:
         cur = path[-1]
-        nxt = t.left[cur] if t.lo[t.left[cur]] <= t.lo[node] <= t.hi[t.left[cur]] else t.right[cur]
+        nxt = left[cur] if lo[left[cur]] <= lo[node] <= hi[left[cur]] else right[cur]
         path.append(nxt)
     for anc in path:
         lazy = t.row_lazy[anc]
@@ -148,10 +149,10 @@ class TestTrueValueRule:
                     o.update(box, v)
                 if t.line is not None:
                     continue
-                for node in range(len(t.lo)):
+                for node in range(len(t.shape.lo)):
                     for c0 in range(m):
                         for c1 in range(c0, m):
-                            want = o.query(((t.lo[node], t.hi[node]), (c0, c1)))
+                            want = o.query(((t.shape.lo[node], t.shape.hi[node]), (c0, c1)))
                             assert effective_fold(t, node, (c0, c1)) == want
 
 
@@ -223,7 +224,7 @@ class TestPendingAllocation:
         # only the axis-0 leaf over row 2 holds a pending tree, and inside
         # it only the nodes on the path to column 1 are allocated
         stamped = [i for i, x in enumerate(t.row_lazy) if x is not None]
-        assert [(t.lo[i], t.hi[i]) for i in stamped] == [(2, 2)]
+        assert [(t.shape.lo[i], t.shape.hi[i]) for i in stamped] == [(2, 2)]
         sub = t.row_lazy[stamped[0]]
         assert 0 < sum(x is not None for x in sub.row_fold + sub.row_lazy) < 2 * sub.node_count
         for x in range(5):
@@ -480,7 +481,7 @@ class TestFoldCommutingKernels:
         generic = []
 
         def overlap(n, i, xlo, xhi):
-            return min(n.hi[i], xhi) - max(n.lo[i], xlo) + 1
+            return min(n.shape.hi[i], xhi) - max(n.shape.lo[i], xlo) + 1
 
         def update_level(n, covered, partial, xlo, xhi, ycov, yparts, value):
             generic.append(n)
@@ -499,11 +500,11 @@ class TestFoldCommutingKernels:
             generic.append(n)
             out, visits = pair.query_identity, 1 + 2 * len(partial)
             held = [(n.row_fold[i], None) for i in covered]
-            held += [(n.row_lazy[i], n.hi[i] - n.lo[i] + 1) for i in covered]
+            held += [(n.row_lazy[i], n.shape.hi[i] - n.shape.lo[i] + 1) for i in covered]
             held += [(n.row_lazy[i], overlap(n, i, xlo, xhi)) for i in partial]
             for t, rows in held:
                 if t is not None:
-                    x, m = k.query(t, t.lo[ycov[0]], t.hi[ycov[-1]])
+                    x, m = k.query(t, t.shape.lo[ycov[0]], t.shape.hi[ycov[-1]])
                     out = (pair.query_op(out, x) if rows is None
                            else pair.aggregator(out, x, rows))
                     visits += m

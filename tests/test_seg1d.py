@@ -24,7 +24,7 @@ def node_depths(t):
     depth = [0] * t.node_count
     order = [0]
     for i in order:
-        for c in (t.left[i], t.right[i]):
+        for c in (t.shape.left[i], t.shape.right[i]):
             if c >= 0:
                 depth[c] = depth[i] + 1
                 order.append(c)
@@ -180,7 +180,7 @@ class TestDecompose:
                     before = t.counters.visits_total
                     t.decompose(lo, hi)
                     spent = t.counters.visits_total - before
-                    inside = sum(1 for a, b in zip(t.lo, t.hi) if lo <= a and b <= hi)
+                    inside = sum(1 for a, b in zip(t.shape.lo, t.shape.hi) if lo <= a and b <= hi)
                     assert spent == 1 + 2 * (meeting_nodes(t, lo, hi) - inside)
 
     def test_adversarial_large_sizes(self):
@@ -442,7 +442,7 @@ def pending_tree(pair, rng, n, w):
 
 
 def meeting_nodes(t, lo, hi):
-    return sum(1 for a, b in zip(t.lo, t.hi) if a <= hi and lo <= b)
+    return sum(1 for a, b in zip(t.shape.lo, t.shape.hi) if a <= hi and lo <= b)
 
 
 @pytest.mark.parametrize("w", [1, 3])
@@ -688,7 +688,7 @@ class TestUpdateMany:
             g.update(box, cell())
         inner = g.inner
         for w in (1, 2, 4, 32):
-            starts = [i for i in range(g.node_count) if g.hi[i] - g.lo[i] + 1 == w]
+            starts = [i for i in range(g.node_count) if g.shape.hi[i] - g.shape.lo[i] + 1 == w]
             for lo, hi in ((0, m - 1), (rng.randrange(m),) * 2,
                            sorted(rng.randrange(m) for _ in range(2))):
                 i = rng.choice(starts)
@@ -724,9 +724,9 @@ class TestUpdateMany:
             g.update(box, cell())
         inner, xlo, xhi = g.inner, 3, 28
         covered, partial = split(g.shape, xlo, xhi)
-        assert sorted({g.hi[i] - g.lo[i] + 1 for i in covered}) == [1, 4, 8]
+        assert sorted({g.shape.hi[i] - g.shape.lo[i] + 1 for i in covered}) == [1, 4, 8]
         # the column trees of the covered subtrees: every row node inside the span
-        forest = [j for j in range(g.node_count) if xlo <= g.lo[j] and g.hi[j] <= xhi]
+        forest = [j for j in range(g.node_count) if xlo <= g.shape.lo[j] and g.shape.hi[j] <= xhi]
         for ylo, yhi in ((0, m - 1), (5, 5), (2, 10)):
             copies = self.copies_of(inner[j] for j in forest)
             v = cell()

@@ -6,9 +6,10 @@ reference cycle, so every call would leave work for the cyclic garbage
 collector.  With the collector off, building a backend and running a few
 hundred seeded updates and queries must leave nothing for ``gc.collect()``
 to find.  The node layout depends only on the extent, so trees of equal
-extent hold the very same layout lists, and trees of equal extent and cell
-weight the very same node sizes.  The structure the caller called
-records each operation, exactly once, and its visits add up to the total.
+extent hold the very same ``NodeShape`` and keep no copy of its lists, and
+trees of equal extent and cell weight the very same node sizes.  The
+structure the caller called records each operation, exactly once, and its
+visits add up to the total.
 """
 
 import gc
@@ -95,8 +96,7 @@ def test_trees_of_equal_extent_share_one_layout():
     a = SegTree1D([1, 2, 3, 4, 5], pair)
     b = SegTree1D([5, 4, 3, 2, 1], pair)
     shape = node_shape(5)
-    for name in ("lo", "hi", "left", "right"):
-        assert getattr(a, name) is getattr(b, name) is getattr(shape, name)
+    assert a.shape is b.shape is shape
     assert a.sz is shape.size
     assert a.val is not b.val and a.laz is not b.laz
 
@@ -110,25 +110,25 @@ def test_trees_of_equal_extent_share_one_layout():
     # inside the pending tree stamped at the root: fold trees on the three
     # partially covered nodes over axis 1, pending trees on its two leaves
     assert len(inner) == 7 * 7 + 3 + 2
-    assert all(x.lo is node_shape(4).lo and x.right is node_shape(4).right
-               for x in inner)
-    assert t.lo is node_shape(4).lo
+    assert all(x.shape is node_shape(4) for x in inner)
+    assert t.shape is node_shape(4)
     assert len({id(x.val) for x in inner}) == len(inner)
 
 
 def test_grid2d_inner_trees_share_the_layout_across_weights():
     pair = get_pair("plus-min")
     g = Grid2D(DenseTensor((5, 3), list(range(15)), pair), pair)
-    weights = {x.cell_weight for x in g.inner}
-    assert weights == {1, 2, 3, 5}
-    assert all(x.lo is node_shape(3).lo for x in g.inner)
-    assert g.lo is node_shape(5).lo
+    # an inner tree's cell weight is its row node's size
+    weights = g.shape.size
+    assert set(weights) == {1, 2, 3, 5}
+    assert all(x.shape is node_shape(3) for x in g.inner)
+    assert g.shape is node_shape(5)
     # the scaled sizes are shared per (extent, weight); weight 1 reads the
     # layout's own sizes
-    for x in g.inner:
-        assert x.sz == [x.cell_weight * k for k in node_shape(3).size]
-        assert x.sz is node_sizes(3, x.cell_weight)
-        assert (x.sz is node_shape(3).size) == (x.cell_weight == 1)
+    for x, w in zip(g.inner, weights, strict=True):
+        assert x.sz == [w * k for k in node_shape(3).size]
+        assert x.sz is node_sizes(3, w)
+        assert (x.sz is node_shape(3).size) == (w == 1)
 
 
 @pytest.mark.parametrize("n, m", [(33, 17), (64, 64)])
@@ -137,8 +137,8 @@ def test_grid2d_shares_one_size_list_per_weight_and_no_walk_writes_it(n, m):
     rng = random.Random(n * m)
     g = Grid2D(DenseTensor((n, m), [rng.randint(-9, 9) for _ in range(n * m)], pair), pair)
     by_weight = {}
-    for x in g.inner:
-        assert by_weight.setdefault(x.cell_weight, x.sz) is x.sz
+    for x, w in zip(g.inner, g.shape.size, strict=True):
+        assert by_weight.setdefault(w, x.sz) is x.sz
     assert len({id(x.sz) for x in g.inner}) == len(by_weight)
     for _ in range(500):
         box = tuple(tuple(sorted(rng.randrange(k) for _ in range(2))) for k in (n, m))
@@ -171,3 +171,26 @@ def test_a_tree_on_shared_counters_records_its_own_operations():
     t.query(0, 2)
     assert (shared.update_ops, shared.query_ops) == (1, 1)
     assert shared.visits_total == built + shared.update_visits + shared.query_visits
+
+
+def test_a_tree_stores_no_copy_of_its_layout():
+    # a tree owns its pending values, folds and bookkeeping; the layout is
+    # read from the one shared NodeShape
+    pair = get_pair("plus-plus")
+    own = {"size", "pair", "counters", "shape", "sz", "val", "laz", "_stamped", "_k"}
+    for n in (1, 2, 5, 16):
+        built = SegTree1D(list(range(n)), pair)
+        blank = SegTree1D.identity(n, pair)
+        assert set(vars(built)) == own
+        assert set(vars(blank)) == own
+        assert built.node_count == blank.node_count == 2 * n - 1
+        assert built.shape is blank.shape is node_shape(n)
+    layout = ("lo", "hi", "left", "right", "cell_weight")
+    g = Grid2D(DenseTensor((5, 3), list(range(15)), get_pair("plus-min")),
+               get_pair("plus-min"))
+    t = NDTree(DenseTensor((4, 4, 4), list(range(64)), pair), pair)
+    t.update(((0, 3), (1, 2), (0, 3)), 1)
+    nested = [x for x in t.row_fold + t.row_lazy if x is not None]
+    assert nested and all(isinstance(x, NDTree) and len(x.dims) == 2 for x in nested)
+    for x in [g, *g.inner, t, *nested]:
+        assert not any(hasattr(x, name) for name in layout), x
