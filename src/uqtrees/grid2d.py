@@ -33,17 +33,19 @@ partial node in one top-down pass from its children's true folds.  Each
 rebuild counts the column nodes that meet the span once, and once more per
 child not rebuilt in this update: ``len(partial) + 1`` children, as the
 partial nodes form a subtree.  ``last_events`` lists the latest update's
-events, derived from its stored split.  A query checks its box once, folds
-the compiled column ``query`` of each covered node of the row span's split
-into its answer, and never mutates.
+events, derived from its stored split.  A query checks its box once,
+splits each axis once and folds the column split across the trees of every
+covered node of the row span's split, left to right, in one call of the
+compiled ``query_many`` kernel; it never mutates.
 
 Each operation checks its box once and splits each axis once with
 :func:`~uqtrees.seg1d.split`, and every walk below takes those splits as
 given.  An update's covered subtrees form one forest of column trees,
 updated by one call of the compiled ``update_many`` walk, each column node
 once across the forest, with each tree's own weighted sizes; the rebuilds
-take the same column split.  ``update``/``query`` add up the visits of
-every walk, count the sum once and record the operation.
+take the same column split, and so does a query's ``query_many`` fold.
+``update``/``query`` add up the visits of every walk, count the sum once and
+record the operation.
 """
 
 from __future__ import annotations
@@ -113,15 +115,11 @@ class Grid2D:
         check_box(box, self.dims)
         (xlo, xhi), (ylo, yhi) = box
         inner = self.inner
-        q = self.pair.query_op
-        out = self.pair.query_identity
         covered, partial = split(self.shape, xlo, xhi)
-        kq = inner[0]._k.query  # the box is checked: no per-tree span check
-        visits = 1 + 2 * len(partial)
-        for i in covered:
-            x, n = kq(inner[i], ylo, yhi)
-            out = q(out, x)
-            visits += n
+        ccov, cpar = split(inner[0].shape, ylo, yhi)
+        out = inner[0]._k.query_many(inner, covered, ccov, cpar)
+        # the row split's walk, and one column walk per covered row node
+        visits = 1 + 2 * len(partial) + len(covered) * (1 + 2 * len(cpar))
         self.counters.visits_total += visits
         self.counters.note_query(visits)
         return out

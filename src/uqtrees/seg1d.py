@@ -24,11 +24,12 @@ partially covered nodes above them.  One rule holds for every structure: a
 public operation checks its span or box once and splits each axis once,
 and the walks below it take that split as given.  ``update``, ``decompose``
 and ``to_array`` each split their span once; the outer arenas of the 2D and
-d-dimensional trees split theirs and hand the inner axes' splits down;
-``query`` and ``validate`` carry pending values down their own walks.
-``update`` stamps the pending value onto the covered nodes (the same nodes
-:meth:`decompose` returns) and repairs ``val`` on the partial nodes,
-children first::
+d-dimensional trees split theirs and hand the inner axes' splits down (a 2D
+query hands one column split to every covered row node's tree);
+``SegTree1D.query`` and ``validate`` carry pending values down their own
+walks.  ``update`` stamps the pending value onto the covered nodes (the
+same nodes :meth:`decompose` returns) and repairs ``val`` on the partial
+nodes, children first::
 
     val[n] = query_op(aggregator(val[l], laz[l], size[l]),
                       aggregator(val[r], laz[r], size[r]))
@@ -52,6 +53,10 @@ sizes), ``rebuild`` (every partial row node of a
 call), ``fill`` (the constructor's whole-array build: one loop copies the
 cells onto the layout's ``leaves``, one folds its ``joins``, children
 first; ``laz`` starts as one list of ``update_identity``), ``query``,
+``query_many`` (one span's split folded over several trees in one call,
+tree by tree in the order given: each tree's partial nodes carry its
+pending values down, parents first, into a scratch dict made per call, of
+O(log N) entries, and each covered node absorbs them at its own size),
 ``to_array`` and, for a fold-commuting pair only,
 ``update_level``/``query_level``, which walk a whole 2-D level of
 :mod:`uqtrees.ndspecial` in one call: a partial last-axis node absorbs the
@@ -64,9 +69,10 @@ aggregator: the expression that defines it); any other callable stays a
 call, with the same answers, only slower.  Tracebacks show the generated
 lines (:mod:`linecache`).  The public methods check their spans, call the
 kernels and count the visits they return.  Nested callers check their box
-once and call the kernels unchecked: ``Grid2D`` calls ``query`` on its row
-nodes' trees and ``update_many`` and ``rebuild`` on its forest, and
-``NDTree``'s 2-D levels call ``update_level`` and ``query_level``.
+once and call the kernels unchecked: ``Grid2D`` calls ``query_many`` on
+its covered row nodes' trees and ``update_many`` and ``rebuild`` on its
+forest, and ``NDTree``'s 2-D levels call ``update_level`` and
+``query_level``.
 ``validate`` and the oracle never use the kernels.
 
 ``cell_weight`` scales every node size: a tree whose slots each stand for
@@ -163,23 +169,48 @@ def split(shape: NodeShape, lo: int, hi: int) -> Tuple[List[int], List[int]]:
     pre-order (so ``reversed(partial)`` lists children before parents).  A
     walk that visits the root and both children of every partial node
     visits ``1 + 2 * len(partial)`` nodes.
+
+    The partial nodes are the two boundary paths, so only those are walked:
+    down from the root while the span lies inside one child, then from the
+    fork down the left boundary (every right child it passes lies inside)
+    and down the right boundary (every left child it passes lies inside).
     """
-    slo, shi, left, right = shape.lo, shape.hi, shape.left, shape.right
-    covered: List[int] = []
+    slo, shi, left, right = shape[:4]
     partial: List[int] = []
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        if lo <= slo[i] and shi[i] <= hi:
-            covered.append(i)
+    i = 0
+    while lo > slo[i] or shi[i] > hi:
+        partial.append(i)
+        l = left[i]
+        if hi <= shi[l]:
+            i = l
+        elif lo > shi[l]:
+            i = right[i]
         else:
-            partial.append(i)
-            r = right[i]
-            if slo[r] <= hi:
-                stack.append(r)
-            l = left[i]
-            if shi[l] >= lo:
-                stack.append(l)
+            break
+    else:
+        return [i], partial
+    # the fork: the span reaches past both of its children's inner edges
+    covered: List[int] = []
+    i, j = left[i], right[i]
+    while lo > slo[i]:
+        partial.append(i)
+        l, r = left[i], right[i]
+        if lo > shi[l]:
+            i = r
+        else:
+            covered.append(r)
+            i = l
+    covered.append(i)
+    covered.reverse()
+    while shi[j] > hi:
+        partial.append(j)
+        l = left[j]
+        if hi <= shi[l]:
+            j = l
+        else:
+            covered.append(l)
+            j = right[j]
+    covered.append(j)
     return covered, partial
 
 
@@ -304,6 +335,25 @@ def query(t, qlo, qhi):
             if hi[l] >= qlo:
                 stack.append((l, z))
     return out, visits
+
+def query_many(trees, rows, covered, partial):
+    left, right = trees[0].shape[2:4]
+    out = QID
+    # the combined pending value of each node's strict ancestors; every
+    # tree rewrites the same keys, and the root is nobody's child
+    carried = {0: UID}
+    for k in rows:
+        t = trees[k]
+        sz, val, laz, x = t.sz, t.val, t.laz, QID
+        for i in partial:
+            z = U(carried[i], laz[i])
+            carried[left[i]] = carried[right[i]] = z
+        for c in covered:
+            z = U(carried[c], laz[c])
+            y = AGG(val[c], z, sz[c])
+            x = Q(x, y)
+        out = Q(out, x)
+    return out
 
 def to_array(t, covered, partial):
     lo, hi, left, right = t.shape[:4]

@@ -68,6 +68,41 @@ def reinit_span(t, values, qlo):
         val[i] = q(agg(val[l], laz[l], sz[l]), agg(val[r], laz[r], sz[r]))
 
 
+def stack_split(shape, lo, hi):
+    """``split`` as a stack walk over every node that meets the span: the
+    maximal nodes inside it, left to right, and the others, in pre-order."""
+    slo, shi, left, right = shape[:4]
+    covered, partial = [], []
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        if lo <= slo[i] and shi[i] <= hi:
+            covered.append(i)
+        else:
+            partial.append(i)
+            r = right[i]
+            if slo[r] <= hi:
+                stack.append(r)
+            l = left[i]
+            if shi[l] >= lo:
+                stack.append(l)
+    return covered, partial
+
+
+def per_tree_query(g, box):
+    """``Grid2D.query`` as one compiled column ``query`` walk per covered row
+    node, folded left to right: ``(answer, visits)``, counting nothing."""
+    (xlo, xhi), (ylo, yhi) = box
+    out = g.pair.query_identity
+    covered, partial = stack_split(g.shape, xlo, xhi)
+    visits = 1 + 2 * len(partial)
+    for i in covered:
+        x, n = g.inner[i]._k.query(g.inner[i], ylo, yhi)
+        out = g.pair.query_op(out, x)
+        visits += n
+    return out, visits
+
+
 def edge_spans(k):
     """Adversarial spans over an axis of extent ``k``: the whole axis, the
     middle slot, both end slots and the span one short of both edges."""

@@ -1,12 +1,16 @@
 import math
 import random
+import sys
+import threading
+import tracemalloc
 
 import pytest
 
 from uqtrees import (DenseTensor, Grid2D, SegTree1D, WorkloadConfig,
                      get_pair, run_verify)
 from uqtrees.seg1d import node_shape, split
-from conftest import KERNEL_CASES, KERNEL_IDS, edge_spans, fold, reinit_span, sample_cell
+from conftest import (KERNEL_CASES, KERNEL_IDS, edge_spans, fold, per_tree_query,
+                      reinit_span, sample_cell)
 
 
 def grid(dims, data, pair_name):
@@ -191,6 +195,113 @@ class TestUpdateQuery:
         assert report.ok, report.first_mismatch
 
 
+class TestQueryMany:
+    """``Grid2D.query`` splits the column span once and folds it across every
+    covered row node's tree in one ``query_many`` call; the reference is one
+    compiled ``query`` walk per covered row node (``conftest.per_tree_query``)."""
+
+    @pytest.mark.parametrize("pair, cells", KERNEL_CASES, ids=KERNEL_IDS)
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 13), (13, 1), (33, 17), (64, 64)])
+    def test_matches_the_per_tree_walks(self, pair, cells, n, m):
+        rng = random.Random(100 * n + m)
+        g = Grid2D(DenseTensor((n, m), [sample_cell(pair, rng, cells) for _ in range(n * m)],
+                               pair), pair)
+        # covered column spans leave pending values for a query to carry down
+        for _ in range(12):
+            box = tuple(tuple(sorted(rng.randrange(d) for _ in range(2))) for d in (n, m))
+            g.update(box, sample_cell(pair, rng, cells))
+        rows = edge_spans(n) + [tuple(sorted(rng.randrange(n) for _ in range(2)))]
+        if m <= 17:
+            cols = [(a, b) for a in range(m) for b in range(a, m)]
+        else:
+            cols = edge_spans(m) + [tuple(sorted(rng.randrange(m) for _ in range(2)))
+                                    for _ in range(40)]
+        held = [(list(t.val), list(t.laz)) for t in g.inner]
+        for box in ((r, c) for r in rows for c in cols):
+            want, visits = per_tree_query(g, box)
+            assert g.query(box) == want, box
+            assert g.counters.visits_last_op == visits, box
+        assert [(t.val, t.laz) for t in g.inner] == held
+
+    def test_float_answers_are_bit_identical(self):
+        # magnitudes far apart make every float sum depend on its order
+        pair = get_pair("plus-plus")
+        rng = random.Random(5)
+        n, m = 13, 29
+
+        def cell():
+            return rng.choice((1e16, -1e16, 1.0, 0.1, 3.3)) * rng.random()
+
+        g = Grid2D(DenseTensor((n, m), [cell() for _ in range(n * m)], pair), pair)
+        for _ in range(30):
+            g.update(tuple(tuple(sorted(rng.randrange(d) for _ in range(2))) for d in (n, m)),
+                     cell())
+        for r in edge_spans(n) + [(2, 9), (5, 11)]:
+            for c in [(a, b) for a in range(0, m, 3) for b in range(a, m, 2)]:
+                want, visits = per_tree_query(g, (r, c))
+                assert repr(g.query((r, c))) == repr(want), (r, c)
+                assert g.counters.visits_last_op == visits
+
+    def test_scratch_does_not_grow_with_the_column_extent(self):
+        # a 131,071-node column layout: a per-query scratch of one entry per
+        # column node would take about 1 MiB
+        pair = get_pair("plus-min")
+        n, m = 4, 65536
+        g = Grid2D(DenseTensor((n, m), [(7 * k) % 101 for k in range(n * m)], pair), pair)
+        g.update(((0, 3), (3, m - 5)), -4)
+        box = ((1, 3), (1, m - 2))
+        want, _ = per_tree_query(g, box)
+        tracemalloc.start()
+        try:
+            got = g.query(box)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 64 * 1024, peak
+
+    def test_two_threads_reading_one_grid_get_the_oracle_answers(self):
+        pair = get_pair("plus-min")
+        rng = random.Random(13)
+        n, m = 33, 17
+        data = [rng.randint(-50, 50) for _ in range(n * m)]
+        g = Grid2D(DenseTensor((n, m), data, pair), pair)
+        o = DenseTensor((n, m), data, pair)
+        for _ in range(20):
+            box = tuple(tuple(sorted(rng.randrange(d) for _ in range(2))) for d in (n, m))
+            v = rng.randint(-9, 9)
+            g.update(box, v)
+            o.update(box, v)
+        scripts = [[tuple(tuple(sorted(rng.randrange(d) for _ in range(2))) for d in (n, m))
+                    for _ in range(400)] for _ in range(2)]
+        got = [[], []]
+        start = threading.Barrier(2)
+        errors = []
+
+        def run(boxes, out):
+            try:
+                start.wait(timeout=60)
+                for box in boxes:
+                    out.append(g.query(box))
+            except Exception as e:  # pragma: no cover - reported below
+                errors.append(e)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=args) for args in zip(scripts, got)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors
+        for boxes, out in zip(scripts, got):
+            assert out == [o.query(box) for box in boxes]
+
+
 class TestNodeColumnLemma:
     def test_inner_query_equals_row_restricted_fold(self):
         # after any updates, every outer node's inner tree answers queries
@@ -372,7 +483,8 @@ class TestCounters:
         import uqtrees.grid2d as g2
         n, m = 33, 17
         g = grid((n, m), list(range(n * m)), "plus-min")
-        calls = {"check_box": 0, "split": 0, "update_many": 0}
+        kinds = ("check_box", "split", "update_many", "query_many", "query")
+        calls = dict.fromkeys(kinds, 0)
 
         def counted(owner, name):
             fn = getattr(owner, name)
@@ -383,19 +495,24 @@ class TestCounters:
             monkeypatch.setattr(owner, name, call)
         counted(g2, "check_box")
         counted(g2, "split")
-        counted(g.inner[0]._k, "update_many")
+        for kernel in ("update_many", "query_many", "query"):
+            counted(g.inner[0]._k, kernel)
         rng = random.Random(8)
         boxes = [(r, c) for r in edge_spans(n) for c in edge_spans(m)]
         boxes += [tuple(tuple(sorted(rng.randrange(d) for _ in range(2))) for d in (n, m))
                   for _ in range(20)]
         for box in boxes:
-            calls.update(check_box=0, split=0, update_many=0)
+            calls.update(dict.fromkeys(kinds, 0))
             g.update(box, 1)
             # every row span covers a subtree: one forest walk per update
-            assert calls == {"check_box": 1, "split": 2, "update_many": 1}, box
-            calls.update(check_box=0, split=0, update_many=0)
+            assert calls == {"check_box": 1, "split": 2, "update_many": 1,
+                             "query_many": 0, "query": 0}, box
+            calls.update(dict.fromkeys(kinds, 0))
             g.query(box)
-            assert calls == {"check_box": 1, "split": 1, "update_many": 0}, box
+            # one column split serves every covered row node's tree, folded
+            # in one call; no per-tree query walk
+            assert calls == {"check_box": 1, "split": 2, "update_many": 0,
+                             "query_many": 1, "query": 0}, box
 
 
 class TestForestRefusals:

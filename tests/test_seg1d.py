@@ -12,7 +12,8 @@ import pytest
 from uqtrees import (DenseTensor, Grid2D, OpCounters, OperatorPair, SegTree1D,
                      ValidationError, WorkloadConfig, get_pair, run_verify)
 from uqtrees.seg1d import kernels, node_shape, split
-from conftest import KERNEL_CASES, KERNEL_IDS, reinit_span, sample_cell
+from conftest import (KERNEL_CASES, KERNEL_IDS, edge_spans, reinit_span, sample_cell,
+                      stack_split)
 
 
 def make(values, pair_name="plus-min"):
@@ -246,6 +247,28 @@ class TestSplit:
                 args = (lo, hi, 5) if method == "update" else (lo, hi)
                 getattr(t, method)(*args)
                 assert len(calls) == want, (method, lo, hi)
+
+
+class TestBoundarySplit:
+    """``split`` walks only the two boundary paths, and returns exactly what
+    the stack walk over every node that meets the span returns
+    (``conftest.stack_split``), lists and orders alike."""
+
+    def test_every_span_of_every_extent_up_to_70(self):
+        for n in range(1, 71):
+            shape = node_shape(n)
+            for lo in range(n):
+                for hi in range(lo, n):
+                    assert split(shape, lo, hi) == stack_split(shape, lo, hi), (n, lo, hi)
+
+    @pytest.mark.parametrize("n", [100, 257, 1000, 4097])
+    def test_sampled_spans_of_large_extents(self, n):
+        rng = random.Random(n)
+        shape = node_shape(n)
+        spans = edge_spans(n) + [tuple(sorted(rng.randrange(n) for _ in range(2)))
+                                 for _ in range(3000)]
+        for lo, hi in spans:
+            assert split(shape, lo, hi) == stack_split(shape, lo, hi), (n, lo, hi)
 
 
 class TestSharedLayout:
@@ -599,7 +622,7 @@ class TestKernels:
         for walk in ("update_level", "query_level"):
             assert hasattr(k, walk) == pair.is_special, (pair.name, walk)
         assert all(hasattr(k, w) for w in ("update", "update_many", "rebuild",
-                                           "fill", "query", "to_array"))
+                                           "fill", "query", "query_many", "to_array"))
 
     def test_traceback_shows_the_generated_line(self):
         def refuse(a, b):
