@@ -53,18 +53,19 @@ exclusive access.
 
 Only the public ``update``/``query`` check the box, once, and split each
 axis once with :func:`~uqtrees.seg1d.split` (every tree at one depth shares
-that axis's extent); on the last axis each partial node is paired with its
-overlap ``j`` with the span.  The nested levels walk those splits through
-the private, unchecked ``_update``/``_query``; a 2-D level is one call of
-the pair's compiled ``update_level``/``query_level``, which apply the rule
-above to the last axis too, reading no child: covered nodes stamp ``v`` (a
-query folds them), and each partial node absorbs ``v`` (a query, its
-pending value) ``j`` times.
+that axis's extent), pairing each partial node with its overlap ``j`` with
+the span.  The pair's compiled kernels walk the levels, one level text
+rendered in two forms: ``update_level``/``query_level`` walk a 2-D level and
+apply the rule above to the last axis too, reading no child (covered nodes
+stamp ``v``, or a query folds them, and each partial node absorbs ``v``, or
+gives its pending value, ``j`` times); ``update_nest``/``query_nest`` walk a
+level above it and hand each tree to the next level's walk, found on the
+kernels ``_k``.
 
-All nested trees share one visit counter.  The private entries and the
-kernels return their visits; the public ``update``/``query`` add them once
-and record the operation (an update also counts the pending trees it
-allocates).  A 1-D tree leaves both to its ``line``.
+All nested trees share one visit counter.  The kernels return their
+visits; the public ``update``/``query`` add them once and record the
+operation (an update also counts the pending trees it allocates).  A 1-D
+tree leaves both to its ``line``.
 """
 
 from __future__ import annotations
@@ -139,91 +140,30 @@ class NDTree:
             return self.line.update(box[0][0], box[0][1], value)
         c = self.counters
         before = c.visits_total  # and the pending trees the walk allocates
-        visits = self._update(self._splits(box), 0, value)
+        walk = self._k.update_level if self._bare else self._k.update_nest
+        visits = walk(self, self._splits(box), 0, value)
         c.visits_total += visits
         c.note_update(c.visits_total - before)
 
     def _splits(self, box: Box) -> list:
-        """``(lo, hi, covered, partial)`` of every axis of ``box`` (every
-        tree at one depth shares that axis's extent); on the last axis,
-        ``partial`` pairs each node with its overlap with the span."""
-        (ylo, yhi), shape = box[-1], node_shape(self.dims[-1])
-        covered, partial = split(shape, ylo, yhi)
-        slo, shi = shape.lo, shape.hi
-        parts = tuple((i, min(shi[i], yhi) - max(slo[i], ylo) + 1) for i in partial)
-        return ([(lo, hi, *split(node_shape(n), lo, hi))
-                 for (lo, hi), n in zip(box[:-1], self.dims)]
-                + [(ylo, yhi, covered, parts)])
-
-    def _update(self, splits: list, k: int, value) -> int:
-        """Apply ``value`` over the box whose axes from ``k`` on are given
-        by ``splits[k:]`` (unchecked); the visits it made, uncounted."""
-        xlo, xhi, covered, partial = splits[k]
-        if self._bare:  # the whole level, last axis included, in one walk
-            return self._k.update_level(self, covered, partial, xlo, xhi,
-                                        *splits[k + 1][2:], value)
-        lo, hi = self.shape[:2]
-        folds, lazies = self.row_fold, self.row_lazy
-        agg = self.pair.aggregator
-        e = self.pair.update_identity
-        visits = 1 + 2 * len(partial)
-        # each node's own trees are independent of its children's, so the
-        # order of the inner updates does not matter
-        for i in covered:
-            t = lazies[i]
-            if t is None:
-                t = lazies[i] = self._allocate()
-            visits += t._update(splits, k + 1, value)
-        for i in partial:
-            ilo = lo[i]
-            ihi = hi[i]
-            j = (ihi if ihi < xhi else xhi) - (ilo if ilo > xlo else xlo) + 1
-            t = folds[i]
-            if t is None:
-                t = folds[i] = self._allocate()
-            visits += t._update(splits, k + 1, agg(e, value, j))
-        return visits
+        """``(covered, parts)`` of every axis of ``box`` (every tree at one
+        depth shares that axis's extent): ``parts`` pairs each partial node
+        with its overlap with the span."""
+        out = []
+        for (lo, hi), n in zip(box, self.dims):
+            shape = node_shape(n)
+            covered, partial = split(shape, lo, hi)
+            slo, shi = shape.lo, shape.hi
+            out.append((covered, [(i, min(shi[i], hi) - max(slo[i], lo) + 1)
+                                  for i in partial]))
+        return out
 
     def query(self, box: Box):
         check_box(box, self.dims)
         if self.line is not None:
             return self.line.query(box[0][0], box[0][1])
-        out, visits = self._query(self._splits(box), 0)
+        walk = self._k.query_level if self._bare else self._k.query_nest
+        out, visits = walk(self, self._splits(box), 0)
         self.counters.visits_total += visits
         self.counters.note_query(visits)
         return out
-
-    def _query(self, splits: list, k: int):
-        """The fold over the box whose axes from ``k`` on are given by
-        ``splits[k:]`` (unchecked), and the visits it made, uncounted."""
-        xlo, xhi, covered, partial = splits[k]
-        if self._bare:  # the whole level, last axis included, in one walk
-            return self._k.query_level(self, covered, partial, xlo, xhi, *splits[k + 1][2:])
-        lo, hi = self.shape[:2]
-        folds, lazies = self.row_fold, self.row_lazy
-        q = self.pair.query_op
-        agg = self.pair.aggregator
-        out = self.pair.query_identity
-        visits = 1 + 2 * len(partial)
-        # a None tree is all-identity and is skipped
-        for i in covered:
-            t = folds[i]
-            if t is not None:
-                x, n = t._query(splits, k + 1)
-                out = q(out, x)
-                visits += n
-            t = lazies[i]
-            if t is not None:
-                x, n = t._query(splits, k + 1)
-                out = agg(out, x, hi[i] - lo[i] + 1)
-                visits += n
-        for i in partial:
-            t = lazies[i]
-            if t is not None:
-                ilo = lo[i]
-                ihi = hi[i]
-                j = (ihi if ihi < xhi else xhi) - (ilo if ilo > xlo else xlo) + 1
-                x, n = t._query(splits, k + 1)
-                out = agg(out, x, j)
-                visits += n
-        return out, visits

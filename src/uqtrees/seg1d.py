@@ -22,10 +22,11 @@ Each node ``n`` caches two things:
 :func:`split` breaks a span into the maximal nodes inside it and the
 partially covered nodes above them.  One rule holds for every structure: a
 public operation checks its span or box once and splits each axis once,
-and the walks below it take that split as given.  ``update``, ``decompose``
-and ``to_array`` each split their span once; the outer arenas of the 2D and
-d-dimensional trees split theirs and hand the inner axes' splits down (a 2D
-query hands one column split to every covered row node's tree);
+and the walks below it take that split as given.  ``update`` and
+``decompose`` each split their span once (``to_array`` reads the whole
+array and splits nothing); the outer arenas of the 2D and d-dimensional
+trees split theirs and hand the inner axes' splits down (a 2D query hands
+one column split to every covered row node's tree);
 ``SegTree1D.query`` and ``validate`` carry pending values down their own
 walks.  ``update`` stamps the pending value onto the covered nodes (the
 same nodes :meth:`decompose` returns) and repairs ``val`` on the partial
@@ -57,23 +58,25 @@ first; ``laz`` starts as one list of ``update_identity``), ``query``,
 tree by tree in the order given: each tree's partial nodes carry its
 pending values down, parents first, into a scratch dict made per call, of
 O(log N) entries, and each covered node absorbs them at its own size),
-``to_array`` and, for a fold-commuting pair only,
-``update_level``/``query_level``, which walk a whole 2-D level of
-:mod:`uqtrees.ndspecial` in one call: a partial last-axis node absorbs the
-update value (a query, its own pending value) as often as it overlaps the
-span, and no child is read.  A callable with an exact inline form, found by
-identity as :class:`DenseTensor` finds its fast paths, becomes an expression
-(``operator.add``: ``a + b``, ``operator.mul``: ``a * b``, ``min``:
-``b if b < a else a``, ``max``: ``b if b > a else a``, a registered
-aggregator: the expression that defines it); any other callable stays a
-call, with the same answers, only slower.  Tracebacks show the generated
-lines (:mod:`linecache`).  The public methods check their spans, call the
-kernels and count the visits they return.  Nested callers check their box
-once and call the kernels unchecked: ``Grid2D`` calls ``query_many`` on
-its covered row nodes' trees and ``update_many`` and ``rebuild`` on its
-forest, and ``NDTree``'s 2-D levels call ``update_level`` and
-``query_level``.
-``validate`` and the oracle never use the kernels.
+``to_array`` (every node in pre-order, parents first, no split) and, for a
+fold-commuting pair only, the level walks of :mod:`uqtrees.ndspecial`, one
+text in two forms: ``update_level``/``query_level`` walk a whole 2-D level
+in one call (a partial last-axis node absorbs the update value, or gives
+its own pending value, as often as it overlaps the span, and no child is
+read), and ``update_nest``/``query_nest`` walk a level above it, handing
+each tree to the next level's walk on ``_k``.  A callable with an exact
+inline form, found by identity as :class:`DenseTensor` finds its fast
+paths, becomes an expression (``operator.add``: ``a + b``,
+``operator.mul``: ``a * b``, ``min``: ``b if b < a else a``, ``max``:
+``b if b > a else a``, a registered aggregator: the expression that defines
+it); any other callable stays a call, with the same answers, only slower.
+Tracebacks show the generated lines (:mod:`linecache`).  The public
+methods check their spans, call the kernels and count the visits they
+return.  Nested callers check their box once and call the kernels
+unchecked: ``Grid2D`` calls ``query_many`` on its covered row nodes' trees
+and ``update_many`` and ``rebuild`` on its forest, and ``NDTree`` calls the
+level walk on a 2-D tree and the nest walk otherwise.  ``validate`` and
+the oracle never use the kernels.
 
 ``cell_weight`` scales every node size: a tree whose slots each stand for
 ``w`` real cells (the 2D structure in :mod:`uqtrees.grid2d` uses this) gets
@@ -355,75 +358,93 @@ def query_many(trees, rows, covered, partial):
         out = Q(out, x)
     return out
 
-def to_array(t, covered, partial):
-    lo, hi, left, right = t.shape[:4]
+def to_array(t):
+    left, right = t.shape[2:4]
     sz, val, laz = t.sz, t.val, t.laz
-    carried = [UID] * len(lo)
-    for i in partial:
-        z = U(carried[i], laz[i])
-        carried[left[i]] = carried[right[i]] = z
+    # pre-order puts every parent before its children, and the leaves in
+    # position order
+    carried = [UID] * len(val)
     out = []
-    visits = len(partial)
-    for i in covered:
-        end = i + 2 * (hi[i] - lo[i]) + 1
-        for j in range(i, end):
-            z = U(carried[j], laz[j])
-            l = left[j]
-            if l < 0:
-                x = AGG(val[j], z, sz[j])
-                out.append(x)
-            else:
-                carried[l] = carried[right[j]] = z
-        visits += end - i
-    return out, visits
+    for i in range(len(val)):
+        z = U(carried[i], laz[i])
+        l = left[i]
+        if l < 0:
+            x = AGG(val[i], z, sz[i])
+            out.append(x)
+        else:
+            carried[l] = carried[right[i]] = z
+    return out
 """
-# The fold-commuting rule on one last-axis tree ``t`` of a 2-D nd-special
-# level ``n``, given the last axis's covered nodes ``ycov`` and its partial
-# nodes paired with their overlaps, ``yparts``; no child is read.
-_ABSORB = """
+
+
+def _level_walks(form: str, head: str, absorb: str, fold: str) -> str:
+    """One level of an nd-special tree ``n`` whose axis-0 split is
+    ``splits[k]``: covered nodes stamp ``value`` into ``row_lazy``, partial
+    nodes repair ``row_fold`` with ``value`` repeated as often as they
+    overlap the span; a query folds each covered node's ``row_fold`` and
+    ``row_lazy``, then each partial node's ``row_lazy``.  A form says how
+    one tree ``t`` takes its share ``w`` (``absorb``) or gives its fold
+    ``x`` (``fold``), adding its visits; ``head`` may name the ``op``."""
+    return f"""
+def update_{form}(n, splits, k, value):
+    covered, parts = splits[k]{head.format(op="update")}
+    trees, w, visits = n.row_lazy, value, 1 + 2 * len(parts)
+    for i in covered:
         t = trees[i]
         if t is None:
-            t = trees[i] = n._allocate()
+            t = trees[i] = n._allocate(){absorb}
+    trees = n.row_fold
+    for i, j in parts:
+        w = AGG(UID, value, j)
+        t = trees[i]
+        if t is None:
+            t = trees[i] = n._allocate(){absorb}
+    return visits
+
+def query_{form}(n, splits, k):
+    (covered, parts), size = splits[k], n.shape.size{head.format(op="query")}
+    folds, lazies = n.row_fold, n.row_lazy
+    out, visits = QID, 1 + 2 * len(parts)
+    for i in covered:
+        t = folds[i]
+        if t is not None:{fold}
+            out = Q(out, x)
+        t = lazies[i]
+        if t is not None:{fold}
+            out = AGG(out, x, size[i])
+    for i, j in parts:
+        t = lazies[i]
+        if t is not None:{fold}
+            out = AGG(out, x, j)
+    return out, visits
+"""
+
+
+# Rendered only for a fold-commuting pair.  The 2-D level's trees are bare
+# last-axis trees: the rule applies to the last axis's split inline, and no
+# child is read (a partial node absorbs the value, or gives its pending
+# value, as often as it overlaps the span).  A level above it hands each
+# tree to the next level's walk, found on the tree's kernels ``n._k``.
+_LEVELS = _level_walks("level", """
+    ycov, yparts = splits[k + 1]
+    per = 1 + 2 * len(yparts)""", """
         laz, val = t.laz, t.val
         for c in ycov:
             laz[c] = U(laz[c], w)
         for c, m in yparts:
-            val[c] = AGG(val[c], w, m)"""
-_FOLD = """
-        if t is not None:
+            val[c] = AGG(val[c], w, m)
+        visits += per""", """
             sz, val, laz, x = t.sz, t.val, t.laz, QID
             for c in ycov:
                 y = AGG(val[c], laz[c], sz[c])
                 x = Q(x, y)
             for c, m in yparts:
                 x = AGG(x, laz[c], m)
-            held += 1"""
-# The 2-D level walks of nd-special, rendered only for a fold-commuting pair
-_LEVELS = """
-def update_level(n, covered, partial, xlo, xhi, ycov, yparts, value):
-    (lo, hi), trees, w = n.shape[:2], n.row_lazy, value
-    for i in covered:""" + _ABSORB + """
-    trees = n.row_fold
-    for i in partial:
-        j = (hi[i] if hi[i] < xhi else xhi) - (lo[i] if lo[i] > xlo else xlo) + 1
-        w = AGG(UID, value, j)""" + _ABSORB + """
-    return 1 + 2 * len(partial) + (len(covered) + len(partial)) * (1 + 2 * len(yparts))
-
-def query_level(n, covered, partial, xlo, xhi, ycov, yparts):
-    (lo, hi), folds, lazies = n.shape[:2], n.row_fold, n.row_lazy
-    out, held = QID, 0
-    for i in covered:
-        t = folds[i]""" + _FOLD + """
-            out = Q(out, x)
-        t = lazies[i]""" + _FOLD + """
-            j = hi[i] - lo[i] + 1
-            out = AGG(out, x, j)
-    for i in partial:
-        t = lazies[i]""" + _FOLD + """
-            j = (hi[i] if hi[i] < xhi else xhi) - (lo[i] if lo[i] > xlo else xlo) + 1
-            out = AGG(out, x, j)
-    return out, 1 + 2 * len(partial) + held * (1 + 2 * len(yparts))
-"""
+            visits += per""") + _level_walks("nest", """
+    walk = n._k.{op}_level if len(n.dims) == 3 else n._k.{op}_nest""", """
+        visits += walk(t, splits, k + 1, w)""", """
+            x, m = walk(t, splits, k + 1)
+            visits += m""")
 _OP_LINE = re.compile(r"^( *)(.+) = (U|Q|AGG)\((.*)\)$", re.M)
 
 
@@ -530,19 +551,15 @@ class SegTree1D:
         self.counters.visits_total += 1 + 2 * len(partial)
         return [(self.shape.lo[i], self.shape.hi[i]) for i in covered]
 
-    def to_array(self, qlo: int = 0, qhi: Optional[int] = None) -> list:
-        """True values of elements ``qlo .. qhi`` (default: the whole array).
+    def to_array(self) -> list:
+        """True values of every element, in ``node_count`` visits.
 
-        Walks the :func:`split` of the span, parents first: each node passes
-        the combined pending values of its ancestors and itself on to its
-        children, and each leaf emits ``aggregator(val, carried, leaf
-        size)``.  The whole array costs exactly ``node_count`` visits.
+        Walks every node in pre-order, parents first: each node passes the
+        combined pending values of its ancestors and itself on to its
+        children, and each leaf emits ``aggregator(val, carried, leaf size)``.
         """
-        if qhi is None:
-            qhi = self.size - 1
-        check_span(qlo, qhi, self.size)
-        out, visits = self._k.to_array(self, *split(self.shape, qlo, qhi))
-        self.counters.visits_total += visits
+        out = self._k.to_array(self)
+        self.counters.visits_total += self.node_count
         return out
 
     def validate(self, reference: DenseTensor) -> None:

@@ -473,35 +473,40 @@ class TestFoldCommutingKernels:
     # splits into many partial nodes
     @pytest.mark.parametrize("pair, cells", SPECIAL_CASES,
                              ids=[f"{p.name}-{c}" for p, c in SPECIAL_CASES])
-    @pytest.mark.parametrize("dims", [(6, 13), (3, 4, 11), (2, 3, 4, 7)],
-                             ids=["6x13", "3x4x11", "2x3x4x7"])
+    @pytest.mark.parametrize("dims", [(6, 13), (3, 4, 11), (2, 3, 4, 7), (2, 2, 2, 2, 5)],
+                             ids=["6x13", "3x4x11", "2x3x4x7", "2x2x2x2x5"])
     def test_every_bare_tree_matches_the_generic_walks(self, monkeypatch, pair, cells,
                                                         dims):
         k = kernels(pair)
         generic = []
 
-        def overlap(n, i, xlo, xhi):
-            return min(n.shape.hi[i], xhi) - max(n.shape.lo[i], xlo) + 1
-
-        def update_level(n, covered, partial, xlo, xhi, ycov, yparts, value):
+        def level(n, splits, depth):
+            # the overlaps from the axis-0 span, not from the split's parts
+            (covered, parts), (ycov, yparts) = splits[depth], splits[depth + 1]
+            lo, hi = n.shape.lo, n.shape.hi
+            xlo, xhi = lo[covered[0]], hi[covered[-1]]
+            overlap = [(i, min(hi[i], xhi) - max(lo[i], xlo) + 1) for i, _ in parts]
             generic.append(n)
-            ypartial = tuple(i for i, _ in yparts)
+            return covered, overlap, ycov, tuple(i for i, _ in yparts)
+
+        def update_level(n, splits, depth, value):
+            covered, overlap, ycov, ypartial = level(n, splits, depth)
             stamps = [(n.row_lazy, i, value) for i in covered]
-            stamps += [(n.row_fold, i, pair.aggregator(
-                pair.update_identity, value, overlap(n, i, xlo, xhi))) for i in partial]
-            visits = 1 + 2 * len(partial)
+            stamps += [(n.row_fold, i, pair.aggregator(pair.update_identity, value, j))
+                       for i, j in overlap]
+            visits = 1 + 2 * len(overlap)
             for trees, i, v in stamps:
                 if trees[i] is None:
                     trees[i] = n._allocate()
                 visits += k.update(trees[i], ycov, ypartial, v)
             return visits
 
-        def query_level(n, covered, partial, xlo, xhi, ycov, yparts):
-            generic.append(n)
-            out, visits = pair.query_identity, 1 + 2 * len(partial)
+        def query_level(n, splits, depth):
+            covered, overlap, ycov, _ = level(n, splits, depth)
+            out, visits = pair.query_identity, 1 + 2 * len(overlap)
             held = [(n.row_fold[i], None) for i in covered]
             held += [(n.row_lazy[i], n.shape.hi[i] - n.shape.lo[i] + 1) for i in covered]
-            held += [(n.row_lazy[i], overlap(n, i, xlo, xhi)) for i in partial]
+            held += [(n.row_lazy[i], j) for i, j in overlap]
             for t, rows in held:
                 if t is not None:
                     x, m = k.query(t, t.shape.lo[ycov[0]], t.shape.hi[ycov[-1]])
@@ -534,4 +539,7 @@ class TestFoldCommutingKernels:
                     assert a.val == b.val and a.laz == b.laz, (step, box)
             assert t.counters.visits_last_op == twin.counters.visits_last_op
             assert t.counters.visits_total == twin.counters.visits_total
-        assert generic
+        # a tree of three or more axes reaches its 2-D levels from the nest
+        # walk, which must find the level walk on the patched kernels
+        assert generic and all(len(n.dims) == 2 for n in generic)
+        assert any(n is twin for n in generic) == (len(dims) == 2)

@@ -181,8 +181,10 @@ class TestDecompose:
                     before = t.counters.visits_total
                     t.decompose(lo, hi)
                     spent = t.counters.visits_total - before
-                    inside = sum(1 for a, b in zip(t.shape.lo, t.shape.hi) if lo <= a and b <= hi)
-                    assert spent == 1 + 2 * (meeting_nodes(t, lo, hi) - inside)
+                    spans = list(zip(t.shape.lo, t.shape.hi))
+                    inside = sum(1 for a, b in spans if lo <= a and b <= hi)
+                    meets = sum(1 for a, b in spans if a <= hi and lo <= b)
+                    assert spent == 1 + 2 * (meets - inside)
 
     def test_adversarial_large_sizes(self):
         pair = get_pair("plus-plus")
@@ -240,13 +242,15 @@ class TestSplit:
         calls = []
         monkeypatch.setattr(seg1d, "split", lambda *a: calls.append(a) or split(*a))
         t = SegTree1D(list(range(13)), get_pair("plus-min"))
-        for method, want in (("update", 1), ("decompose", 1), ("to_array", 1),
-                             ("query", 0)):
+        for method, want in (("update", 1), ("decompose", 1), ("query", 0)):
             for lo, hi in ((0, 12), (3, 9), (7, 7)):
                 calls.clear()
                 args = (lo, hi, 5) if method == "update" else (lo, hi)
                 getattr(t, method)(*args)
                 assert len(calls) == want, (method, lo, hi)
+        calls.clear()
+        t.to_array()  # the whole array: every node, no split
+        assert calls == []
 
 
 class TestBoundarySplit:
@@ -464,29 +468,16 @@ def pending_tree(pair, rng, n, w):
     return t, o
 
 
-def meeting_nodes(t, lo, hi):
-    return sum(1 for a, b in zip(t.shape.lo, t.shape.hi) if a <= hi and lo <= b)
-
-
 @pytest.mark.parametrize("w", [1, 3])
 @pytest.mark.parametrize("n", [1, 2, 7, 16])
 class TestRangedArray:
-    def test_to_array_is_a_slice_of_the_whole(self, pair, rng, n, w):
-        t, o = pending_tree(pair, rng, n, w)
-        whole = t.to_array()
-        assert whole == o.data
-        for lo in range(n):
-            for hi in range(lo, n):
-                before = t.counters.visits_total
-                assert t.to_array(lo, hi) == whole[lo:hi + 1]
-                assert t.counters.visits_total - before == meeting_nodes(t, lo, hi)
-
     def test_reinit_resets_only_its_span(self, pair, rng, n, w):
         # the plain-Python reference that the fused rebuild is checked against
         for lo in range(n):
             for hi in range(lo, n):
                 t, o = pending_tree(pair, rng, n, w)
                 before = t.to_array()
+                assert before == o.data
                 fresh = [rng.randint(*pair.sample_range) for _ in range(hi - lo + 1)]
                 reinit_span(t, fresh, lo)
                 o.data[lo:hi + 1] = fresh
@@ -500,18 +491,10 @@ class TestRangedArray:
 
 
 class TestRangedArgs:
-    def test_spans_out_of_bounds_raise(self):
-        t = SegTree1D([1, 2, 3, 4], get_pair("plus-min"))
-        for lo, hi in ((-1, 2), (2, 1), (0, 4)):
-            with pytest.raises(ValueError):
-                t.to_array(lo, hi)
-        assert t.to_array() == [1, 2, 3, 4]
-
     def test_whole_array_costs_node_count(self):
         pair = get_pair("plus-plus")
         t = SegTree1D(list(range(21)), pair)
-        for call in (t.to_array, lambda: t.to_array(0, 20),
-                     lambda: SegTree1D([0] * 21, pair, counters=t.counters)):
+        for call in (t.to_array, lambda: SegTree1D([0] * 21, pair, counters=t.counters)):
             before = t.counters.visits_total
             call()
             assert t.counters.visits_total - before == t.node_count
@@ -524,8 +507,6 @@ class TestRangedArgs:
                 t.update(*bad, 1)
             with pytest.raises(TypeError):
                 t.decompose(*bad)
-            with pytest.raises(TypeError):
-                t.to_array(*bad)
         assert t.to_array() == [0, 1, 2, 4, 5, 6, 6, 7]
 
 
@@ -619,7 +600,7 @@ class TestKernels:
     def test_level_walks_only_for_fold_commuting_pairs(self, pair):
         # NDTree refuses any other pair, so only these compile its 2-D walks
         k = kernels(pair)
-        for walk in ("update_level", "query_level"):
+        for walk in ("update_level", "query_level", "update_nest", "query_nest"):
             assert hasattr(k, walk) == pair.is_special, (pair.name, walk)
         assert all(hasattr(k, w) for w in ("update", "update_many", "rebuild",
                                            "fill", "query", "query_many", "to_array"))
