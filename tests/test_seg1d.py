@@ -471,6 +471,22 @@ def pending_tree(pair, rng, n, w):
 @pytest.mark.parametrize("w", [1, 3])
 @pytest.mark.parametrize("n", [1, 2, 7, 16])
 class TestRangedArray:
+    def test_to_array_is_a_slice_of_the_whole(self, pair, rng, n, w):
+        # every span's query folds the matching slice of the whole array,
+        # and reading leaves the pending values where they were
+        t, o = pending_tree(pair, rng, n, w)
+        before = t.counters.visits_total
+        whole = t.to_array()
+        assert t.counters.visits_total - before == t.node_count
+        assert whole == o.data
+        for lo in range(n):
+            for hi in range(lo, n):
+                assert t.query(lo, hi) == o.query(((lo, hi),))
+                spans = t.decompose(lo, hi)
+                assert [x for a, b in spans for x in range(a, b + 1)] == list(range(lo, hi + 1))
+        assert t.to_array() == whole
+        t.validate(o)
+
     def test_reinit_resets_only_its_span(self, pair, rng, n, w):
         # the plain-Python reference that the fused rebuild is checked against
         for lo in range(n):
@@ -491,6 +507,19 @@ class TestRangedArray:
 
 
 class TestRangedArgs:
+    def test_spans_out_of_bounds_raise(self):
+        t = SegTree1D([1, 2, 3, 4], get_pair("plus-min"))
+        for lo, hi in ((-1, 2), (2, 1), (0, 4)):
+            with pytest.raises(ValueError):
+                t.update(lo, hi, 1)
+            with pytest.raises(ValueError):
+                t.query(lo, hi)
+            with pytest.raises(ValueError):
+                t.decompose(lo, hi)
+        with pytest.raises(TypeError):
+            t.to_array(0, 3)  # the whole array only: no span form
+        assert t.to_array() == [1, 2, 3, 4]
+
     def test_whole_array_costs_node_count(self):
         pair = get_pair("plus-plus")
         t = SegTree1D(list(range(21)), pair)
