@@ -63,7 +63,8 @@ class ZeroTrackedSum:
                              backend ever stores or is asked to invert)
 
     Mantissas are kept exact: integers stay integers and reciprocals produce
-    :class:`fractions.Fraction`.  No explicit zero mantissa is ever stored.
+    :class:`fractions.Fraction`.  No explicit zero mantissa is ever stored:
+    the constructor drops them, so ``*`` and ``+`` just accumulate.
     """
 
     __slots__ = ("terms",)
@@ -94,11 +95,7 @@ class ZeroTrackedSum:
             for z1, m1 in self.terms.items():
                 for z2, m2 in other.terms.items():
                     z = z1 + z2
-                    s = out.get(z, 0) + m1 * m2
-                    if s:
-                        out[z] = s
-                    elif z in out:
-                        del out[z]
+                    out[z] = out.get(z, 0) + m1 * m2
             return ZeroTrackedSum(out)
         if other == 0:
             return ZeroTrackedSum({z + 1: m for z, m in self.terms.items()})
@@ -121,11 +118,7 @@ class ZeroTrackedSum:
         if isinstance(other, ZeroTrackedSum):
             out = dict(self.terms)
             for z, m in other.terms.items():
-                s = out.get(z, 0) + m
-                if s:
-                    out[z] = s
-                elif z in out:
-                    del out[z]
+                out[z] = out.get(z, 0) + m
             return ZeroTrackedSum(out)
         if other == 0:
             return self

@@ -9,10 +9,12 @@ currency of every complexity check in the test suite and the ``bench`` /
 
 Nested structures (a 2D tree whose nodes hold 1D trees, and so on) share one
 counter object; building an inner tree adds to its ``visits_total``.  Only
-the structure the caller called counts an operation: it adds the visits and
-records the operation (``note_update``/``note_query``), always, once.  It
+the structure the caller called counts an operation, always, once: its one
+``note_update``/``note_query`` call adds the visits and records it.  It
 reaches its inner trees through private entries and compiled kernels, which
-return their visits and never touch the counters.
+return their visits and never touch the counters.  Builds, allocations,
+``decompose`` and ``to_array`` are not operations: they add to
+``visits_total`` directly.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ class OpCounters:
         self.max_update_visits = self.max_query_visits = 0
 
     def note_update(self, visits: int) -> None:
+        self.visits_total += visits
         self.visits_last_op = visits
         self.update_ops += 1
         self.update_visits += visits
@@ -46,6 +49,7 @@ class OpCounters:
             self.max_update_visits = visits
 
     def note_query(self, visits: int) -> None:
+        self.visits_total += visits
         self.visits_last_op = visits
         self.query_ops += 1
         self.query_visits += visits

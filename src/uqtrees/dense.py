@@ -89,7 +89,6 @@ class DenseTensor:
             for s, e in self._runs(box):
                 data[s:e] = [op(x, value) for x in data[s:e]]
         self.counters.note_update(box_volume(box))
-        self.counters.visits_total += box_volume(box)
 
     def query(self, box: Box):
         check_box(box, self.dims)
@@ -114,7 +113,6 @@ class DenseTensor:
                 for x in data[s:e]:
                     out = q(out, x)
         self.counters.note_query(box_volume(box))
-        self.counters.visits_total += box_volume(box)
         return out
 
     def full_box(self) -> Box:

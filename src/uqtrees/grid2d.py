@@ -44,8 +44,8 @@ given.  An update's covered subtrees form one forest of column trees,
 updated by one call of the compiled ``update_many`` walk, each column node
 once across the forest, with each tree's own weighted sizes; the rebuilds
 take the same column split, and so does a query's ``query_many`` fold.
-``update``/``query`` add up the visits of every walk, count the sum once and
-record the operation.
+``update``/``query`` add up the visits of every walk and record the
+operation with the sum in one ``note_update``/``note_query`` call.
 """
 
 from __future__ import annotations
@@ -108,7 +108,6 @@ class Grid2D:
                        * (2 * len(partial) + 1))
             # every partial node, children first, in one compiled walk
             inner[0]._k.rebuild(inner, partial, left, right, ccov, cpar)
-        self.counters.visits_total += visits
         self.counters.note_update(visits)
 
     def query(self, box: Box):
@@ -120,6 +119,5 @@ class Grid2D:
         out = inner[0]._k.query_many(inner, covered, ccov, cpar)
         # the row split's walk, and one column walk per covered row node
         visits = 1 + 2 * len(partial) + len(covered) * (1 + 2 * len(cpar))
-        self.counters.visits_total += visits
         self.counters.note_query(visits)
         return out

@@ -63,9 +63,10 @@ level above it and hand each tree to the next level's walk, found on the
 kernels ``_k``.
 
 All nested trees share one visit counter.  The kernels return their
-visits; the public ``update``/``query`` add them once and record the
-operation (an update also counts the pending trees it allocates).  A 1-D
-tree leaves both to its ``line``.
+visits; the public ``update``/``query`` record them and the operation in
+one ``note_update``/``note_query`` call.  An update also counts the pending
+trees its walk allocated, which added their nodes as they were built.  A
+1-D tree leaves it to its ``line``.
 """
 
 from __future__ import annotations
@@ -139,11 +140,12 @@ class NDTree:
         if self.line is not None:
             return self.line.update(box[0][0], box[0][1], value)
         c = self.counters
-        before = c.visits_total  # and the pending trees the walk allocates
+        before = c.visits_total
         walk = self._k.update_level if self._bare else self._k.update_nest
         visits = walk(self, self._splits(box), 0, value)
-        c.visits_total += visits
-        c.note_update(c.visits_total - before)
+        # the pending trees the walk allocated added their nodes as built
+        allocated, c.visits_total = c.visits_total - before, before
+        c.note_update(visits + allocated)
 
     def _splits(self, box: Box) -> list:
         """``(covered, parts)`` of every axis of ``box`` (every tree at one
@@ -164,6 +166,5 @@ class NDTree:
             return self.line.query(box[0][0], box[0][1])
         walk = self._k.query_level if self._bare else self._k.query_nest
         out, visits = walk(self, self._splits(box), 0)
-        self.counters.visits_total += visits
         self.counters.note_query(visits)
         return out

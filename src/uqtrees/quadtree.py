@@ -110,7 +110,6 @@ class QuadTree:
                         if ylo[y] <= by1 and by0 <= yhi[y]:
                             stack.append((x, y))
         self._refold(partial)
-        self.counters.visits_total += visits
         self.counters.note_update(visits)
 
     def query(self, box: Box):
@@ -141,7 +140,6 @@ class QuadTree:
                     for y in ky:
                         if ylo[y] <= by1 and by0 <= yhi[y]:
                             stack.append((x, y, z))
-        self.counters.visits_total += visits
         self.counters.note_query(visits)
         return out
 
@@ -167,10 +165,8 @@ class QuadTree:
         c = self.counters
         worst = 0
         for box in self.probe_family(extra=extra, seed=seed):
-            before = c.visits_total
             self.update(box, self.pair.update_identity)
-            worst = max(worst, c.visits_total - before)
-            before = c.visits_total
+            worst = max(worst, c.visits_last_op)
             self.query(box)
-            worst = max(worst, c.visits_total - before)
+            worst = max(worst, c.visits_last_op)
         return worst

@@ -71,11 +71,12 @@ paths, becomes an expression (``operator.add``: ``a + b``,
 ``b if b > a else a``, a registered aggregator: the expression that defines
 it); any other callable stays a call, with the same answers, only slower.
 Tracebacks show the generated lines (:mod:`linecache`).  The public
-methods check their spans, call the kernels and count the visits they
-return.  Nested callers check their box once and call the kernels
-unchecked: ``Grid2D`` calls ``query_many`` on its covered row nodes' trees
-and ``update_many`` and ``rebuild`` on its forest, and ``NDTree`` calls the
-level walk on a 2-D tree and the nest walk otherwise.  ``validate`` and
+methods check their spans, call the kernels and record the operation and
+its visits in one ``note_update``/``note_query`` call.  Nested callers
+check their box once and call the kernels unchecked: ``Grid2D`` calls
+``query_many`` on its covered row nodes' trees and ``update_many`` and
+``rebuild`` on its forest, and ``NDTree`` calls the level walk on a 2-D tree
+and the nest walk otherwise.  ``validate`` and
 the oracle never use the kernels.
 
 ``cell_weight`` scales every node size: a tree whose slots each stand for
@@ -529,13 +530,11 @@ class SegTree1D:
         check_span(qlo, qhi, self.size)
         check_value(value)
         visits = self._k.update(self, *split(self.shape, qlo, qhi), value)
-        self.counters.visits_total += visits
         self.counters.note_update(visits)
 
     def query(self, qlo: int, qhi: int):
         check_span(qlo, qhi, self.size)
         out, visits = self._k.query(self, qlo, qhi)
-        self.counters.visits_total += visits
         self.counters.note_query(visits)
         return out
 

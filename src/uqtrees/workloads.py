@@ -104,8 +104,10 @@ def make_backend(backend_id: str, tensor: DenseTensor):
 def _box_ops(backend_id: str, structure):
     if backend_id == "seg1d":
         def span(box):
-            check_box(box, (structure.size,))  # the oracle's refusal, message too
-            return box[0]
+            if len(box) != 1:  # the oracle's refusal; SegTree1D checks a span
+                check_box(box, (structure.size,))
+            (lo, hi), = box
+            return lo, hi
         return (lambda box, v: structure.update(*span(box), v),
                 lambda box: structure.query(*span(box)))
     return structure.update, structure.query

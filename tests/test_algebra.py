@@ -294,6 +294,16 @@ class TestZeroTrackedSum:
     def test_no_explicit_zero_entries(self):
         assert ZeroTrackedSum({0: 0, 1: 2}).terms == {1: 2}
         assert (ZeroTrackedSum({0: 3}) + ZeroTrackedSum({0: -3})).terms == {}
+        # a product whose middle depth cancels: (1 - e)(1 + e) = 1 - e^2
+        assert (ZeroTrackedSum({0: 1, 1: -1}) * ZeroTrackedSum({0: 1, 1: 1})).terms == {0: 1, 2: -1}
+        # a sum that cancels a depth, then restores it
+        x = ZeroTrackedSum({0: 2, 1: 5})
+        cancelled = x + ZeroTrackedSum({1: -5})
+        assert cancelled.terms == {0: 2}
+        restored = cancelled + ZeroTrackedSum({1: 5})
+        assert restored.terms == {0: 2, 1: 5}
+        assert restored == x and hash(restored) == hash(x)
+        assert (cancelled + ZeroTrackedSum({0: -2})).terms == {}
 
     def test_fresh_nonzero_scalar_sits_at_depth_zero(self):
         z = ZeroTrackedSum.from_scalar(7)

@@ -80,9 +80,12 @@ def test_seg1d_adapter_refuses_a_box_of_another_rank():
     runs = [_box_ops(b, make_backend(b, DenseTensor((5,), list(range(5)), pair)))
             for b in ("seg1d", "oracle")]
     (update, query), (oracle_update, oracle_query) = runs
-    for box in (((0, 1), (0, 1)), ((0, 4), (0, 0), (2, 2)), ()):
+    for box in (((0, 1), (0, 1)), ((0, 4), (0, 0), (2, 2)), (), ((0, 1, 2),), ((3,),)):
         want = refusal(oracle_update, box, 1)
-        assert want[1] == f"box has {len(box)} dimensions, structure has 1"
+        if len(box) != 1:
+            assert want[1] == f"box has {len(box)} dimensions, structure has 1"
+        else:  # a span that is not a pair
+            assert want[0] is ValueError and "values to unpack" in want[1]
         assert refusal(update, box, 1) == want
         assert (refusal(lambda b, _: query(b), box, None)
                 == refusal(lambda b, _: oracle_query(b), box, None) == want)

@@ -21,7 +21,7 @@ import pytest
 from uqtrees import (BACKEND_IDS, DenseTensor, Grid2D, NDTree, OpCounters, SegTree1D,
                      WorkloadConfig, get_pair, make_backend)
 from uqtrees.seg1d import node_shape, node_sizes
-from uqtrees.workloads import _BACKENDS, _box_ops, _replay
+from uqtrees.workloads import _BACKENDS, _box_ops, _replay, actions, initial_tensor
 
 CASES = [
     ("seg1d", "plus-min", (64,)),
@@ -158,9 +158,42 @@ COUNT_CASES = [(b, dims) for b in BACKEND_IDS for k, dims in EXTENTS.items()
 @pytest.mark.parametrize("backend_id,dims", COUNT_CASES,
                          ids=[f"{b}-{len(d)}d" for b, d in COUNT_CASES])
 def test_each_operation_is_recorded_once(backend_id, dims):
-    c, init, _, _ = _replay(WorkloadConfig(backend_id, "plus-plus", dims, ops=300, seed=4))
+    cfg = WorkloadConfig(backend_id, "plus-plus", dims, ops=300, seed=4)
+    c, init, _, _ = _replay(cfg)
     assert c.update_ops + c.query_ops == 300
     assert c.visits_total == init + c.update_visits + c.query_visits
+    # per operation: the visits it records are exactly what it adds to the
+    # total, pending trees an nd-special update allocates included
+    rng = random.Random(cfg.seed)
+    structure = make_backend(backend_id, initial_tensor(cfg, rng))
+    update, query = _box_ops(backend_id, structure)
+    c = structure.counters
+    allocates = backend_id == "nd-special" and len(dims) >= 2
+    if allocates:
+        assert all(x is None for x in structure.row_lazy)
+    for box, value in actions(cfg, rng):
+        before = c.visits_total
+        if value is None:
+            query(box)
+        else:
+            update(box, value)
+        assert c.visits_last_op == c.visits_total - before, box
+    if allocates:
+        assert any(x is not None for x in structure.row_lazy)
+
+
+def test_note_adds_the_visits_and_records_the_operation():
+    c = OpCounters()
+    c.visits_total = 100  # a build's visits
+    c.note_update(7)
+    c.note_update(3)
+    c.note_query(5)
+    assert c.visits_total == 115
+    assert c.visits_last_op == 5
+    assert (c.update_ops, c.update_visits, c.max_update_visits) == (2, 10, 7)
+    assert (c.query_ops, c.query_visits, c.max_query_visits) == (1, 5, 5)
+    c.note_query(9)
+    assert (c.visits_total, c.visits_last_op, c.max_query_visits) == (124, 9, 9)
 
 
 def test_a_tree_on_shared_counters_records_its_own_operations():
