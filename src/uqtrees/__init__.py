@@ -29,9 +29,9 @@ from .matmul import (MAX_PLUS_PRODUCT, MIN_PLUS_PRODUCT, PRODUCT_PAIRS,
 from .ndspecial import NDTree
 from .quadtree import QuadTree, probe_visit_bound
 from .seg1d import SegTree1D, ValidationError
-from .workloads import (BACKEND_IDS, GROWTH_ENVELOPES, BenchRow,
-                        ScalingReport, VerifyReport, WorkloadConfig,
-                        make_backend, run_bench, run_scaling, run_verify)
+from .workloads import (BACKEND_IDS, BenchRow, ScalingReport, VerifyReport,
+                        WorkloadConfig, make_backend, run_bench, run_scaling,
+                        run_verify)
 
 __all__ = [
     "Box", "OperatorPair", "ZeroTrackedSum", "OpCounters",
@@ -46,7 +46,7 @@ __all__ = [
     "STANDARD_PRODUCT", "schoolbook", "seed_backend", "product_via_backend",
     "multi_product_via_backend",
     "WorkloadConfig", "VerifyReport", "BenchRow", "ScalingReport",
-    "BACKEND_IDS", "GROWTH_ENVELOPES", "make_backend",
+    "BACKEND_IDS", "make_backend",
     "run_verify", "run_bench", "run_scaling",
 ]
 

@@ -33,19 +33,16 @@ partial node in one top-down pass from its children's true folds.  Each
 rebuild counts the column nodes that meet the span once, and once more per
 child not rebuilt in this update: ``len(partial) + 1`` children, as the
 partial nodes form a subtree.  ``last_events`` lists the latest update's
-events, derived from its stored split.  A query checks its box once,
-splits each axis once and folds the column split across the trees of every
-covered node of the row span's split, left to right, in one call of the
-compiled ``query_many`` kernel; it never mutates.
+events, derived from its stored split.  A query folds the column split
+across the trees of every covered node of the row span's split, left to
+right, in one call of the compiled ``query_many`` kernel; it never mutates.
 
-Each operation checks its box once and splits each axis once with
-:func:`~uqtrees.seg1d.split`, and every walk below takes those splits as
-given.  An update's covered subtrees form one forest of column trees,
-updated by one call of the compiled ``update_many`` walk, each column node
-once across the forest, with each tree's own weighted sizes; the rebuilds
-take the same column split, and so does a query's ``query_many`` fold.
-``update``/``query`` add up the visits of every walk and record the
-operation with the sum in one ``note_update``/``note_query`` call.
+Each operation keeps :mod:`uqtrees.seg1d`'s rule: one check, one
+:func:`~uqtrees.seg1d.split` per axis, one ``note_*``.  An update's covered
+subtrees form one forest of column trees, updated by one call of the
+compiled ``update_many`` walk, each column node once across the forest,
+with each tree's own weighted sizes; the rebuilds take the same column
+split, and so does a query's ``query_many`` fold.
 """
 
 from __future__ import annotations

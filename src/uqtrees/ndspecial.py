@@ -51,22 +51,21 @@ aggregator, counted once per row the node shares with ``X``.  Queries leave
 the trees unchanged (they only bump the shared counters); updates need
 exclusive access.
 
-Only the public ``update``/``query`` check the box, once, and split each
-axis once with :func:`~uqtrees.seg1d.split` (every tree at one depth shares
-that axis's extent), pairing each partial node with its overlap ``j`` with
-the span.  The pair's compiled kernels walk the levels, one level text
-rendered in two forms: ``update_level``/``query_level`` walk a 2-D level and
-apply the rule above to the last axis too, reading no child (covered nodes
-stamp ``v``, or a query folds them, and each partial node absorbs ``v``, or
-gives its pending value, ``j`` times); ``update_nest``/``query_nest`` walk a
+The pair's compiled kernels walk the levels, one level text rendered in
+two forms: ``update_level``/``query_level`` walk a 2-D level and apply the
+rules above to the last axis too, reading no child (covered nodes stamp
+``v``, or a query folds them, and each partial node absorbs ``v``, or gives
+its pending value, ``j`` times); ``update_nest``/``query_nest`` walk a
 level above it and hand each tree to the next level's walk, found on the
 kernels ``_k``.
 
-All nested trees share one visit counter.  The kernels return their
-visits; the public ``update``/``query`` record them and the operation in
-one ``note_update``/``note_query`` call.  An update also counts the pending
-trees its walk allocated, which added their nodes as they were built.  A
-1-D tree leaves it to its ``line``.
+Only the public ``update``/``query`` keep :mod:`uqtrees.seg1d`'s rule (one
+check, one :func:`~uqtrees.seg1d.split` per axis, one ``note_*``); every
+tree at one depth shares that axis's extent, and each partial node is
+paired with its overlap ``j`` with the span.  All nested trees share one
+visit counter.  An update's note also counts the pending trees its walk
+allocated, which added their nodes as they were built.  A 1-D tree leaves
+it to its ``line``.
 """
 
 from __future__ import annotations

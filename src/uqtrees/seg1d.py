@@ -20,13 +20,15 @@ Each node ``n`` caches two things:
   descendant ``m`` must be read as ``aggregator(val[m], laz[n], size[m])``.
 
 :func:`split` breaks a span into the maximal nodes inside it and the
-partially covered nodes above them.  One rule holds for every structure: a
-public operation checks its span or box once and splits each axis once,
-and the walks below it take that split as given.  ``update`` and
-``decompose`` each split their span once (``to_array`` reads the whole
-array and splits nothing); the outer arenas of the 2D and d-dimensional
-trees split theirs and hand the inner axes' splits down (a 2D query hands
-one column split to every covered row node's tree);
+partially covered nodes above them.  One rule holds for every structure,
+"one check, one split, one note": a public update or query checks its span
+or box once, splits each axis once, and records itself with the visits of
+every walk below it in one ``note_update``/``note_query`` call; the walks
+take that split as given, check nothing and return their visits.
+``update`` and ``decompose`` each split their span once (``to_array``
+reads the whole array and splits nothing); the outer arenas of the 2D and
+d-dimensional trees split theirs and hand the inner axes' splits down (a
+2D query hands one column split to every covered row node's tree);
 ``SegTree1D.query`` and ``validate`` carry pending values down their own
 walks.  ``update`` stamps the pending value onto the covered nodes (the
 same nodes :meth:`decompose` returns) and repairs ``val`` on the partial
@@ -70,10 +72,8 @@ paths, becomes an expression (``operator.add``: ``a + b``,
 ``operator.mul``: ``a * b``, ``min``: ``b if b < a else a``, ``max``:
 ``b if b > a else a``, a registered aggregator: the expression that defines
 it); any other callable stays a call, with the same answers, only slower.
-Tracebacks show the generated lines (:mod:`linecache`).  The public
-methods check their spans, call the kernels and record the operation and
-its visits in one ``note_update``/``note_query`` call.  Nested callers
-check their box once and call the kernels unchecked: ``Grid2D`` calls
+Tracebacks show the generated lines (:mod:`linecache`).  Nested callers
+call the kernels directly: ``Grid2D`` calls
 ``query_many`` on its covered row nodes' trees and ``update_many`` and
 ``rebuild`` on its forest, and ``NDTree`` calls the level walk on a 2-D tree
 and the nest walk otherwise.  ``validate`` and

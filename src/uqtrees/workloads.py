@@ -8,13 +8,13 @@ range.  Everything downstream of the seed is deterministic, including the
 visit counters, which is what makes ``bench`` output reproducible
 byte-for-byte.
 
-``run_verify`` replays the workload on a chosen backend and on the dense
-oracle in lockstep and compares every query result exactly.  ``run_bench``
-replays it on the backend alone and reports visit statistics (wall-clock
+One loop, :func:`_replay`, builds the backend and replays the stream on
+it; everything else reads its result.  ``run_verify`` has it run the dense
+oracle in lockstep and compare every query result exactly.  ``run_bench``
+replays on the backend alone and reports visit statistics (wall-clock
 times and the traced memory peak of a build ride along for human interest
-only; no gate ever reads them).
-``run_scaling`` sweeps sizes and checks visit growth against each backend's
-declared envelope.
+only; no gate ever reads them).  ``run_scaling`` sweeps sizes and checks
+visit growth against each backend's declared envelope.
 """
 
 from __future__ import annotations
@@ -45,12 +45,11 @@ class _Backend(NamedTuple):
 _BACKENDS = {
     "oracle": _Backend(DenseTensor.copy, None, (0.0, 5.0), True),
     "seg1d": _Backend(lambda t: SegTree1D(t.data, t.pair), (1,), (0.0, 1.5), False),
-    "nd-special": _Backend(lambda t: NDTree(t, t.pair), (1, 2, 3), (0.0, 1.7), False),
+    "nd-special": _Backend(lambda t: NDTree(t, t.pair), None, (0.0, 1.7), False),
     "grid2d-general": _Backend(lambda t: Grid2D(t, t.pair), (2,), (0.0, 3.0), True),
     "quadtree": _Backend(lambda t: QuadTree(t, t.pair), (2,), (1.5, 3.0), False),
 }
 BACKEND_IDS = tuple(_BACKENDS)
-GROWTH_ENVELOPES = {k: b.envelope for k, b in _BACKENDS.items()}
 PRODUCT_BACKENDS = tuple(k for k, b in _BACKENDS.items() if b.products)
 
 # multiplicative pairs stay tiny so 10k-op runs keep exact integers cheap
@@ -156,35 +155,7 @@ def run_verify(cfg: WorkloadConfig, inject_fault: Optional[int] = None) -> Verif
     exercised honestly.  A negative ``k``, or one the run never reaches,
     raises ValueError: a fault that is never injected tests nothing.
     """
-    cfg.check()
-    if inject_fault is not None and inject_fault < 0:
-        raise ValueError(f"inject_fault must be >= 0, got {inject_fault}")
-    rng = random.Random(cfg.seed)
-    tensor = initial_tensor(cfg, rng)
-    oracle = tensor.copy()
-    structure = make_backend(cfg.backend, tensor)
-    upd, qry = _box_ops(cfg.backend, structure)
-    mismatches = 0
-    first: Optional[str] = None
-    updates = queries = 0
-    for k, (box, value) in enumerate(actions(cfg, rng)):
-        if value is not None:
-            if updates != inject_fault:
-                upd(box, value)
-            oracle.update(box, value)
-            updates += 1
-        else:
-            got = qry(box)
-            want = oracle.query(box)
-            if got != want:
-                mismatches += 1
-                if first is None:
-                    first = f"action #{k}: query {box} -> backend {got!r}, oracle {want!r}"
-            queries += 1
-    if inject_fault is not None and inject_fault >= updates:
-        raise ValueError(f"inject_fault={inject_fault} was never reached: "
-                         f"the run made {updates} updates")
-    return VerifyReport(cfg, mismatches, first, updates, queries)
+    return _replay(cfg, True, inject_fault)[1]
 
 
 @dataclass
@@ -234,25 +205,51 @@ def _mean(visits: int, ops: int) -> Optional[float]:
     return visits / ops if ops else None
 
 
-def _replay(cfg: WorkloadConfig) -> tuple:
-    """Build the backend and replay the workload on it alone: its counters,
-    the build's visits, and the wall seconds of the build and the replay."""
+def _replay(cfg: WorkloadConfig, check: bool = False,
+            inject_fault: Optional[int] = None) -> tuple:
+    """Build the backend and replay the workload on it: the structure, a
+    :class:`VerifyReport`, the build's visits, and the wall seconds of the
+    build and the replay.
+
+    With ``check`` the oracle replays the stream in lockstep and every query
+    is compared exactly; without it the report counts no mismatch.
+    ``inject_fault`` is :func:`run_verify`'s.
+    """
     cfg.check()
+    if inject_fault is not None and inject_fault < 0:
+        raise ValueError(f"inject_fault must be >= 0, got {inject_fault}")
     rng = random.Random(cfg.seed)
     tensor = initial_tensor(cfg, rng)
+    oracle = tensor.copy() if check else None
     t0 = time.perf_counter()
     structure = make_backend(cfg.backend, tensor)
     wall_init = time.perf_counter() - t0
     upd, qry = _box_ops(cfg.backend, structure)
-    counters = structure.counters
-    init_visits = counters.visits_total
+    init_visits = structure.counters.visits_total
+    mismatches = updates = 0
+    first: Optional[str] = None
     t0 = time.perf_counter()
-    for box, value in actions(cfg, rng):
+    for k, (box, value) in enumerate(actions(cfg, rng)):
         if value is None:
-            qry(box)
+            got = qry(box)
+            if check:
+                want = oracle.query(box)
+                if got != want:
+                    mismatches += 1
+                    if first is None:
+                        first = f"action #{k}: query {box} -> backend {got!r}, oracle {want!r}"
         else:
-            upd(box, value)
-    return counters, init_visits, wall_init, time.perf_counter() - t0
+            if updates != inject_fault:
+                upd(box, value)
+            if check:
+                oracle.update(box, value)
+            updates += 1
+    wall_ops = time.perf_counter() - t0
+    if inject_fault is not None and inject_fault >= updates:
+        raise ValueError(f"inject_fault={inject_fault} was never reached: "
+                         f"the run made {updates} updates")
+    report = VerifyReport(cfg, mismatches, first, updates, cfg.ops - updates)
+    return structure, report, init_visits, wall_init, wall_ops
 
 
 def _build_peak_bytes(cfg: WorkloadConfig) -> int:
@@ -277,7 +274,8 @@ def _build_peak_bytes(cfg: WorkloadConfig) -> int:
 def run_bench(cfg: WorkloadConfig) -> BenchRow:
     """Replay the workload on the backend alone and measure visits; then
     build it once more, untimed, to measure its memory."""
-    counters, init_visits, wall_init, wall_ops = _replay(cfg)
+    structure, _, init_visits, wall_init, wall_ops = _replay(cfg)
+    counters = structure.counters
     return BenchRow(
         backend=cfg.backend,
         pair=cfg.pair,
@@ -325,8 +323,8 @@ def scaling_dims(backend_id: str, n: int) -> Tuple[int, ...]:
 
 def measure_mean_visits(cfg: WorkloadConfig) -> float:
     """Mean visits per op (updates and queries together) for one workload."""
-    counters, init_visits, _, _ = _replay(cfg)
-    return (counters.visits_total - init_visits) / cfg.ops
+    structure, _, init_visits, _, _ = _replay(cfg)
+    return (structure.counters.visits_total - init_visits) / cfg.ops
 
 
 def run_scaling(backend_id: str, pair_name: str, sizes: Sequence[int],

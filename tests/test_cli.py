@@ -36,8 +36,7 @@ class TestWorkloadConfig:
             WorkloadConfig("seg1d", "plus-min", (4, 4)).check()
         with pytest.raises(ValueError):
             WorkloadConfig("quadtree", "plus-min", (4,)).check()
-        with pytest.raises(ValueError):
-            WorkloadConfig("nd-special", "plus-plus", (2, 2, 2, 2)).check()
+        WorkloadConfig("nd-special", "plus-plus", (2, 2, 2, 2)).check()
         with pytest.raises(ValueError):
             WorkloadConfig("seg1d", "plus-min", (16,), ops=0).check()
         with pytest.raises(ValueError):
@@ -94,6 +93,7 @@ class TestRunners:
         ("quadtree", "plus-plus", (9, 1)),
         ("seg1d", "times-times", (1,)),
         ("oracle", "plus-min", (3, 1, 4)),
+        ("nd-special", "plus-plus", (2, 1, 2, 1)),
     ])
     def test_degenerate_extents_match_oracle(self, backend, pair_name, dims):
         report = run_verify(WorkloadConfig(backend, pair_name, dims, ops=800, seed=5))

@@ -407,22 +407,14 @@ DEEP_VISITS = {
 
 
 class TestDeepTrees:
-    # the CLI stops at three axes; the per-axis splits must hold at any
-    # depth, and in the cube every axis shares one node_shape
+    # the per-axis splits must hold at any depth, and in the cube every axis
+    # shares one node_shape
     @pytest.mark.parametrize("dims", [(3, 4, 2, 5), (4, 4, 4, 4), (2, 1, 3, 1, 2)])
     def test_mixed_ops_match_oracle(self, special_pair, dims):
-        from uqtrees.workloads import actions, initial_tensor
+        from uqtrees.workloads import _replay
         cfg = WorkloadConfig("nd-special", special_pair.name, dims, ops=1500, seed=5)
-        rng = random.Random(cfg.seed)
-        tensor = initial_tensor(cfg, rng)
-        oracle = tensor.copy()
-        t = NDTree(tensor, special_pair)
-        for k, (box, value) in enumerate(actions(cfg, rng)):
-            if value is None:
-                assert t.query(box) == oracle.query(box), (k, box)
-            else:
-                t.update(box, value)
-                oracle.update(box, value)
+        t, report, _, _, _ = _replay(cfg, True)
+        assert report.ok, report.first_mismatch
         c = t.counters
         got = (c.visits_total, c.update_visits, c.query_visits)
         assert got == DEEP_VISITS[dims, special_pair.name]

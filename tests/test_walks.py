@@ -20,6 +20,7 @@ import pytest
 
 from uqtrees import (BACKEND_IDS, DenseTensor, Grid2D, NDTree, OpCounters, SegTree1D,
                      WorkloadConfig, get_pair, make_backend)
+from uqtrees.boxes import draw_box
 from uqtrees.seg1d import node_shape, node_sizes
 from uqtrees.workloads import _BACKENDS, _box_ops, _replay, actions, initial_tensor
 
@@ -29,10 +30,6 @@ CASES = [
     ("nd-special", "plus-plus", (8, 8, 8)),
     ("quadtree", "plus-min", (16, 16)),
 ]
-
-
-def _box(rng, dims):
-    return tuple(tuple(sorted((rng.randrange(n), rng.randrange(n)))) for n in dims)
 
 
 def _collect_with_gc_off(work):
@@ -54,7 +51,7 @@ def test_updates_and_queries_make_no_cyclic_garbage(backend_id, pair_name, dims)
     data = [rng.randint(-50, 50) for _ in range(math.prod(dims))]
     structure = make_backend(backend_id, DenseTensor(dims, data, pair))
     update, query = _box_ops(backend_id, structure)
-    boxes = [_box(rng, dims) for _ in range(300)]
+    boxes = [draw_box(rng, dims) for _ in range(300)]
     values = [rng.randint(-9, 9) for _ in range(300)]
 
     def work():
@@ -159,7 +156,8 @@ COUNT_CASES = [(b, dims) for b in BACKEND_IDS for k, dims in EXTENTS.items()
                          ids=[f"{b}-{len(d)}d" for b, d in COUNT_CASES])
 def test_each_operation_is_recorded_once(backend_id, dims):
     cfg = WorkloadConfig(backend_id, "plus-plus", dims, ops=300, seed=4)
-    c, init, _, _ = _replay(cfg)
+    structure, _, init, _, _ = _replay(cfg)
+    c = structure.counters
     assert c.update_ops + c.query_ops == 300
     assert c.visits_total == init + c.update_visits + c.query_visits
     # per operation: the visits it records are exactly what it adds to the
