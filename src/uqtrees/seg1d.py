@@ -25,12 +25,11 @@ partially covered nodes above them.  One rule holds for every structure,
 or box once, splits each axis once, and records itself with the visits of
 every walk below it in one ``note_update``/``note_query`` call; the walks
 take that split as given, check nothing and return their visits.
-``update`` and ``decompose`` each split their span once (``to_array``
-reads the whole array and splits nothing); the outer arenas of the 2D and
-d-dimensional trees split theirs and hand the inner axes' splits down (a
-2D query hands one column split to every covered row node's tree);
-``SegTree1D.query`` and ``validate`` carry pending values down their own
-walks.  ``update`` stamps the pending value onto the covered nodes (the
+``update`` and ``decompose`` each split their span once; the outer arenas
+of the 2D and d-dimensional trees split theirs and hand the inner axes'
+splits down (a 2D query hands one column split to every covered row node's
+tree); ``SegTree1D.query`` carries pending values down its own walk.
+``update`` stamps the pending value onto the covered nodes (the
 same nodes :meth:`decompose` returns) and repairs ``val`` on the partial
 nodes, children first::
 
@@ -50,19 +49,18 @@ that only a run of the cyclic garbage collector can free.
 :func:`kernels` compiles one template per walk with the pair's operators
 written in, once per :class:`OperatorPair` object; a tree holds them as
 ``_k``: ``update`` (stamp and repair), ``update_many`` (the same over a
-forest, node outer and tree inner, each tree with its own weighted
-sizes), ``rebuild`` (every partial row node of a
-:mod:`uqtrees.grid2d` forest resets a span from its two children, in one
-call), ``fill`` (the constructor's whole-array build: one loop copies the
-cells onto the layout's ``leaves``, one folds its ``joins``, children
-first; ``laz`` starts as one list of ``update_identity``), ``query``,
-``query_many`` (one span's split folded over several trees in one call,
-tree by tree in the order given: each tree's partial nodes carry its
-pending values down, parents first, into a scratch dict made per call, of
-O(log N) entries, and each covered node absorbs them at its own size),
-``to_array`` (every node in pre-order, parents first, no split) and, for a
-fold-commuting pair only, the level walks of :mod:`uqtrees.ndspecial`, one
-text in two forms: ``update_level``/``query_level`` walk a whole 2-D level
+forest, node outer and tree inner, each tree with its own weighted sizes),
+``rebuild`` (every partial row node of a :mod:`uqtrees.grid2d` forest
+resets a span from its two children, in one call), ``fill`` (the
+constructor's whole-array build: one loop copies the cells onto the
+layout's ``leaves``, one folds its ``joins``, children first; ``laz``
+starts as one list of ``update_identity``), ``query``, ``query_many`` (one
+span's split folded over several trees in one call, tree by tree in the
+order given: each tree's partial nodes carry its pending values down,
+parents first, into a scratch dict made per call, of O(log N) entries, and
+each covered node absorbs them at its own size) and, for a fold-commuting
+pair only, the level walks of :mod:`uqtrees.ndspecial`, one text in two
+forms: ``update_level``/``query_level`` walk a whole 2-D level
 in one call (a partial last-axis node absorbs the update value, or gives
 its own pending value, as often as it overlaps the span, and no child is
 read), and ``update_nest``/``query_nest`` walk a level above it, handing
@@ -73,11 +71,13 @@ paths, becomes an expression (``operator.add``: ``a + b``,
 ``b if b > a else a``, a registered aggregator: the expression that defines
 it); any other callable stays a call, with the same answers, only slower.
 Tracebacks show the generated lines (:mod:`linecache`).  Nested callers
-call the kernels directly: ``Grid2D`` calls
-``query_many`` on its covered row nodes' trees and ``update_many`` and
-``rebuild`` on its forest, and ``NDTree`` calls the level walk on a 2-D tree
-and the nest walk otherwise.  ``validate`` and
-the oracle never use the kernels.
+call the kernels directly: ``Grid2D`` calls ``query_many`` on its covered
+row nodes' trees and ``update_many`` and ``rebuild`` on its forest, and
+``NDTree`` calls the level walk on a 2-D tree and the nest walk otherwise.
+The kernels write only node lists and return their visits, if any, to the
+caller, which counts them; ``SegTree1D.update`` records its own stamp.
+``to_array`` and ``validate`` read one plain pre-order walk on the pair's
+callables, ``SegTree1D._folds``; neither they nor the oracle use a kernel.
 
 ``cell_weight`` scales every node size: a tree whose slots each stand for
 ``w`` real cells (the 2D structure in :mod:`uqtrees.grid2d` uses this) gets
@@ -88,6 +88,7 @@ only in ``sz``: the shared ``node_sizes(N, w)``, which no walk writes.
 from __future__ import annotations
 
 import linecache
+import operator
 import re
 from functools import cache
 from textwrap import indent
@@ -257,7 +258,6 @@ def update(t, covered, partial, value):
     for i in covered:
         laz[i] = U(laz[i], value)
 """ + _REPAIR + """
-    t._stamped = covered
     return 1 + 2 * len(partial)
 def update_many(trees, covered, partial, value):
     # every stamp before any repair: exact, as no tree reads a list another
@@ -273,8 +273,6 @@ def update_many(trees, covered, partial, value):
             x = AGG(val[l], laz[l], sz[l])
             y = AGG(val[r], laz[r], sz[r])
             val[i] = Q(x, y)
-    for t in trees:
-        t._stamped = covered
 
 def rebuild(trees, rows, rleft, rright, covered, partial):
     lo, hi, left, right = trees[0].shape[:4]
@@ -357,23 +355,6 @@ def query_many(trees, rows, covered, partial):
             y = AGG(val[c], z, sz[c])
             x = Q(x, y)
         out = Q(out, x)
-    return out
-
-def to_array(t):
-    left, right = t.shape[2:4]
-    sz, val, laz = t.sz, t.val, t.laz
-    # pre-order puts every parent before its children, and the leaves in
-    # position order
-    carried = [UID] * len(val)
-    out = []
-    for i in range(len(val)):
-        z = U(carried[i], laz[i])
-        l = left[i]
-        if l < 0:
-            x = AGG(val[i], z, sz[i])
-            out.append(x)
-        else:
-            carried[l] = carried[right[i]] = z
     return out
 """
 
@@ -523,13 +504,16 @@ class SegTree1D:
 
     @property
     def last_lazy_spans(self) -> List[Tuple[int, int]]:
-        """The spans the latest update stamped its value onto, left to right."""
+        """The spans the latest :meth:`update` on this tree stamped its value
+        onto, left to right.  A forest walk (``update_many``) sets none."""
         return [(self.shape.lo[i], self.shape.hi[i]) for i in self._stamped]
 
     def update(self, qlo: int, qhi: int, value) -> None:
         check_span(qlo, qhi, self.size)
         check_value(value)
-        visits = self._k.update(self, *split(self.shape, qlo, qhi), value)
+        covered, partial = split(self.shape, qlo, qhi)
+        visits = self._k.update(self, covered, partial, value)
+        self._stamped = covered
         self.counters.note_update(visits)
 
     def query(self, qlo: int, qhi: int):
@@ -550,41 +534,38 @@ class SegTree1D:
         self.counters.visits_total += 1 + 2 * len(partial)
         return [(self.shape.lo[i], self.shape.hi[i]) for i in covered]
 
-    def to_array(self) -> list:
-        """True values of every element, in ``node_count`` visits.
+    def _folds(self) -> list:
+        """Every node's effective fold ``aggregator(val[n], z, size[n])``, in pre-order,
+        ``z`` combining the pending values from the root down to ``n`` in one pass."""
+        u, agg = self.pair.update_op, self.pair.aggregator
+        left, right = self.shape.left, self.shape.right
+        val, laz, sz = self.val, self.laz, self.sz
+        carried = [self.pair.update_identity] * len(val)
+        folds = []
+        for i in range(len(val)):
+            z = u(carried[i], laz[i])
+            folds.append(agg(val[i], z, sz[i]))
+            if left[i] >= 0:
+                carried[left[i]] = carried[right[i]] = z
+        return folds
 
-        Walks every node in pre-order, parents first: each node passes the
-        combined pending values of its ancestors and itself on to its
-        children, and each leaf emits ``aggregator(val, carried, leaf size)``.
-        """
-        out = self._k.to_array(self)
+    def to_array(self) -> list:
+        """True values of every element, in ``node_count`` visits: the
+        leaves of :meth:`_folds`, in position order."""
+        folds = self._folds()
         self.counters.visits_total += self.node_count
-        return out
+        return [folds[i] for i in self.shape.leaves]
 
     def validate(self, reference: DenseTensor) -> None:
-        """Check every node's effective fold against a same-history oracle.
-
-        The effective fold of node ``n`` is ``aggregator(val[n], z, size[n])``
-        with ``z`` the combination of pending values on the path from the
-        root down to and including ``n``; it must equal the oracle fold of
-        the span ``n`` covers.  Raises :class:`ValidationError` naming the
-        first offending node.
-        """
+        """Check every node of :meth:`_folds` against the oracle fold of its
+        span; raise :class:`ValidationError` naming the first bad node."""
         if reference.dims != (self.size,):
             raise ValueError("reference shape mismatch")
-        agg = self.pair.aggregator
-        u = self.pair.update_op
-        lo, hi, left, right = self.shape[:4]
-        stack = [(0, self.pair.update_identity)]
-        while stack:
-            i, z = stack.pop()
-            z = u(z, self.laz[i])
-            got = agg(self.val[i], z, self.sz[i])
-            want = reference.query(((lo[i], hi[i]),))
-            if got != want:
-                raise ValidationError(
-                    f"node {i} over [{lo[i]}, {hi[i]}]: "
-                    f"effective fold {got!r} != oracle {want!r}")
-            if left[i] >= 0:
-                stack.append((left[i], z))
-                stack.append((right[i], z))
+        lo, hi = self.shape[:2]
+        # the oracle reads one box ((lo, hi),) per node
+        got, want = self._folds(), list(map(reference.query, zip(zip(lo, hi))))
+        wrong = list(map(operator.ne, got, want))
+        if any(wrong):
+            i = wrong.index(True)
+            raise ValidationError(f"node {i} over [{lo[i]}, {hi[i]}]: effective "
+                                  f"fold {got[i]!r} != oracle {want[i]!r}")

@@ -68,6 +68,16 @@ def reinit_span(t, values, qlo):
         val[i] = q(agg(val[l], laz[l], sz[l]), agg(val[r], laz[r], sz[r]))
 
 
+def stamped(pair, laz, covered, value):
+    """A copy of the pending values ``laz`` with ``value`` stamped onto the
+    nodes ``covered``, as an update leaves them: the stamp read through
+    ``laz``."""
+    out = list(laz)
+    for i in covered:
+        out[i] = pair.update_op(out[i], value)
+    return out
+
+
 def stack_split(shape, lo, hi):
     """``split`` as a stack walk over every node that meets the span: the
     maximal nodes inside it, left to right, and the others, in pre-order."""

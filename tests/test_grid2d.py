@@ -10,7 +10,7 @@ from uqtrees import (DenseTensor, Grid2D, SegTree1D, WorkloadConfig,
                      get_pair, run_verify)
 from uqtrees.seg1d import node_shape, split
 from conftest import (KERNEL_CASES, KERNEL_IDS, edge_spans, fold, per_tree_query,
-                      reinit_span, sample_cell)
+                      reinit_span, sample_cell, stamped)
 
 
 def grid(dims, data, pair_name):
@@ -44,14 +44,15 @@ class TestBuild:
             g = Grid2D(DenseTensor((n, m), data, pair), pair)
             o = DenseTensor((n, m), data, pair)
 
-            def check(box=None):
+            def check(box=None, v=None, held=None):
                 if box is not None:
-                    # every tree of a covered subtree stamped the column span
-                    rows, (ylo, yhi) = box
-                    stamped = g.inner[0].decompose(ylo, yhi)
+                    # every tree of a covered subtree stamped the column
+                    # span's covered nodes, and only those
+                    rows, cols = box
+                    ccov = split(g.inner[0].shape, *cols)[0]
                     for i in split(g.shape, *rows)[0]:
                         for j in range(i, i + 2 * (g.shape.hi[i] - g.shape.lo[i]) + 1):
-                            assert g.inner[j].last_lazy_spans == stamped
+                            assert g.inner[j].laz == stamped(pair, held[j], ccov, v)
                 for i in range(g.node_count):
                     want = [o.query(((g.shape.lo[i], g.shape.hi[i]), (y, y))) for y in range(m)]
                     assert g.inner[i].to_array() == want
@@ -71,9 +72,10 @@ class TestBuild:
                       for _ in range(10)]
             for box in boxes:
                 v = rng.randint(*pair.sample_range)
+                held = [list(t.laz) for t in g.inner]
                 g.update(box, v)
                 o.update(box, v)
-                check(box)
+                check(box, v, held)
 
     def test_rebuild_keeps_pending_values_outside_the_span(self, pair, rng):
         n, m = 8, 8
@@ -533,3 +535,32 @@ class TestForestRefusals:
             g.update(((1, 4), (qlo, qhi)), value)
         assert [(t.val, t.laz, t._stamped) for t in g.inner] == held
         assert [getattr(c, k) for k in c.__slots__] == counts
+
+
+class TestInnerTreeFields:
+    def test_walks_change_only_val_and_laz(self, pair):
+        # the compiled walks write only node lists: after a seeded mix of
+        # updates and queries every inner tree holds the same other fields as
+        # built, and no stamp; SegTree1D.update alone records its own
+        rng = random.Random(27)
+        n, m = 9, 13
+        g = grid((n, m), [rng.randint(*pair.sample_range) for _ in range(n * m)], pair.name)
+
+        def others(t):
+            return {k: v for k, v in vars(t).items() if k not in ("val", "laz")}
+        built = [others(t) for t in g.inner]
+        single = SegTree1D(list(range(m)), pair)
+        for _ in range(200):
+            box = tuple(tuple(sorted(rng.randrange(d) for _ in range(2))) for d in (n, m))
+            if rng.random() < 0.5:
+                g.update(box, rng.randint(*pair.sample_range))
+                single.update(*box[1], 1)
+                assert single.last_lazy_spans == single.decompose(*box[1])
+            else:
+                g.query(box)
+        for k, tree in enumerate(g.inner):
+            assert tree._stamped == ()
+            assert tree.last_lazy_spans == []
+            now = others(tree)
+            assert now.keys() == built[k].keys(), k
+            assert all(now[a] is built[k][a] for a in now), k

@@ -13,7 +13,7 @@ from uqtrees import (DenseTensor, Grid2D, OpCounters, OperatorPair, SegTree1D,
                      ValidationError, WorkloadConfig, get_pair, run_verify)
 from uqtrees.seg1d import kernels, node_shape, split
 from conftest import (KERNEL_CASES, KERNEL_IDS, edge_spans, reinit_span, sample_cell,
-                      stack_split)
+                      stack_split, stamped)
 
 
 def make(values, pair_name="plus-min"):
@@ -570,6 +570,15 @@ class TestValidate:
         t.validate(o)
         assert [t.query(i, i) for i in range(n)] == [o.query(((i, i),)) for i in range(n)]
 
+    def test_names_the_first_bad_node_in_pre_order(self):
+        # node 1 comes before the root's right child in pre-order
+        pair = get_pair("plus-plus")
+        t, o = make(list(range(8)), "plus-plus")
+        for i in (1, t.shape.right[0]):
+            t.val[i] = pair.update_op(t.val[i], 1)
+        with pytest.raises(ValidationError, match=r"^node 1 over \[0, 3\]: "):
+            t.validate(o)
+
     def test_corruption_is_caught(self):
         pair = get_pair("plus-plus")
         vals = list(range(16))
@@ -632,7 +641,7 @@ class TestKernels:
         for walk in ("update_level", "query_level", "update_nest", "query_nest"):
             assert hasattr(k, walk) == pair.is_special, (pair.name, walk)
         assert all(hasattr(k, w) for w in ("update", "update_many", "rebuild",
-                                           "fill", "query", "query_many", "to_array"))
+                                           "fill", "query", "query_many"))
 
     def test_traceback_shows_the_generated_line(self):
         def refuse(a, b):
@@ -689,6 +698,7 @@ class TestUpdateMany:
             lo, hi = sorted(rng.randrange(n) for _ in range(2))
             v = cell()
             k = 1 + step % 3
+            held = [list(t.laz) for t in forest[:k]]
             visits = self.forest_update(forest[:k], lo, hi, v)
             spent = 0
             for c in copies[:k]:
@@ -701,7 +711,10 @@ class TestUpdateMany:
             for t, c in zip(forest, copies):
                 assert t.val == c.val
                 assert t.laz == c.laz
-                assert t.last_lazy_spans == c.last_lazy_spans
+            # each tree of the forest took the stamp on the split's covered nodes
+            covered = split(forest[0].shape, lo, hi)[0]
+            for t, laz in zip(forest, held):
+                assert t.laz == stamped(pair, laz, covered, v)
 
     @pytest.mark.parametrize("m", [1, 2, 13, 32])
     @pytest.mark.parametrize("pair, cells", KERNEL_CASES, ids=KERNEL_IDS)
@@ -726,20 +739,20 @@ class TestUpdateMany:
                            sorted(rng.randrange(m) for _ in range(2))):
                 i = rng.choice(starts)
                 end = i + 2 * w - 1
-                before = [(list(t.val), list(t.laz), t._stamped) for t in inner]
+                before = [(list(t.val), list(t.laz)) for t in inner]
                 copies = self.copies_of(inner[i:end])
                 v = cell()
                 visits = self.forest_update(inner[i:end], lo, hi, v)
                 for c in copies:
                     c.update(lo, hi, v)
                 assert visits == sum(c.counters.visits_total for c in copies)
-                for t, c in zip(inner[i:end], copies):
+                covered = split(inner[0].shape, lo, hi)[0]
+                for k, (t, c) in enumerate(zip(inner[i:end], copies), i):
                     assert t.val == c.val
-                    assert t.laz == c.laz
-                    assert t.last_lazy_spans == c.last_lazy_spans
+                    assert t.laz == c.laz == stamped(pair, before[k][1], covered, v)
                 for k in (*range(i), *range(end, g.node_count)):
                     t = inner[k]
-                    assert (t.val, t.laz, t._stamped) == before[k], k
+                    assert (t.val, t.laz) == before[k], k
 
     @pytest.mark.parametrize("pair, cells", KERNEL_CASES, ids=KERNEL_IDS)
     def test_one_update_mixes_subtrees_of_several_widths(self, pair, cells):
@@ -764,11 +777,13 @@ class TestUpdateMany:
             copies = self.copies_of(inner[j] for j in forest)
             v = cell()
             g.update(((xlo, xhi), (ylo, yhi)), v)
+            covered = split(inner[0].shape, ylo, yhi)[0]
             for j, c in zip(forest, copies):
+                # the column stamp, read through laz before the copy takes it
+                assert inner[j].laz == stamped(pair, c.laz, covered, v), j
                 c.update(ylo, yhi, v)
                 assert inner[j].val == c.val, j
                 assert inner[j].laz == c.laz, j
-                assert inner[j].last_lazy_spans == c.last_lazy_spans, j
             events = g.last_events
             assert events[:len(forest)] == [("inner-update", j) for j in forest]
             assert events[len(forest):] == [("rebuild", i) for i in reversed(partial)]
