@@ -29,13 +29,13 @@ subtree updates, then every partial node rebuilds, children first.  Only the
 columns of the update's span can have changed, so a rebuild resets that span
 of its own tree to the element-wise fold of both children's true columns:
 one call of the compiled ``rebuild`` kernel sets every span node of every
-partial node in one top-down pass from its children's true folds.  Each
-rebuild counts the column nodes that meet the span once, and once more per
-child not rebuilt in this update: ``len(partial) + 1`` children, as the
-partial nodes form a subtree.  ``last_events`` lists the latest update's
-events, derived from its stored split.  A query folds the column split
-across the trees of every covered node of the row span's split, left to
-right, in one call of the compiled ``query_many`` kernel; it never mutates.
+partial node, partial column nodes too, in one top-down pass from its
+children's true folds.  It returns the visits: those nodes once per rebuild
+and once per child not rebuilt (``len(partial) + 1`` children, as the
+partial nodes form a subtree).  ``last_events`` lists the latest update's
+events, derived from its stored split.  A query folds the column split across
+the trees of every covered node of the row span's split, left to right, in
+one call of the compiled ``query_many`` kernel; it never mutates.
 
 Each operation keeps :mod:`uqtrees.seg1d`'s rule: one check, one
 :func:`~uqtrees.seg1d.split` per axis, one ``note_*``.  An update's covered
@@ -99,12 +99,9 @@ class Grid2D:
         # covered subtree (its node count less its root), and each column walk
         visits = 1 + 2 * len(partial) - len(covered) + len(forest) * (2 + 2 * len(cpar))
         if partial:
-            # the nodes that meet the column span, per rebuild and per child
-            # not rebuilt
-            visits += ((len(cpar) + 2 * (yhi - ylo + 1) - len(ccov))
-                       * (2 * len(partial) + 1))
-            # every partial node, children first, in one compiled walk
-            inner[0]._k.rebuild(inner, partial, left, right, ccov, cpar)
+            # every partial node, children first, resets the span's column
+            # nodes from its two children in one walk, which returns its visits
+            visits += inner[0]._k.rebuild(inner, partial, left, right, ccov, cpar)
         self.counters.note_update(visits)
 
     def query(self, box: Box):

@@ -80,24 +80,29 @@ from .seg1d import SegTree1D, kernels, node_shape, row_folds, split
 
 
 class NDTree:
-    def __init__(self, tensor: DenseTensor, pair: OperatorPair, *,
-                 counters: Optional[OpCounters] = None):
+    def __init__(self, tensor: DenseTensor, pair: OperatorPair):
         if not pair.is_special:
             ok, witness = check_special(pair)
             detail = (f"is not fold-commuting; counterexample (a, b, v) = {witness}"
                       if not ok else "must fold with its update operator: "
                       "need update_op is query_op and equal identities")
             raise ValueError(f"pair {pair.name!r} {detail}")
-        self._blank(tensor.dims, pair, counters if counters is not None else OpCounters())
-        c = self.counters
+        self._blank(tensor.dims, pair, OpCounters())
+        self._fill(tensor.data)
+
+    def _fill(self, data: list) -> None:
+        """Fill this blank tree from row-major ``data``, nested trees too, unchecked."""
         if len(self.dims) == 1:
-            self.line = SegTree1D(tensor.data, pair, counters=c)
+            self.line = SegTree1D(data, self.pair, counters=self.counters)
             return
-        sub_dims = self.dims[1:]
-        for i, rows in row_folds(node_shape(self.dims[0]), tensor.first_axis_slice,
-                                 pair.query_op):
-            self.row_fold[i] = (SegTree1D(rows, pair, counters=c) if self._bare else
-                                NDTree(DenseTensor(sub_dims, rows, pair), pair, counters=c))
+        w = len(data) // self.dims[0]
+        for i, rows in row_folds(self.shape, lambda k: data[k * w:(k + 1) * w],
+                                 self.pair.query_op):
+            if self._bare:
+                self.row_fold[i] = SegTree1D(rows, self.pair, counters=self.counters)
+            else:
+                t = self.row_fold[i] = self._allocate()
+                t._fill(rows)
 
     def _blank(self, dims, pair: OperatorPair, counters: OpCounters) -> None:
         """Bind an all-identity tree over ``dims`` (d >= 2: its axis-0 arena).

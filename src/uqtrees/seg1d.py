@@ -51,7 +51,8 @@ written in, once per :class:`OperatorPair` object; a tree holds them as
 ``_k``: ``update`` (stamp and repair), ``update_many`` (the same over a
 forest, node outer and tree inner, each tree with its own weighted sizes),
 ``rebuild`` (every partial row node of a :mod:`uqtrees.grid2d` forest
-resets a span from its two children, in one call), ``fill`` (the
+resets each node that meets a span, parents first, from its two children's
+true folds, in one call that returns its visits), ``fill`` (the
 constructor's whole-array build: one loop copies the cells onto the
 layout's ``leaves``, one folds its ``joins``, children first; ``laz``
 starts as one list of ``update_identity``), ``query``, ``query_many`` (one
@@ -91,7 +92,6 @@ import linecache
 import operator
 import re
 from functools import cache
-from textwrap import indent
 from types import SimpleNamespace
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -243,21 +243,18 @@ def row_folds(shape: NodeShape, row, q):
 
 # One template per walk; each line ``target = OP(args)``, OP one of U, Q, AGG
 # (update_op, query_op, aggregator), is rendered per pair; UID/QID, the
-# identities, are bound as objects.  The repair's caller binds t, laz, left, right.
-_REPAIR = """
+# identities, are bound as objects.
+_TEMPLATE = """
+def update(t, covered, partial, value):
+    laz, left, right = t.laz, t.shape.left, t.shape.right
     sz, val = t.sz, t.val
+    for i in covered:
+        laz[i] = U(laz[i], value)
     for i in reversed(partial):
         l, r = left[i], right[i]
         x = AGG(val[l], laz[l], sz[l])
         y = AGG(val[r], laz[r], sz[r])
         val[i] = Q(x, y)
-"""
-_TEMPLATE = """
-def update(t, covered, partial, value):
-    laz, left, right = t.laz, t.shape.left, t.shape.right
-    for i in covered:
-        laz[i] = U(laz[i], value)
-""" + _REPAIR + """
     return 1 + 2 * len(partial)
 def update_many(trees, covered, partial, value):
     # every stamp before any repair: exact, as no tree reads a list another
@@ -276,8 +273,10 @@ def update_many(trees, covered, partial, value):
 
 def rebuild(trees, rows, rleft, rright, covered, partial):
     lo, hi, left, right = trees[0].shape[:4]
-    # every entry a tree reads is written earlier in its own pre-order
-    # pass, except ca[0]/cb[0], which nothing writes: one pair serves all
+    # every span node, parents first: partial, then each covered subtree's run
+    nodes = partial + [j for i in covered for j in range(i, i + 2 * (hi[i] - lo[i]) + 1)]
+    # every entry a tree reads is written earlier in its own pass, except
+    # ca[0]/cb[0], which nothing writes: one pair serves all
     ca, cb = [UID] * len(lo), [UID] * len(lo)
     for k in reversed(rows):
         t, a, b = trees[k], trees[rleft[k]], trees[rright[k]]
@@ -286,27 +285,21 @@ def rebuild(trees, rows, rleft, rright, covered, partial):
             l, r, z = left[i], right[i], laz[i]
             laz[l] = U(laz[l], z)
             laz[r] = U(laz[r], z)
-            laz[i] = UID
         av, al, asz, bv, bl, bsz, val = a.val, a.laz, a.sz, b.val, b.laz, b.sz, t.val
-        for i in partial:
-            ca[left[i]] = ca[right[i]] = U(ca[i], al[i])
-            cb[left[i]] = cb[right[i]] = U(cb[i], bl[i])
-        for i in covered:
-            # pre-order: the subtree of i is the index run i .. end - 1; Q
-            # commutes with the column fold, so a node is Q of a's and b's
-            end = i + 2 * (hi[i] - lo[i]) + 1
-            for j in range(i, end):
-                za = U(ca[j], al[j])
-                zb = U(cb[j], bl[j])
-                x = AGG(av[j], za, asz[j])
-                y = AGG(bv[j], zb, bsz[j])
-                val[j] = Q(x, y)
-                laz[j] = UID
-                l = left[j]
-                if l >= 0:
-                    ca[l] = ca[right[j]] = za
-                    cb[l] = cb[right[j]] = zb
-""" + indent(_REPAIR, "    ") + """
+        for j in nodes:
+            # Q commutes with the column fold: a node is Q of a's and b's
+            za = U(ca[j], al[j])
+            zb = U(cb[j], bl[j])
+            x = AGG(av[j], za, asz[j])
+            y = AGG(bv[j], zb, bsz[j])
+            val[j] = Q(x, y)
+            laz[j] = UID
+            l = left[j]
+            if l >= 0:
+                ca[l] = ca[right[j]] = za
+                cb[l] = cb[right[j]] = zb
+    return len(nodes) * (2 * len(rows) + 1)
+
 def fill(t, values):
     shape, val = t.shape, t.val
     for i, x in zip(shape.leaves, values):

@@ -527,13 +527,13 @@ class TestForestRefusals:
                                 "float-hi", "nan"])
     def test_refusal_leaves_the_forest_alone(self, qlo, qhi, value):
         g = grid((5, 13), list(range(65)), "plus-min")
-        g.update(((1, 4), (2, 9)), 4)  # leaves pending values and stamps
-        held = [(list(t.val), list(t.laz), t._stamped) for t in g.inner]
+        g.update(((1, 4), (2, 9)), 4)  # leaves pending values
+        held = [(list(t.val), list(t.laz)) for t in g.inner]
         c = g.counters
         counts = [getattr(c, k) for k in c.__slots__]
         with pytest.raises((TypeError, ValueError)):
             g.update(((1, 4), (qlo, qhi)), value)
-        assert [(t.val, t.laz, t._stamped) for t in g.inner] == held
+        assert [(t.val, t.laz) for t in g.inner] == held
         assert [getattr(c, k) for k in c.__slots__] == counts
 
 
