@@ -2,10 +2,21 @@
 
 Every update and query walks the covered cells literally, so each operation
 costs O(cells in the box).  That is the point: this backend defines correct
-behaviour, and every tree structure is tested against it in lockstep.  Folds
-run through C-level builtins (``sum``/``min``/``max``/``math.prod``) where the
-query operator allows, which keeps 10k-operation differential runs cheap
-without changing any result.
+behaviour, and every tree structure is tested against it in lockstep.
+
+A box is walked as a few slices of the flat data, each cell once, in
+row-major order.  Trailing axes that the box covers fully merge into one
+contiguous run of the axis above them, and a last axis of width 1 becomes
+one run over the axis above it, stepping by that axis's stride.  So a box of
+full rows is one slice, and so is one matrix column.  An update rewrites
+each run with one list comprehension.  A query folds each run with one
+C-level builtin call (``sum``/``min``/``max``/``math.prod``) where the query
+operator allows, then folds the runs' answers.  That keeps 10k-operation
+differential runs cheap, and it changes no answer over exact values.  Over
+float cells the runs set the grouping: float ``+`` and ``*`` round run by
+run (``sum`` is compensated from Python 3.12 on), and ``min``/``max``
+answer nan by argument order within each run.  The oracle's answer to such
+cells is one grouping among several, and ROADMAP item 4 is to refuse them.
 
 The module also owns the text format shared with the CLI::
 
@@ -66,28 +77,51 @@ class DenseTensor:
         return self.data[i * w:(i + 1) * w]
 
     def _runs(self, box: Box) -> list:
-        """Contiguous (start, stop) index runs covering ``box``."""
+        """``(start, stop, step)`` runs of flat indices covering ``box``.
+
+        The runs list every cell of the box once, in row-major order.  The
+        run axis is the last one, or the one above it when the last axis has
+        width 1; then the run steps by the run axis's stride.  Trailing axes
+        that the box covers fully merge into the run of the axis above them.
+        The axes above the run axis give one run per index tuple.  A query
+        folds each run with one builtin call, so float grouping and the nan
+        order of ``min``/``max`` follow these runs.
+        """
         lo, hi = box[-1]
         if len(box) == 1:
-            return [(lo, hi + 1)]
+            return [(lo, hi + 1, 1)]
+        dims, strides = self.dims, self._strides
+        k = len(box) - 1
+        offset = 0
+        if lo == hi:
+            offset = lo
+            k -= 1
+        step = strides[k]
+        lo, hi = box[k]
+        while k and lo == 0 and hi == dims[k] - 1:
+            k -= 1
+            lo, hi = box[k]
+        # the merged axes below axis k end one step short of its next index
+        start = offset + lo * strides[k]
+        stop = offset + (hi + 1) * strides[k] - step + 1
         bases = [0]
-        for (alo, ahi), stride in zip(box[:-1], self._strides[:-1]):
+        for (alo, ahi), stride in zip(box[:k], strides[:k]):
             bases = [b + x * stride for b in bases for x in range(alo, ahi + 1)]
-        return [(b + lo, b + hi + 1) for b in bases]
+        return [(b + start, b + stop, step) for b in bases]
 
     def update(self, box: Box, value) -> None:
         check_box(box, self.dims)
         op = self.pair.update_op
         data = self.data
         if op is operator.add:
-            for s, e in self._runs(box):
-                data[s:e] = [x + value for x in data[s:e]]
+            for a, e, st in self._runs(box):
+                data[a:e:st] = [x + value for x in data[a:e:st]]
         elif op is operator.mul:
-            for s, e in self._runs(box):
-                data[s:e] = [x * value for x in data[s:e]]
+            for a, e, st in self._runs(box):
+                data[a:e:st] = [x * value for x in data[a:e:st]]
         else:
-            for s, e in self._runs(box):
-                data[s:e] = [op(x, value) for x in data[s:e]]
+            for a, e, st in self._runs(box):
+                data[a:e:st] = [op(x, value) for x in data[a:e:st]]
         self.counters.note_update(box_volume(box))
 
     def query(self, box: Box):
@@ -96,21 +130,23 @@ class DenseTensor:
         data = self.data
         runs = self._runs(box)
         if q is operator.add:
-            out = sum(data[runs[0][0]:runs[0][1]])
-            for s, e in runs[1:]:
-                out += sum(data[s:e])
+            a, e, st = runs[0]
+            out = sum(data[a:e:st])
+            for a, e, st in runs[1:]:
+                out += sum(data[a:e:st])
         elif q is min:
-            out = min(min(data[s:e]) for s, e in runs)
+            out = min(min(data[a:e:st]) for a, e, st in runs)
         elif q is max:
-            out = max(max(data[s:e]) for s, e in runs)
+            out = max(max(data[a:e:st]) for a, e, st in runs)
         elif q is operator.mul:
-            out = math.prod(data[runs[0][0]:runs[0][1]])
-            for s, e in runs[1:]:
-                out *= math.prod(data[s:e])
+            a, e, st = runs[0]
+            out = math.prod(data[a:e:st])
+            for a, e, st in runs[1:]:
+                out *= math.prod(data[a:e:st])
         else:
             out = self.pair.query_identity
-            for s, e in runs:
-                for x in data[s:e]:
+            for a, e, st in runs:
+                for x in data[a:e:st]:
                     out = q(out, x)
         self.counters.note_query(box_volume(box))
         return out

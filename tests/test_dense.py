@@ -1,14 +1,16 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqtrees import DenseTensor, format_tensor, get_pair, parse_tensor
+from uqtrees import (DenseTensor, builtin_pairs, format_tensor, get_pair,
+                     parse_tensor)
 from uqtrees.dense import parse_value
-from conftest import fold
+from conftest import GCD_GCD, fold
 
 
 def spans(rng, dims):
@@ -97,6 +99,66 @@ class TestQuery:
         t.query(((0, 3), (0, 0)))
         assert t.counters.visits_last_op == 4
         assert t.counters.update_ops == 1 and t.counters.query_ops == 1
+
+
+class TestRuns:
+    """The oracle walks a box as a few ``(start, stop, step)`` slices."""
+
+    # every shape with extents 1-4 and d <= 3, and a few deeper ones with a
+    # one-slot axis between others
+    SHAPES = ([dims for d in (1, 2, 3) for dims in product(range(1, 5), repeat=d)]
+              + [(2, 3, 1, 4), (3, 1, 2, 2), (2, 2, 2, 1, 3), (1, 3, 2, 2, 2)])
+
+    def test_runs_list_each_cell_once_in_row_major_order(self):
+        boxes = 0
+        for dims in self.SHAPES:
+            t = DenseTensor(dims, [0] * math.prod(dims), get_pair("plus-plus"))
+            cells = [c for c, _ in t.all_cells()]
+            axis_spans = [list(combinations_with_replacement(range(n), 2)) for n in dims]
+            for box in product(*axis_spans):
+                want = [i for i, c in enumerate(cells)
+                        if all(lo <= x <= hi for x, (lo, hi) in zip(c, box))]
+                got = [i for a, e, st in t._runs(box) for i in range(a, e, st)]
+                assert got == want, (dims, box)
+                boxes += 1
+        assert boxes == 8978
+
+    def test_a_column_and_full_rows_are_one_run_each(self):
+        t = DenseTensor((5, 7), [0] * 35, get_pair("plus-min"))
+        assert t._runs(((0, 4), (3, 3))) == [(3, 32, 7)]
+        assert t._runs(((1, 3), (0, 6))) == [(7, 28, 1)]
+        assert t._runs(((1, 3), (2, 4))) == [(9, 12, 1), (16, 19, 1), (23, 26, 1)]
+        # a strided run climbs over a fully covered axis too
+        t = DenseTensor((2, 3, 4), [0] * 24, get_pair("plus-min"))
+        assert t._runs(((0, 1), (0, 2), (1, 1))) == [(1, 22, 4)]
+
+    # on 3x4x5: two fully covered trailing axes, a width-1 last axis, a row
+    RUN_BOXES = {"merged": ((1, 2), (0, 3), (0, 4)),
+                 "strided": ((0, 2), (0, 3), (2, 2)),
+                 "row": ((1, 1), (2, 2), (1, 3))}
+
+    @pytest.mark.parametrize("kind", sorted(RUN_BOXES))
+    @pytest.mark.parametrize("name", [p.name for p in builtin_pairs()] + ["gcd-gcd"])
+    def test_update_over_a_run_is_the_per_cell_update(self, name, kind):
+        pair = GCD_GCD if name == "gcd-gcd" else get_pair(name)
+        box = self.RUN_BOXES[kind]
+        inf, nan = math.inf, math.nan
+        if pair is GCD_GCD:
+            # math.gcd takes integers only
+            cells, values = [0, 1, -4, 6, 9, 12], [0, 4, -6]
+        else:
+            cells = [0, 1, -4, 2.5, -0.1, inf, -inf, nan, Fraction(1, 3)]
+            values = [0, 3, -0.5, 1e300, inf, -inf]
+        rng = random.Random(kind)
+        t = DenseTensor((3, 4, 5), [rng.choice(cells) for _ in range(60)], pair)
+        inside = {i for i, (c, _) in enumerate(t.all_cells())
+                  if all(lo <= x <= hi for x, (lo, hi) in zip(c, box))}
+        for v in values:
+            want = [pair.update_op(x, v) if i in inside else x
+                    for i, x in enumerate(t.data)]
+            t.update(box, v)
+            # compared by repr: nan matches nan there, and -0.0 differs from 0.0
+            assert list(map(repr, t.data)) == list(map(repr, want))
 
 
 class TestTextFormat:

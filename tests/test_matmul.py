@@ -198,6 +198,28 @@ class TestNonFiniteInputs:
             be = seed_backend(backend, a, domain)
             assert product_via_backend(a, b, domain, be) == schoolbook(a, b, domain)
 
+    @pytest.mark.parametrize("domain", [MIN_PLUS_PRODUCT, MAX_PLUS_PRODUCT, STANDARD_PRODUCT],
+                             ids=lambda d: d.name)
+    def test_oracle_column_runs_keep_products_exact(self, domain):
+        # the oracle updates each matrix column as one strided run, and
+        # re-seeds each cell as a one-cell one; times-plus stays finite
+        rng = random.Random(41)
+        infinite = domain is not STANDARD_PRODUCT
+
+        def mat(n, infinite=False):
+            return [[rng.choice((INF, -INF)) if infinite and rng.random() < 0.25
+                     else rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+
+        for n in range(1, 10):
+            a, b = mat(n, infinite), mat(n)
+            be = seed_backend("oracle", a, domain)
+            assert product_via_backend(a, b, domain, be) == schoolbook(a, b, domain)
+            # a re-seed inverts the held cell, so only the last A holds infinities
+            mats = [(mat(n), mat(n)), (mat(n, infinite), mat(n))]
+            be = seed_backend("oracle", mat(n), domain)
+            assert multi_product_via_backend(mats, domain, be) == \
+                [schoolbook(a, b, domain) for a, b in mats]
+
     def test_integers_beyond_float_range_pass(self):
         big = 10 ** 400
         a = [[0, 1], [1, 2]]
