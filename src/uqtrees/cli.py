@@ -22,8 +22,8 @@ from typing import List, Optional
 
 from .algebra import PAIR_NAMES
 from .dense import DenseTensor, format_tensor, format_value, parse_tensor
-from .matmul import (PRODUCT_PAIRS, product_via_backend, schoolbook,
-                     seed_backend)
+from .matmul import (PRODUCT_PAIRS, predicted_visits, product_via_backend,
+                     schoolbook, seed_backend)
 from .workloads import (BACKEND_IDS, PRODUCT_BACKENDS, BenchRow, WorkloadConfig,
                         format_dims, parse_dims, run_bench, run_scaling, run_verify)
 
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="also run the schoolbook product and report the cells that differ")
     p.add_argument("--stats", action="store_true",
-                   help="after the product, print its visit counts as one JSON line on stderr")
+                   help="after the product, print counted and predicted visits as JSON on stderr")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("scaling", help="visit growth across sizes vs the declared envelope")
@@ -153,10 +153,12 @@ def _cmd_matmul(args) -> int:
     out = DenseTensor((n, n), [v for row in c for v in row], domain.pair)
     _emit(format_tensor(out), args.out)
     if args.stats:
+        predicted_u, predicted_q = predicted_visits(args.backend, n)
         print(json.dumps({
             "backend": args.backend, "pair": args.pair, "n": n, "init_visits": init_visits,
             "update_ops": k.update_ops, "query_ops": k.query_ops,
             "update_visits": k.update_visits, "query_visits": k.query_visits,
+            "predicted_update_visits": predicted_u, "predicted_query_visits": predicted_q,
             "max_visits_per_update": k.max_update_visits,
             "max_visits_per_query": k.max_query_visits}), file=sys.stderr)
     if args.check:

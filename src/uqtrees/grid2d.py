@@ -30,12 +30,13 @@ columns of the update's span can have changed, so a rebuild resets that span
 of its own tree to the element-wise fold of both children's true columns:
 one call of the compiled ``rebuild`` kernel sets every span node of every
 partial node, partial column nodes too, in one top-down pass from its
-children's true folds.  It returns the visits: those nodes once per rebuild
-and once per child not rebuilt (``len(partial) + 1`` children, as the
-partial nodes form a subtree).  ``last_events`` lists the latest update's
-events, derived from its stored split.  A query folds the column split across
-the trees of every covered node of the row span's split, left to right, in
-one call of the compiled ``query_many`` kernel; it never mutates.
+children's true folds, reading a child rebuilt earlier in the call as it
+stands.  It returns the visits: those nodes once per rebuild and once per
+child not rebuilt (``len(partial) + 1`` children, as the partial nodes form
+a subtree).  ``last_events`` lists the latest update's events, derived from
+its stored split.  A query folds the column split across the trees of every
+covered node of the row span's split, left to right, in one call of the
+compiled ``query_many`` kernel; it never mutates.
 
 Each operation keeps :mod:`uqtrees.seg1d`'s rule: one check, one
 :func:`~uqtrees.seg1d.split` per axis, one ``note_*``.  An update's covered

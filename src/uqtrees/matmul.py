@@ -41,6 +41,7 @@ from typing import Callable, List, Sequence
 from .algebra import (INF, NEG_INF, OperatorPair, PLUS_MAX, PLUS_MIN,
                       TIMES_PLUS, ZeroTrackedSum)
 from .dense import DenseTensor, format_value
+from .seg1d import node_shape
 from .workloads import PRODUCT_BACKENDS, make_backend
 
 Matrix = List[list]
@@ -162,6 +163,16 @@ def product_via_backend(a: Matrix, b: Matrix, domain: ProductPair, backend) -> M
         for i in range(n):
             update((full, (i, i)), inv(col_values[i]))
     return out
+
+
+def predicted_visits(backend_id: str, n: int) -> tuple:
+    """One N x N product's ``(update, query)`` visits: ``(2N^3, N^3)`` on the
+    oracle, ``(4N(2N-1)(N + D), 2N(N + D))`` on ``grid2d-general``, ``D`` the
+    leaf depths of ``node_shape(N)`` summed, so ``N + D`` is its sizes' sum."""
+    if backend_id == "oracle":
+        return 2 * n ** 3, n ** 3
+    d = sum(node_shape(n).size)
+    return 4 * n * (2 * n - 1) * d, 2 * n * d
 
 
 def multi_product_via_backend(pairs_of_matrices: Sequence[tuple], domain: ProductPair,

@@ -51,8 +51,8 @@ written in, once per :class:`OperatorPair` object; a tree holds them as
 ``_k``: ``update`` (stamp and repair), ``update_many`` (the same over a
 forest, node outer and tree inner, each tree with its own weighted sizes),
 ``rebuild`` (every partial row node of a :mod:`uqtrees.grid2d` forest
-resets each node that meets a span, parents first, from its two children's
-true folds, in one call that returns its visits), ``fill`` (the
+resets each span node, parents first, from its children's true folds,
+carrying by parent the pending values of a child not rebuilt in the call), ``fill`` (the
 constructor's whole-array build: one loop copies the cells onto the
 layout's ``leaves``, one folds its ``joins``, children first; ``laz``
 starts as one list of ``update_identity``), ``query``, ``query_many`` (one
@@ -108,12 +108,12 @@ class ValidationError(AssertionError):
 class NodeShape(NamedTuple):
     """The mid-split pre-order layout over ``[0, n-1]``, one entry per node.
 
-    ``left``/``right`` are -1 at leaves; ``size`` counts covered slots,
-    unscaled.  Two tables drive the compiled ``fill``: ``leaves`` lists the
-    leaf nodes in position order (``lo[leaves[k]] == k``), and ``joins`` lists
-    ``(i, left[i], right[i])`` for every internal node, children first
-    (descending index).  Every tree of the extent reads its layout from this
-    one instance, its ``shape``; nothing writes a field after it is built.
+    ``left``/``right`` are -1 at leaves, ``up`` (the parent) -1 at the root;
+    ``size`` counts covered slots, unscaled.  Two tables drive ``fill``:
+    ``leaves`` lists the leaf nodes in position order (``lo[leaves[k]] ==
+    k``), and ``joins`` lists ``(i, left[i], right[i])`` for every internal
+    node, children first (descending index).  Every tree of the extent reads
+    this one instance, its ``shape``; nothing writes a field after it is built.
     """
 
     lo: List[int]
@@ -123,6 +123,7 @@ class NodeShape(NamedTuple):
     size: List[int]
     leaves: List[int]
     joins: List[Tuple[int, int, int]]
+    up: List[int]
 
 
 @cache
@@ -139,6 +140,7 @@ def node_shape(n: int) -> NodeShape:
     hi = [0] * count
     left = [-1] * count
     right = [-1] * count
+    up = [-1] * count
     size = [0] * count
     stack = [(0, 0, n - 1)]
     while stack:
@@ -150,12 +152,13 @@ def node_shape(n: int) -> NodeShape:
             m = (a + b) // 2
             left[i] = i + 1
             right[i] = i + 2 * (m - a + 1)
+            up[i + 1] = up[right[i]] = i
             stack.append((right[i], m + 1, b))
             stack.append((i + 1, a, m))
     # pre-order meets the leaves left to right
     leaves = [i for i in range(count) if left[i] < 0]
     joins = [(i, left[i], right[i]) for i in range(count - 1, -1, -1) if left[i] >= 0]
-    return NodeShape(lo, hi, left, right, size, leaves, joins)
+    return NodeShape(lo, hi, left, right, size, leaves, joins, up)
 
 
 @cache
@@ -272,12 +275,12 @@ def update_many(trees, covered, partial, value):
             val[i] = Q(x, y)
 
 def rebuild(trees, rows, rleft, rright, covered, partial):
-    lo, hi, left, right = trees[0].shape[:4]
+    (lo, hi, left, right), up = trees[0].shape[:4], trees[0].shape.up
     # every span node, parents first: partial, then each covered subtree's run
-    nodes = partial + [j for i in covered for j in range(i, i + 2 * (hi[i] - lo[i]) + 1)]
-    # every entry a tree reads is written earlier in its own pass, except
-    # ca[0]/cb[0], which nothing writes: one pair serves all
-    ca, cb = [UID] * len(lo), [UID] * len(lo)
+    runs = [(i, [UID] * (2 * (hi[i] - lo[i]) + 1)) for i in covered]
+    nodes = partial + [j for i, ids in runs for j in range(i, i + len(ids))]
+    # c[j] = U(c[up[j]], laz[j]), written before it is read; c[-1] stays UID
+    ca, cb = [UID] * (len(lo) + 1), [UID] * (len(lo) + 1)
     for k in reversed(rows):
         t, a, b = trees[k], trees[rleft[k]], trees[rright[k]]
         laz = t.laz
@@ -285,19 +288,29 @@ def rebuild(trees, rows, rleft, rright, covered, partial):
             l, r, z = left[i], right[i], laz[i]
             laz[l] = U(laz[l], z)
             laz[r] = U(laz[r], z)
+            laz[i] = UID
+        for i, ids in runs:
+            laz[i:i + len(ids)] = ids
         av, al, asz, bv, bl, bsz, val = a.val, a.laz, a.sz, b.val, b.laz, b.sz, t.val
-        for j in nodes:
-            # Q commutes with the column fold: a node is Q of a's and b's
-            za = U(ca[j], al[j])
-            zb = U(cb[j], bl[j])
-            x = AGG(av[j], za, asz[j])
-            y = AGG(bv[j], zb, bsz[j])
-            val[j] = Q(x, y)
-            laz[j] = UID
-            l = left[j]
-            if l >= 0:
-                ca[l] = ca[right[j]] = za
-                cb[l] = cb[right[j]] = zb
+        # Q commutes with the column fold: a node is Q of a's and b's; a child
+        # rebuilt earlier in this call holds UID on every span node: read as is
+        if rleft[k] in rows:
+            for j in nodes:
+                cb[j] = zb = U(cb[up[j]], bl[j])
+                y = AGG(bv[j], zb, bsz[j])
+                val[j] = Q(av[j], y)
+        elif rright[k] in rows:
+            for j in nodes:
+                ca[j] = za = U(ca[up[j]], al[j])
+                x = AGG(av[j], za, asz[j])
+                val[j] = Q(x, bv[j])
+        else:
+            for j in nodes:
+                ca[j] = za = U(ca[up[j]], al[j])
+                cb[j] = zb = U(cb[up[j]], bl[j])
+                x = AGG(av[j], za, asz[j])
+                y = AGG(bv[j], zb, bsz[j])
+                val[j] = Q(x, y)
     return len(nodes) * (2 * len(rows) + 1)
 
 def fill(t, values):
@@ -530,16 +543,14 @@ class SegTree1D:
     def _folds(self) -> list:
         """Every node's effective fold ``aggregator(val[n], z, size[n])``, in pre-order,
         ``z`` combining the pending values from the root down to ``n`` in one pass."""
-        u, agg = self.pair.update_op, self.pair.aggregator
-        left, right = self.shape.left, self.shape.right
+        u, agg, up = self.pair.update_op, self.pair.aggregator, self.shape.up
         val, laz, sz = self.val, self.laz, self.sz
-        carried = [self.pair.update_identity] * len(val)
+        # carried[-1], above the root, stays the identity
+        carried = [self.pair.update_identity] * (len(val) + 1)
         folds = []
         for i in range(len(val)):
-            z = u(carried[i], laz[i])
+            z = carried[i] = u(carried[up[i]], laz[i])
             folds.append(agg(val[i], z, sz[i]))
-            if left[i] >= 0:
-                carried[left[i]] = carried[right[i]] = z
         return folds
 
     def to_array(self) -> list:

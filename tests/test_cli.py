@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -409,9 +410,27 @@ class TestCliMatmul:
             "backend": backend, "pair": "plus-min", "n": 6, "init_visits": init,
             "update_ops": 72, "query_ops": 36,
             "update_visits": k.update_visits, "query_visits": k.query_visits,
+            "predicted_update_visits": k.update_visits,
+            "predicted_query_visits": k.query_visits,
             "max_visits_per_update": k.max_update_visits,
             "max_visits_per_query": k.max_query_visits}
         assert k.update_ops == 72 and k.query_ops == 36
+
+    @pytest.mark.parametrize("backend", ["grid2d-general", "oracle"])
+    def test_stats_predicted_totals_equal_the_counted_ones(self, tmp_path, capsys, backend):
+        from uqtrees import cli as cli_module
+        rng = random.Random(30)
+        fa, fb = tmp_path / "a.txt", tmp_path / "b.txt"
+        for n in range(1, 10):
+            for f in (fa, fb):
+                cells = " ".join(str(rng.randint(-9, 9)) for _ in range(n * n))
+                f.write_text(f"2 {n} {n}\n{cells}\n")
+            assert cli_module.main(["matmul", str(fa), str(fb), "--pair", "plus-min",
+                                    "--backend", backend, "--stats"]) == 0
+            stats = json.loads(capsys.readouterr().err)
+            assert stats["n"] == n
+            assert stats["predicted_update_visits"] == stats["update_visits"], n
+            assert stats["predicted_query_visits"] == stats["query_visits"], n
 
     @pytest.mark.parametrize("backend", ["grid2d-general", "oracle"])
     def test_output_without_stats_is_unchanged(self, tmp_path, backend):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from uqtrees import (DenseTensor, Grid2D, SegTree1D, WorkloadConfig,
+from uqtrees import (DenseTensor, Grid2D, OperatorPair, SegTree1D, WorkloadConfig,
                      get_pair, run_verify)
 from uqtrees.seg1d import node_shape, split
 from conftest import (KERNEL_CASES, KERNEL_IDS, edge_spans, fold, per_tree_query,
@@ -134,6 +134,9 @@ class TestFusedRebuild:
         data = [sample_cell(pair, rng, cells) for _ in range(n * m)]
         g, twin = (Grid2D(DenseTensor((n, m), data, pair), pair) for _ in range(2))
         carried = 0
+        # (left child rebuilt, right child rebuilt) per rebuild: each of the
+        # kernel's three loop bodies, and the both-rebuilt case, must run
+        cases = set()
         for _ in range(12):
             rows = tuple(sorted(rng.randrange(n) for _ in range(2)))
             col = rng.randrange(m)
@@ -145,7 +148,9 @@ class TestFusedRebuild:
             for box in boxes:
                 (xlo, xhi), (ylo, yhi) = box
                 _, cpartial = split(node_shape(m), ylo, yhi)
-                for i in split(g.shape, xlo, xhi)[1]:
+                rebuilt = split(g.shape, xlo, xhi)[1]
+                for i in rebuilt:
+                    cases.add((g.shape.left[i] in rebuilt, g.shape.right[i] in rebuilt))
                     carried += any(g.inner[c].laz[j] != pair.update_identity
                                    for c in (g.shape.left[i], g.shape.right[i]) for j in cpartial)
                 v = sample_cell(pair, rng, cells)
@@ -155,6 +160,47 @@ class TestFusedRebuild:
                     assert t.val == want.val
                     assert t.laz == want.laz
         assert carried
+        assert cases == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_nan_cells_keep_the_fold_order(self):
+        # min answers nan by argument order, so every rebuild loop must fold
+        # its left child first: here the left child, then the right one, is
+        # rebuilt and a nan meets a number
+        pair, nan = get_pair("plus-min"), float("nan")
+        for cells, rows in (([nan, 1, 2], (1, 2)), ([1, 0, nan, 5], (2, 2))):
+            g, twin = (Grid2D(DenseTensor((len(cells), 1), cells, pair), pair) for _ in range(2))
+            g.update((rows, (0, 0)), 5)
+            unfused_update(twin, (rows, (0, 0)), 5)
+            assert [repr(t.val) for t in g.inner] == [repr(t.val) for t in twin.inner]
+
+    def test_only_children_not_rebuilt_carry_their_pending_values(self):
+        # a child rebuilt earlier in the call is read as it stands: one
+        # aggregator call per span node per child not rebuilt, or one when
+        # both were rebuilt, as a one-carry loop serves that case
+        calls = []
+
+        def agg(a, v, k):
+            calls.append(k)
+            return math.gcd(a, v)
+
+        pair = OperatorPair("gcd-gcd", math.gcd, math.gcd, 0, 0, agg, sample_range=(0, 60))
+        rng = random.Random(30)
+        n, m = 6, 13
+        data = [rng.randint(*pair.sample_range) for _ in range(n * m)]
+        g = Grid2D(DenseTensor((n, m), data, pair), pair)
+        shape, cshape = g.shape, node_shape(m)
+        # row spans (1, 4) and (4, 5) reach both, left, right and neither
+        # child rebuilt
+        for rows in ((1, 4), (4, 5), (2, 3), (0, 4)):
+            for cols in ((0, m - 1), (3, 7), (5, 5)):
+                partial = split(shape, *rows)[1]
+                ccov, cpar = split(cshape, *cols)
+                nodes = len(cpar) + sum(2 * (cshape.hi[i] - cshape.lo[i]) + 1 for i in ccov)
+                carries = sum(max(1, (shape.left[i] not in partial) + (shape.right[i] not in partial))
+                              for i in partial)
+                calls.clear()
+                g.inner[0]._k.rebuild(g.inner, partial, shape.left, shape.right, ccov, cpar)
+                assert len(calls) == nodes * carries, (rows, cols)
 
 
 class TestUpdateQuery:

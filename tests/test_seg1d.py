@@ -99,6 +99,15 @@ class TestFillTables:
             seen.add(i)
 
 
+def test_up_names_each_nodes_parent():
+    # the carry-by-parent walks (rebuild, _folds) read up[i] before i
+    for n in TestFillTables.EXTENTS:
+        shape = node_shape(n)
+        assert shape.up[0] == -1
+        for i, l, r in shape.joins:
+            assert shape.up[l] == shape.up[r] == i < l < r
+
+
 class TestUpdateQuery:
     def test_example_sequence(self):
         t, o = make([3, 1, 4, 1, 5])
