@@ -60,8 +60,12 @@ def check_value(value) -> None:
 
 
 def draw_box(rng, dims: Sequence[int]) -> Box:
-    """A random box: per axis, two ``rng.randrange(n)`` draws, sorted."""
-    return tuple(tuple(sorted((rng.randrange(n), rng.randrange(n)))) for n in dims)
+    """A random box: per axis, two ``rng.randrange(n)`` draws (``rng._randbelow(n)``), sorted."""
+    box = []
+    for n in dims:
+        a, b = rng._randbelow(n), rng._randbelow(n)
+        box.append((a, b) if a <= b else (b, a))
+    return tuple(box)
 
 
 def box_volume(box: Sequence[Span]) -> int:

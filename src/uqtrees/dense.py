@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 from .algebra import OperatorPair
@@ -67,9 +66,6 @@ class DenseTensor:
 
     def copy(self) -> "DenseTensor":
         return DenseTensor(self.dims, self.data, self.pair)
-
-    def cell(self, coords: Sequence[int]):
-        return self.data[sum(c * s for c, s in zip(coords, self._strides))]
 
     def first_axis_slice(self, i: int) -> list:
         """Row-major values of the (d-1)-dimensional slice at axis-0 index i."""
@@ -150,15 +146,6 @@ class DenseTensor:
                     out = q(out, x)
         self.counters.note_query(box_volume(box))
         return out
-
-    def full_box(self) -> Box:
-        """The box covering the whole tensor."""
-        return tuple((0, n - 1) for n in self.dims)
-
-    def all_cells(self):
-        """Iterate ``(coords, value)`` in row-major order."""
-        for coords in product(*(range(n) for n in self.dims)):
-            yield coords, self.cell(coords)
 
     def __eq__(self, other):
         if isinstance(other, DenseTensor):

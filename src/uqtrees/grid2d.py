@@ -8,9 +8,12 @@ An outer 1D node arena spans the rows.  Outer node ``n`` covering ``w`` rows
 holds an inner :class:`~uqtrees.seg1d.SegTree1D` over the columns whose
 slot ``y`` stands for the fold of column ``y`` restricted to ``n``'s rows.
 Each inner slot therefore represents ``w`` real cells, which is exactly what
-``SegTree1D(..., cell_weight=w)`` encodes: one slot absorbing an update
-value means ``aggregator(slot, v, w)``, and the inner tree's aggregator
-calls see cell counts, not slot counts.
+a tree's ``cell_weight=w`` encodes: one slot absorbing an update value means
+``aggregator(slot, v, w)``, and the inner tree's aggregator calls see cell
+counts, not slot counts.  The build walks the arena children first: a leaf
+row's tree is a ``SegTree1D`` over its row, and an internal node's is the
+compiled ``join`` of its two children's trees, one ``query_op`` per column
+node, as no tree holds a pending value yet.
 
 The outer arena reads its layout from ``shape``, the row count's
 :func:`~uqtrees.seg1d.node_shape`; every inner tree reads it from the one
@@ -54,7 +57,7 @@ from .algebra import OperatorPair
 from .boxes import Box, check_box, check_value
 from .counters import OpCounters
 from .dense import DenseTensor
-from .seg1d import SegTree1D, node_shape, row_folds, split
+from .seg1d import SegTree1D, node_shape, split
 
 
 class Grid2D:
@@ -68,9 +71,10 @@ class Grid2D:
         self.node_count = count = len(shape.lo)
         self.inner: List[SegTree1D] = [None] * count  # type: ignore[list-item]
         self._split: Tuple[Sequence[int], Sequence[int]] = ((), ())
-        for i, rows in row_folds(shape, tensor.first_axis_slice, pair.query_op):
-            self.inner[i] = SegTree1D(rows, pair, cell_weight=shape.size[i],
-                                      counters=self.counters)
+        for k, i in enumerate(shape.leaves):
+            self.inner[i] = SegTree1D(tensor.first_axis_slice(k), pair, counters=self.counters)
+        for i, l, r in shape.joins:
+            self.inner[i] = SegTree1D._joined(self.inner[l], self.inner[r], shape.size[i])
         self.counters.visits_total += count
 
     @property

@@ -31,8 +31,11 @@ operators.  A freshly allocated pending tree is blank in turn: a
 (d-1)-dimensional one is only its axis-0 node list, with every ``row_fold``
 and ``row_lazy`` entry None until an update reaches it, and a last-axis one
 is :meth:`SegTree1D.identity`, filled without a walk.  An allocation counts
-one visit per node of the list it allocates, as a constructor does; a
-constructor allocates no pending tree, so building ``(a, b, c)`` costs
+one visit per node of the list it allocates, as a constructor does.  A
+build allocates no pending tree: it walks each axis-0 arena children first,
+building a leaf's ``row_fold`` tree from its cells and an internal node's as
+one allocated blank tree whose entries join its children's, down to the
+last-axis trees' compiled ``join``; ``(a, b, c)`` costs
 ``(2a-1) * (1 + (2b-1) * 2c)`` visits.
 
 Every tree reads its axis-0 layout from ``shape``, the one
@@ -76,7 +79,7 @@ from .algebra import OperatorPair, check_special
 from .boxes import Box, check_box, check_value
 from .counters import OpCounters
 from .dense import DenseTensor
-from .seg1d import SegTree1D, kernels, node_shape, row_folds, split
+from .seg1d import SegTree1D, kernels, node_shape, split
 
 
 class NDTree:
@@ -96,13 +99,24 @@ class NDTree:
             self.line = SegTree1D(data, self.pair, counters=self.counters)
             return
         w = len(data) // self.dims[0]
-        for i, rows in row_folds(self.shape, lambda k: data[k * w:(k + 1) * w],
-                                 self.pair.query_op):
+        trees = self.row_fold
+        for k, i in enumerate(self.shape.leaves):
             if self._bare:
-                self.row_fold[i] = SegTree1D(rows, self.pair, counters=self.counters)
+                trees[i] = SegTree1D(data[k * w:(k + 1) * w], self.pair, counters=self.counters)
             else:
-                t = self.row_fold[i] = self._allocate()
-                t._fill(rows)
+                t = trees[i] = self._allocate()
+                t._fill(data[k * w:(k + 1) * w])
+        for i, l, r in self.shape.joins:
+            trees[i] = self._join(trees[l], trees[r])
+
+    def _join(self, a, b):
+        """A tree over the axes after axis 0 whose every fold is ``query_op``
+        of ``a``'s and ``b``'s, ``a``'s first; neither holds a pending value."""
+        if self._bare:
+            return SegTree1D._joined(a, b, 1)
+        t = self._allocate()
+        t.row_fold = list(map(t._join, a.row_fold, b.row_fold))
+        return t
 
     def _blank(self, dims, pair: OperatorPair, counters: OpCounters) -> None:
         """Bind an all-identity tree over ``dims`` (d >= 2: its axis-0 arena).

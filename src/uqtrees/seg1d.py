@@ -55,7 +55,9 @@ resets each span node, parents first, from its children's true folds,
 carrying by parent the pending values of a child not rebuilt in the call), ``fill`` (the
 constructor's whole-array build: one loop copies the cells onto the
 layout's ``leaves``, one folds its ``joins``, children first; ``laz``
-starts as one list of ``update_identity``), ``query``, ``query_many`` (one
+starts as one list of ``update_identity``), ``join`` (one ``Q`` per node of
+two trees without pending values: the nested trees build an internal outer
+node's tree from its two children's by it), ``query``, ``query_many`` (one
 span's split folded over several trees in one call, tree by tree in the
 order given: each tree's partial nodes carry its pending values down,
 parents first, into a scratch dict made per call, of O(log N) entries, and
@@ -222,29 +224,7 @@ def split(shape: NodeShape, lo: int, hi: int) -> Tuple[List[int], List[int]]:
     return covered, partial
 
 
-def row_folds(shape: NodeShape, row, q):
-    """Yield ``(node, fold)`` for every node of ``shape``, children first.
-
-    ``fold`` is the element-wise ``q``-fold of ``row(k)`` over the node's
-    span ``k = lo..hi`` (the outer arenas of the 2D and d-dimensional trees
-    build their per-node trees from it).  A child's list is dropped once its
-    parent has folded it.
-    """
-    lo, left, right = shape.lo, shape.left, shape.right
-    held: list = [None] * len(lo)
-    for i in range(len(lo) - 1, -1, -1):
-        l = left[i]
-        if l < 0:
-            fold = row(lo[i])
-        else:
-            r = right[i]
-            fold = list(map(q, held[l], held[r]))
-            held[l] = held[r] = None
-        held[i] = fold
-        yield i, fold
-
-
-# One template per walk; each line ``target = OP(args)``, OP one of U, Q, AGG
+# One template per walk; each call ``OP(args)``, OP one of U, Q, AGG
 # (update_op, query_op, aggregator), is rendered per pair; UID/QID, the
 # identities, are bound as objects.
 _TEMPLATE = """
@@ -294,7 +274,10 @@ def rebuild(trees, rows, rleft, rright, covered, partial):
         av, al, asz, bv, bl, bsz, val = a.val, a.laz, a.sz, b.val, b.laz, b.sz, t.val
         # Q commutes with the column fold: a node is Q of a's and b's; a child
         # rebuilt earlier in this call holds UID on every span node: read as is
-        if rleft[k] in rows:
+        if rleft[k] in rows and rright[k] in rows:
+            for j in nodes:
+                val[j] = Q(av[j], bv[j])
+        elif rleft[k] in rows:
             for j in nodes:
                 cb[j] = zb = U(cb[up[j]], bl[j])
                 y = AGG(bv[j], zb, bsz[j])
@@ -319,6 +302,9 @@ def fill(t, values):
         val[i] = x
     for i, l, r in shape.joins:
         val[i] = Q(val[l], val[r])
+
+def join(a, b):
+    return [Q(x, y) for x, y in zip(a.val, b.val)]
 
 def query(t, qlo, qhi):
     lo, hi, left, right = t.shape[:4]
@@ -433,19 +419,19 @@ _LEVELS = _level_walks("level", """
         visits += walk(t, splits, k + 1, w)""", """
             x, m = walk(t, splits, k + 1)
             visits += m""")
-_OP_LINE = re.compile(r"^( *)(.+) = (U|Q|AGG)\((.*)\)$", re.M)
+_OP_CALL = re.compile(r"\b(U|Q|AGG)\(([^()]*)\)")
 
 
 def _render(template: str, forms: dict) -> str:
-    """``template``'s walks, each op line inline where ``forms`` has a form.
-    Operands are names or subscripts, so a form may read one twice."""
-    def line(m):
-        pad, target, op, args = m.groups()
+    """``template``'s walks, each op call inline, parenthesised, where ``forms``
+    has a form.  Operands are names or subscripts, so a form may read one twice."""
+    def call(m):
+        op, args = m.groups()
         if forms[op] is None:
             return m.group()
         names = dict(zip("avk" if op == "AGG" else "ab", args.split(", ")))
-        return f"{pad}{target} = " + re.sub(r"\b[abvk]\b", lambda n: names[n[0]], forms[op])
-    return _OP_LINE.sub(line, template)
+        return "(" + re.sub(r"\b[abvk]\b", lambda n: names[n[0]], forms[op]) + ")"
+    return _OP_CALL.sub(call, template)
 
 
 _compiled: dict = {}  # id(pair) -> (pair, its walks)
@@ -471,24 +457,29 @@ def kernels(pair: OperatorPair) -> SimpleNamespace:
 class SegTree1D:
     def __init__(self, values: Sequence, pair: OperatorPair, *,
                  cell_weight: int = 1, counters: Optional[OpCounters] = None):
-        self._bind(len(values), pair, cell_weight, counters)
+        self._bind(len(values), pair, cell_weight, counters,
+                   [pair.query_identity] * (2 * len(values) - 1))
         self._k.fill(self, values)
 
     @classmethod
     def identity(cls, size: int, pair: OperatorPair, *,
                  counters: Optional[OpCounters] = None) -> "SegTree1D":
-        """A tree over ``size`` copies of ``query_identity``, filled without a walk.
-
-        A tree before ``fill`` holds every fold ``query_identity`` and every
-        pending value ``update_identity``, as the constructor would compute;
-        like the constructor it counts ``node_count`` visits.
-        """
+        """A tree over ``size`` copies of ``query_identity``, bound without a
+        walk; like the constructor it counts ``node_count`` visits."""
         t = cls.__new__(cls)
-        t._bind(size, pair, 1, counters)
+        t._bind(size, pair, 1, counters, [pair.query_identity] * len(node_shape(size).lo))
+        return t
+
+    @classmethod
+    def _joined(cls, a: "SegTree1D", b: "SegTree1D", cell_weight: int) -> "SegTree1D":
+        """The element-wise ``query_op`` fold of ``a`` and ``b``, ``a``'s first, neither
+        holding a pending value, as at build time; it counts ``node_count`` visits."""
+        t = cls.__new__(cls)
+        t._bind(a.size, a.pair, cell_weight, a.counters, a._k.join(a, b))
         return t
 
     def _bind(self, size: int, pair: OperatorPair, cell_weight: int,
-              counters: Optional[OpCounters]) -> None:
+              counters: Optional[OpCounters], val: list) -> None:
         shape = node_shape(size)
         count = len(shape.lo)
         self.size = size
@@ -497,7 +488,7 @@ class SegTree1D:
         self.shape = shape
         # covered cells per node, pre-scaled by cell_weight; shared, read-only
         self.sz = node_sizes(size, cell_weight)
-        self.val: list = [pair.query_identity] * count
+        self.val = val
         self.laz: list = [pair.update_identity] * count
         self._stamped: Sequence[int] = ()
         self._k = kernels(pair)

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -16,6 +17,16 @@ KERNEL_CASES = ([(p, "int") for p in builtin_pairs()]
                 + [(p, "fraction") for p in builtin_pairs()]
                 + [(GCD_GCD, "int")])
 KERNEL_IDS = [f"{p.name}-{c}" for p, c in KERNEL_CASES]
+
+
+def full_box(t):
+    """The box covering the whole DenseTensor ``t``."""
+    return tuple((0, n - 1) for n in t.dims)
+
+
+def all_cells(t):
+    """Iterate ``(coords, value)`` over the DenseTensor ``t`` in row-major order."""
+    return zip(product(*map(range, t.dims)), t.data)
 
 
 def sample_cell(pair, rng, cells):

@@ -10,6 +10,7 @@ import pytest
 from uqtrees import (BenchRow, WorkloadConfig, make_backend, DenseTensor,
                      get_pair, parse_tensor, run_bench, run_scaling,
                      run_verify)
+from uqtrees.boxes import draw_box
 from uqtrees.dense import format_tensor
 from uqtrees.matmul import PRODUCT_PAIRS, product_via_backend, schoolbook, seed_backend
 from uqtrees.workloads import format_dims, parse_dims
@@ -71,6 +72,27 @@ class TestWorkloadProtocol:
             a, b = ref.randrange(n), ref.randrange(n)
             want.append((min(a, b), max(a, b)))
         assert box == tuple(want)
+
+    # draw_box takes rng._randbelow(n), the draw behind rng.randrange(n): the
+    # seeded streams, and every count pinned on them, rest on that identity
+    @pytest.mark.parametrize("dims", [
+        (1,), (5,), (37,), (1024,), (65536,), (1, 1), (1, 13), (13, 1), (5, 3), (6, 13),
+        (9, 7), (33, 17), (65, 33), (5, 257), (32, 32), (64, 64), (8, 8, 8), (3, 4, 5),
+        (13, 1, 3), (32, 32, 32), (3, 4, 2, 5), (4, 4, 4, 4), (2, 1, 3, 1, 2),
+        (2, 2, 2, 2, 5), (3, 2, 4, 37)], ids=lambda d: "x".join(map(str, d)))
+    def test_draw_box_draws_as_sorted_randrange(self, dims):
+        rng, ref = random.Random(7), random.Random(7)
+        for _ in range(2000):
+            want = tuple(tuple(sorted((ref.randrange(n), ref.randrange(n)))) for n in dims)
+            assert draw_box(rng, dims) == want
+        assert rng.getstate() == ref.getstate()
+
+    def test_draw_box_draws_as_sorted_randrange_at_every_extent(self):
+        rng, ref = random.Random(8), random.Random(8)
+        for n in range(1, 1025):
+            for _ in range(20):
+                assert draw_box(rng, (n,)) == (tuple(sorted((ref.randrange(n), ref.randrange(n)))),)
+        assert rng.getstate() == ref.getstate()
 
     def test_custom_value_range_respected(self):
         cfg = WorkloadConfig("seg1d", "plus-plus", (8,), ops=300, seed=1,

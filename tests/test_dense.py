@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from uqtrees import (DenseTensor, builtin_pairs, format_tensor, get_pair,
                      parse_tensor)
 from uqtrees.dense import parse_value
-from conftest import GCD_GCD, fold
+from conftest import GCD_GCD, all_cells, fold
 
 
 def spans(rng, dims):
@@ -62,7 +62,7 @@ class TestQuery:
         t = DenseTensor(dims, data, pair)
         for _ in range(60):
             box = spans(rng, dims)
-            cells = [v for c, v in t.all_cells()
+            cells = [v for c, v in all_cells(t)
                      if all(lo <= x <= hi for x, (lo, hi) in zip(c, box))]
             assert t.query(box) == fold(pair, cells)
 
@@ -113,7 +113,7 @@ class TestRuns:
         boxes = 0
         for dims in self.SHAPES:
             t = DenseTensor(dims, [0] * math.prod(dims), get_pair("plus-plus"))
-            cells = [c for c, _ in t.all_cells()]
+            cells = [c for c, _ in all_cells(t)]
             axis_spans = [list(combinations_with_replacement(range(n), 2)) for n in dims]
             for box in product(*axis_spans):
                 want = [i for i, c in enumerate(cells)
@@ -151,7 +151,7 @@ class TestRuns:
             values = [0, 3, -0.5, 1e300, inf, -inf]
         rng = random.Random(kind)
         t = DenseTensor((3, 4, 5), [rng.choice(cells) for _ in range(60)], pair)
-        inside = {i for i, (c, _) in enumerate(t.all_cells())
+        inside = {i for i, (c, _) in enumerate(all_cells(t))
                   if all(lo <= x <= hi for x, (lo, hi) in zip(c, box))}
         for v in values:
             want = [pair.update_op(x, v) if i in inside else x

@@ -175,8 +175,8 @@ class TestFusedRebuild:
 
     def test_only_children_not_rebuilt_carry_their_pending_values(self):
         # a child rebuilt earlier in the call is read as it stands: one
-        # aggregator call per span node per child not rebuilt, or one when
-        # both were rebuilt, as a one-carry loop serves that case
+        # aggregator call per span node per child not rebuilt, none when
+        # both were rebuilt
         calls = []
 
         def agg(a, v, k):
@@ -196,7 +196,7 @@ class TestFusedRebuild:
                 partial = split(shape, *rows)[1]
                 ccov, cpar = split(cshape, *cols)
                 nodes = len(cpar) + sum(2 * (cshape.hi[i] - cshape.lo[i]) + 1 for i in ccov)
-                carries = sum(max(1, (shape.left[i] not in partial) + (shape.right[i] not in partial))
+                carries = sum((shape.left[i] not in partial) + (shape.right[i] not in partial)
                               for i in partial)
                 calls.clear()
                 g.inner[0]._k.rebuild(g.inner, partial, shape.left, shape.right, ccov, cpar)

@@ -9,7 +9,7 @@ from uqtrees import (DenseTensor, NDTree, OperatorPair, SegTree1D, WorkloadConfi
                      builtin_pairs, get_pair, run_verify)
 from uqtrees.boxes import draw_box
 from uqtrees.seg1d import kernels
-from conftest import KERNEL_CASES, edge_spans, sample_cell
+from conftest import KERNEL_CASES, edge_spans, full_box, sample_cell
 
 
 def tensor(dims, data, pair_name):
@@ -216,7 +216,7 @@ class TestPendingAllocation:
         data = [rng.randint(*special_pair.sample_range) for _ in range(60)]
         t = NDTree(DenseTensor(dims, data, special_pair), special_pair)
         o = DenseTensor(dims, data, special_pair)
-        full = o.full_box()
+        full = full_box(o)
         assert t.query(full) == o.query(full)  # before any stamp
         v = special_pair.sample_range[1]
         t.update(((2, 2), (1, 1), (0, 3)), v)
