@@ -75,13 +75,12 @@ class DenseTensor:
     def _runs(self, box: Box) -> list:
         """``(start, stop, step)`` runs of flat indices covering ``box``.
 
-        The runs list every cell of the box once, in row-major order.  The
-        run axis is the last one, or the one above it when the last axis has
-        width 1; then the run steps by the run axis's stride.  Trailing axes
-        that the box covers fully merge into the run of the axis above them.
-        The axes above the run axis give one run per index tuple.  A query
-        folds each run with one builtin call, so float grouping and the nan
-        order of ``min``/``max`` follow these runs.
+        The runs list every cell once, in row-major order, with trailing axes
+        merged as the module notes say.  The axes above the run axis give one
+        run per index tuple; with none (a matrix column, full rows) the one
+        run is returned directly.  A query folds each run with one builtin
+        call, so float grouping and the nan order of ``min``/``max`` follow
+        these runs.
         """
         lo, hi = box[-1]
         if len(box) == 1:
@@ -100,6 +99,8 @@ class DenseTensor:
         # the merged axes below axis k end one step short of its next index
         start = offset + lo * strides[k]
         stop = offset + (hi + 1) * strides[k] - step + 1
+        if not k:
+            return [(start, stop, step)]
         bases = [0]
         for (alo, ahi), stride in zip(box[:k], strides[:k]):
             bases = [b + x * stride for b in bases for x in range(alo, ahi + 1)]
@@ -130,10 +131,8 @@ class DenseTensor:
             out = sum(data[a:e:st])
             for a, e, st in runs[1:]:
                 out += sum(data[a:e:st])
-        elif q is min:
-            out = min(min(data[a:e:st]) for a, e, st in runs)
-        elif q is max:
-            out = max(max(data[a:e:st]) for a, e, st in runs)
+        elif q is min or q is max:
+            out = q(q(data[a:e:st]) for a, e, st in runs)
         elif q is operator.mul:
             a, e, st = runs[0]
             out = math.prod(data[a:e:st])

@@ -20,6 +20,12 @@ Infinities in ``A`` are fine; they are only ever updated by finite values.
 A nan in ``A`` is rejected before any update: ``min``/``max`` answer nan by
 argument order, so no backend could match :func:`schoolbook`.
 
+:func:`schoolbook` folds each cell's terms left to right in ``k`` with one
+C-level call, builtin ``min``/``max`` (which keep the first of equal extremes,
+as pairwise calls do) or ``functools.reduce``: the pairwise loop's answer on
+every value, nan and ``0.0``/``-0.0`` ties included.  Not ``sum``: it starts
+from ``0`` (``-0.0`` terms sum to ``0.0``), and from 3.12 it compensates floats.
+
 Supported domains (:data:`PRODUCT_PAIRS`):
 
 * ``plus-min``  -- min-plus ("tropical") product, exact over integers,
@@ -36,6 +42,7 @@ pairs are fold-commuting, and its constructor rejects them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, List, Sequence
 
 from .algebra import (INF, NEG_INF, OperatorPair, PLUS_MAX, PLUS_MIN,
@@ -111,21 +118,14 @@ def _check_operands(a: Matrix, b: Matrix) -> int:
 
 
 def schoolbook(a: Matrix, b: Matrix, domain: ProductPair) -> Matrix:
-    """Direct O(N^3) product; the oracle the reduction is checked against."""
-    n = _check_square(a, b)
-    u = domain.pair.update_op
-    q = domain.pair.query_op
-    out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(n):
-            acc = u(ai[0], b[0][j])
-            for k in range(1, n):
-                acc = q(acc, u(ai[k], b[k][j]))
-            row.append(acc)
-        out.append(row)
-    return out
+    """Direct O(N^3) product, the reduction's oracle: one C-level fold per
+    cell, left to right in ``k``, the first extreme kept, never ``sum``."""
+    _check_square(a, b)
+    u, q = domain.pair.update_op, domain.pair.query_op
+    cols = list(zip(*b))
+    if q is min or q is max:
+        return [[q(map(u, ai, col)) for col in cols] for ai in a]
+    return [[reduce(q, map(u, ai, col)) for col in cols] for ai in a]
 
 
 def seed_backend(backend_id: str, a: Matrix, domain: ProductPair):

@@ -132,6 +132,26 @@ class TestRuns:
         t = DenseTensor((2, 3, 4), [0] * 24, get_pair("plus-min"))
         assert t._runs(((0, 1), (0, 2), (1, 1))) == [(1, 22, 4)]
 
+    # one run each: a width-1 last axis under full middle axes and full
+    # slabs (no axis above the run axis), and a single row
+    ONE_RUN_BOXES = {
+        (3, 4, 5): [(((0, 2), (0, 3), (2, 2)), (2, 58, 5)),
+                    (((1, 2), (0, 3), (2, 2)), (22, 58, 5)),
+                    (((1, 1), (0, 3), (0, 4)), (20, 40, 1)),
+                    (((1, 2), (0, 3), (0, 4)), (20, 60, 1)),
+                    (((1, 1), (2, 2), (1, 3)), (31, 34, 1))],
+        (2, 3, 4, 5): [(((0, 1), (0, 2), (0, 3), (3, 3)), (3, 119, 5)),
+                       (((1, 1), (0, 2), (0, 3), (3, 3)), (63, 119, 5)),
+                       (((1, 1), (0, 2), (0, 3), (0, 4)), (60, 120, 1)),
+                       (((1, 1), (2, 2), (3, 3), (1, 3)), (116, 119, 1))],
+    }
+
+    @pytest.mark.parametrize("dims", sorted(ONE_RUN_BOXES))
+    def test_one_run_boxes_are_one_run(self, dims):
+        t = DenseTensor(dims, [0] * math.prod(dims), get_pair("plus-min"))
+        for box, run in self.ONE_RUN_BOXES[dims]:
+            assert t._runs(box) == [run], box
+
     # on 3x4x5: two fully covered trailing axes, a width-1 last axis, a row
     RUN_BOXES = {"merged": ((1, 2), (0, 3), (0, 4)),
                  "strided": ((0, 2), (0, 3), (2, 2)),

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,6 +8,7 @@ from uqtrees import (MAX_PLUS_PRODUCT, MIN_PLUS_PRODUCT, STANDARD_PRODUCT,
                      MIN_MIN, DenseTensor, NDTree, ProductPair,
                      ZeroTrackedSum, get_pair, multi_product_via_backend,
                      product_via_backend, schoolbook, seed_backend)
+from uqtrees.matmul import PRODUCT_PAIRS
 from uqtrees.seg1d import node_shape, split
 
 BACKENDS = ("oracle", "grid2d-general")
@@ -38,6 +41,83 @@ class TestSchoolbook:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             schoolbook([[1]], [[1, 2], [3, 4]], MIN_PLUS_PRODUCT)
+
+
+def pairwise_schoolbook(a, b, domain):
+    """The reference: one ``q(acc, u(a_ik, b_kj))`` call pair per term, k rising."""
+    n = len(a)
+    u, q = domain.pair.update_op, domain.pair.query_op
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = u(a[i][0], b[0][j])
+            for k in range(1, n):
+                acc = q(acc, u(a[i][k], b[k][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+class TestSchoolbookFold:
+    """``schoolbook`` folds each cell in one C-level call; its matrices are
+    the pairwise loop's, compared by repr so that nan matches nan and
+    ``-0.0`` differs from ``0.0``."""
+
+    INTS = list(range(-9, 10))
+    # (A's values, B's values) per case
+    CASES = {
+        "ints": (INTS, INTS),
+        "fractions": ([Fraction(p, q) for p in range(-4, 5) for q in (1, 2, 3)],
+                      [Fraction(p, q) for p in range(-4, 5) for q in (1, 3, 4)]),
+        "non-finite-a": (INTS + [math.inf, -math.inf, math.nan], INTS),
+        "signed-zeros": ([0.0, -0.0, 0, 1, -1], [0.0, -0.0, 0]),
+    }
+
+    @staticmethod
+    def assert_same(a, b, domain):
+        got = schoolbook(a, b, domain)
+        assert repr(got) == repr(pairwise_schoolbook(a, b, domain))
+        return got
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("name", sorted(PRODUCT_PAIRS))
+    def test_every_domain_matches_the_pairwise_loop(self, name, case):
+        domain = PRODUCT_PAIRS[name]
+        a_values, b_values = self.CASES[case]
+        rng = random.Random(f"{name} {case}")
+        for n in list(range(1, 10)) + [33]:
+            a = [[rng.choice(a_values) for _ in range(n)] for _ in range(n)]
+            b = [[rng.choice(b_values) for _ in range(n)] for _ in range(n)]
+            self.assert_same(a, b, domain)
+
+    @pytest.mark.parametrize("domain", [MIN_PLUS_PRODUCT, MAX_PLUS_PRODUCT], ids=lambda d: d.name)
+    def test_ties_keep_the_first_extreme(self, domain):
+        # B is all -0.0, so the terms of row i are A's row i; they tie at
+        # zero, and the first one's sign is the answer
+        a = [[-0.0, 0.0, -0.0], [0.0, -0.0, -0.0], [0.0, 0.0, -0.0]]
+        b = [[-0.0] * 3 for _ in range(3)]
+        got = self.assert_same(a, b, domain)
+        assert repr(got) == repr([[-0.0] * 3, [0.0] * 3, [0.0] * 3])
+
+    @pytest.mark.parametrize("domain", [MIN_PLUS_PRODUCT, MAX_PLUS_PRODUCT], ids=lambda d: d.name)
+    def test_nan_term_is_kept_only_in_first_place(self, domain):
+        # min/max replace the running extreme only when a term compares
+        # beyond it, which nan never does: a first nan is the answer, a later
+        # one is skipped
+        nan = math.nan
+        a = [[nan, 5, -5], [5, nan, -5], [-5, 5, nan]]
+        b = [[0] * 3 for _ in range(3)]
+        got = self.assert_same(a, b, domain)
+        best = -5 if domain is MIN_PLUS_PRODUCT else 5
+        assert repr(got) == repr([[nan] * 3, [best] * 3, [best] * 3])
+
+    def test_times_plus_cell_of_negative_zero_products_stays_negative(self):
+        # sum() would start from 0 and answer 0.0
+        a = [[0.0, -0.0, 0.0], [1, 2, 3], [0, 0, 0]]
+        b = [[-1, 1, 2], [2, -3, 1], [-4, 5, 0]]
+        got = self.assert_same(a, b, STANDARD_PRODUCT)
+        assert repr(got[0][0]) == "-0.0"
 
 
 class TestSingleProduct:
